@@ -43,7 +43,4 @@ print("width 3 skips past it         :", first_fit([grid], 3))
 print("\nforbid slots 20-29 (as the jamming-aware plane would):")
 grid.forbid(SlotBlock(20, 10))
 show(grid)
-print("aware search for width 6 keeps a guardband from the range:",
-      first_fit([grid], 6, forbidden_aware=True))
-print("an unaware search would dive right in                    :",
-      first_fit([grid], 6, forbidden_aware=False))
+print("width 6 keeps a guardband from the forbidden range:", first_fit([grid], 6))

@@ -37,10 +37,11 @@ from .phy import (
     inband_jamming_psd,
     jamming_psd,
     linear_to_db,
-    nli_secure_psd,
     qot_verdict,
+    sci_psd,
     slot_center_frequency,
     snr,
+    xci_psd,
 )
 from .sim import (
     Request,

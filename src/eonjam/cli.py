@@ -48,7 +48,7 @@ from . import metrics, sim
 from .control_plane import DEFAULT_DETECTION_TOLERANCE_DB, ControlMode
 from .jammer import DEFAULT_JAMMED_RANGES, JammerConfig
 from .spectrum import SLOT_COUNT, SlotBlock
-from .topology import Topology, load_topology_file, nsfnet
+from .topology import Topology, load_topology_file, nsfnet, nsfnet_text
 
 __all__ = ["ScenarioConfig", "load_config", "validate", "run", "main"]
 
@@ -97,6 +97,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
     modes: list[ControlMode] = []
     if not raw_modes:
         violations.append("modes: at least one mode is required")
+    elif not isinstance(raw_modes, list):
+        violations.append("modes: expected a mode name or a list of them")
     else:
         for entry in raw_modes:
             try:
@@ -106,7 +108,9 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
 
     jammer_data = data.get("jammer")
     jammer = None
-    if jammer_data is not None:
+    if jammer_data is not None and not isinstance(jammer_data, dict):
+        violations.append("jammer: expected a mapping with target and jammed_ranges")
+    elif jammer_data is not None:
         target = jammer_data.get("target")
         if not isinstance(target, str) or not target:
             violations.append("jammer.target: required (most_used, least_used or a link id)")
@@ -114,6 +118,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
         ranges: list[SlotBlock] = []
         if ranges_raw is None:
             ranges = list(DEFAULT_JAMMED_RANGES)
+        elif not isinstance(ranges_raw, list):
+            violations.append("jammer.jammed_ranges: expected a list of [start, width]")
         else:
             for index, pair in enumerate(ranges_raw):
                 try:
@@ -150,6 +156,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
 
     traffic_raw = data.get("traffic", {})
     try:
+        if not isinstance(traffic_raw, dict):
+            raise TypeError("expected a mapping")
         traffic = sim.TrafficModel(
             load_erlangs=float(traffic_raw.get("load_erlangs", 200.0)),
             mean_holding_s=float(traffic_raw.get("mean_holding_s", 600.0)),
@@ -241,10 +249,15 @@ def _output_dir(config: ScenarioConfig) -> Path:
 
 
 def _ranking_cache_key(config: ScenarioConfig) -> str:
+    """Digest of everything the ranking depends on, topology contents included."""
+    if config.topology == "nsfnet":
+        topology_bytes = nsfnet_text().encode("ascii")
+    else:
+        topology_bytes = Path(config.topology).read_bytes()
     traffic = config.traffic
     payload = json.dumps(
         {
-            "topology": config.topology,
+            "topology": hashlib.sha256(topology_bytes).hexdigest(),
             "load": traffic.load_erlangs,
             "holding": traffic.mean_holding_s,
             "bandwidths": traffic.bandwidth_choices_gbps,

@@ -30,7 +30,8 @@ The engine tracks each active circuit's noise incrementally: the ASE,
 self-channel and jamming terms are constants of its route and block, and
 the cross-channel term is updated by the exact pair contribution when a
 neighbour arrives or departs.  This keeps admission checks O(shared
-neighbours) instead of rescanning the whole network.
+neighbours) instead of rescanning the whole network.  Every term comes
+from the :mod:`eonjam.phy` kernels that the audit's ``phy.snr`` uses.
 """
 
 from __future__ import annotations
@@ -143,11 +144,6 @@ class NetworkState:
                 self.grid_actives[direction] = {}
         self.actives: dict[int, Lightpath] = {}
         self.forbidden_ranges: dict[str, list[SlotBlock]] = {}
-        # Engine-local constants, hoisted out of the admission hot loop.
-        self._g0 = phy.g0_ase(params)
-        self._phi = params.phi
-        self._rho = params.rho
-        self._tx_power_w = params.tx_power_w
 
     def grids_for_route(self, route: Route) -> list[SlotGrid]:
         return [self.grids[hop] for hop in route.directed_hops]
@@ -220,71 +216,17 @@ def required_slots(bandwidth_gbps: float, modulation: phy.Modulation, params: ph
     return math.ceil(bandwidth_gbps / (slot_gbps * modulation.bits_per_symbol))
 
 
-def _pair_xci_psd(
-    victim: phy.Channel,
-    interferer: phy.Channel,
-    span_count: int,
-    phi: float,
-) -> float:
-    """Cross-channel NLI PSD one interferer adds to one victim per link."""
-    spacing = abs(victim.center_frequency_hz - interferer.center_frequency_hz)
-    half = interferer.bandwidth_hz / 2.0
-    return (
-        span_count
-        * phi
-        * victim.psd_w_per_hz
-        * interferer.psd_w_per_hz**2
-        * math.log((spacing + half) / (spacing - half))
-    )
-
-
 def _neighbour_deltas(state: NetworkState, lightpath: Lightpath) -> dict[int, float]:
     """Per-neighbour XCI this circuit contributes, summed over shared links."""
     deltas: dict[int, float] = {}
-    phi = state._phi
+    params = state.params
     for link, hop in zip(lightpath.route.links, lightpath.route.directed_hops):
         for other_id, other in state.grid_actives[hop].items():
             if other_id == lightpath.id:
                 continue
-            term = _pair_xci_psd(other.channel, lightpath.channel, link.span_count, phi)
+            term = phy.xci_psd(other.channel, lightpath.channel, link.span_count, params)
             deltas[other_id] = deltas.get(other_id, 0.0) + term
     return deltas
-
-
-def _jamming_noise(
-    channel: phy.Channel,
-    route: Route,
-    ground_truth: GroundTruth | None,
-    state: NetworkState,
-) -> float:
-    """Constant jamming noise PSD for a circuit on ``route``.
-
-    Out-of-band jammed channels contribute accumulated NLI per span of
-    the attacked link; an overlapping jammed channel adds the in-band
-    excess once.  Exactly 0.0 when the attack is absent or inert.
-    """
-    if ground_truth is None:
-        return 0.0
-    total = 0.0
-    eps = ground_truth.epsilon_w
-    excess = eps * eps + 2.0 * eps * state._tx_power_w
-    for link in route.links:
-        if link.id != ground_truth.link_id:
-            continue
-        for jam in ground_truth.channels:
-            if channel.overlap_hz(jam) > 0.0:
-                total += phy.inband_jamming_psd(channel, jam, eps)
-            else:
-                spacing = abs(channel.center_frequency_hz - jam.center_frequency_hz)
-                half = jam.bandwidth_hz / 2.0
-                total += (
-                    link.span_count
-                    * state._phi
-                    * channel.psd_w_per_hz
-                    * (excess / jam.bandwidth_hz**2)
-                    * math.log((spacing + half) / (spacing - half))
-                )
-    return total
 
 
 def _build_candidate(
@@ -299,20 +241,17 @@ def _build_candidate(
     ground_truth: GroundTruth | None,
 ) -> Lightpath:
     """Assemble a candidate circuit with its noise terms evaluated."""
-    channel = phy.channel_for_block(block, state.params)
-    g = channel.psd_w_per_hz
-    ase = route.total_spans * state._g0
-    sci = (
-        route.total_spans
-        * state._phi
-        * g**3
-        * math.asinh(state._rho * channel.bandwidth_hz**2)
-    )
+    params = state.params
+    channel = phy.channel_for_block(block, params)
     xci = 0.0
+    jam = 0.0
     for link, hop in zip(route.links, route.directed_hops):
         for other in state.grid_actives[hop].values():
-            xci += _pair_xci_psd(channel, other.channel, link.span_count, state._phi)
-    jam = _jamming_noise(channel, route, ground_truth, state)
+            xci += phy.xci_psd(channel, other.channel, link.span_count, params)
+        if ground_truth is not None and link.id == ground_truth.link_id:
+            jam = phy.jamming_psd(
+                channel, link.span_count, ground_truth.channels, ground_truth.epsilon_w, params
+            )
     return Lightpath(
         id=request_id,
         route=route,
@@ -322,8 +261,8 @@ def _build_candidate(
         established_at=arrival_time,
         departs_at=arrival_time + holding_s,
         channel=channel,
-        ase_psd=ase,
-        sci_psd=sci,
+        ase_psd=phy.ase_psd(route, params),
+        sci_psd=phy.sci_psd(channel, route.total_spans, params),
         jam_psd=jam,
         xci_psd=xci,
     )
@@ -395,14 +334,13 @@ def handle_request(
     """
     route = state.topology.shortest_path(request.source, request.destination)
     grids = state.grids_for_route(route)
-    aware = mode is ControlMode.AWARE
     saw_qot = False
     saw_jammed = False
 
     for modulation in reversed(phy.MODULATIONS):
         width = required_slots(request.bandwidth_gbps, modulation, params)
         while True:
-            block = first_fit(grids, width, forbidden_aware=aware)
+            block = first_fit(grids, width)
             if block is None:
                 break
             candidate = _build_candidate(

@@ -2,10 +2,11 @@
 
 Blocking probability is request-count based (blocked / offered).  The
 per-slot histograms are exact time-averages of each slot's reserved
-indicator (used, or locked inside a free gap too narrow to host any
-block), averaged over every directed grid, with a per-link breakdown for
-inspection; counting the dead guardband gaps is what makes the First Fit
-decay signature visible instead of a packing comb.  Link mean
+indicator (used, or inside the guardband shadow of the circuit below
+it, see :class:`~eonjam.spectrum.SlotGrid`), averaged over every
+directed grid, with a per-link breakdown for inspection; counting the
+shadowed guardband slots is what makes the First Fit decay signature
+visible instead of a packing comb.  Link mean
 utilization counts carried traffic only (used slots), and the ranking it
 feeds is what the attacker's most/least-used selector consumes.
 """

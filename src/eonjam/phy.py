@@ -9,21 +9,27 @@ accumulates amplifier noise (ASE), Kerr nonlinear interference from
 co-propagating channels (Gaussian-noise approximation), and the extra
 nonlinear interference caused by a high-power jamming signal.
 
-Everything is evaluated in SI units (W, Hz, m, s).  The constructor of
-:class:`PhyParams` converts the conventional engineering units (dB/km,
-ps^2/km, 1/(W km)) once and caches the two derived coefficients
+Everything is evaluated in SI units (W, Hz, m, s).  :class:`PhyParams`
+converts the conventional engineering units (dB/km, ps^2/km, 1/(W km))
+on first use and caches the per-span ASE PSD and the two derived
+coefficients
 
     phi = 3 * gamma^2 / (2 * pi * alpha * |beta2|)
     rho = pi^2 * |beta2| / (2 * alpha)
 
 used by the nonlinear terms.  Only frequency differences matter for the
 interference integrals, so the grid origin is an arbitrary constant.
+
+The noise terms are written here only (:func:`ase_psd`, :func:`sci_psd`,
+:func:`xci_psd`, :func:`jamming_psd`); :func:`snr` and the admission
+engine in ``control_plane`` both compose them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .spectrum import SlotBlock
 
@@ -39,7 +45,8 @@ __all__ = [
     "channel_for_block",
     "g0_ase",
     "ase_psd",
-    "nli_secure_psd",
+    "sci_psd",
+    "xci_psd",
     "jamming_psd",
     "inband_jamming_psd",
     "snr",
@@ -104,32 +111,38 @@ class PhyParams:
             if value <= 0.0:
                 raise ValueError(f"PhyParams.{name} must be positive, got {value!r}")
 
-    @property
+    @cached_property
     def tx_power_w(self) -> float:
         return 1e-3 * db_to_linear(self.tx_power_dbm)
 
-    @property
+    @cached_property
     def alpha_per_m(self) -> float:
         """Power attenuation in nepers per metre."""
         return self.attenuation_db_per_km * math.log(10.0) / 10.0 / 1e3
 
-    @property
+    @cached_property
     def beta2_s2_per_m(self) -> float:
         return self.beta2_abs_ps2_per_km * 1e-24 / 1e3
 
-    @property
+    @cached_property
     def gamma_per_w_m(self) -> float:
         return self.gamma_nl_per_w_km / 1e3
 
-    @property
+    @cached_property
     def phi(self) -> float:
         return 3.0 * self.gamma_per_w_m**2 / (
             2.0 * math.pi * self.alpha_per_m * self.beta2_s2_per_m
         )
 
-    @property
+    @cached_property
     def rho(self) -> float:
         return math.pi**2 * self.beta2_s2_per_m / (2.0 * self.alpha_per_m)
+
+    @cached_property
+    def g0_ase(self) -> float:
+        """Per-span ASE noise PSD, (e^{alpha L} - 1) F h nu."""
+        gain = math.exp(self.alpha_per_m * 1e3 * self.span_length_km)
+        return (gain - 1.0) * db_to_linear(self.noise_figure_db) * self.planck_js * self.light_frequency_hz
 
 
 @dataclass(frozen=True)
@@ -159,10 +172,6 @@ class Modulation:
     name: str
     bits_per_symbol: int
     snr_threshold_db: float
-
-    @property
-    def snr_threshold_linear(self) -> float:
-        return db_to_linear(self.snr_threshold_db)
 
 
 #: Supported formats, ordered by spectral efficiency.
@@ -205,15 +214,21 @@ def channel_for_block(
 
 def g0_ase(params: PhyParams) -> float:
     """Per-span ASE noise PSD, (e^{alpha L} - 1) F h nu."""
-    gain = math.exp(params.alpha_per_m * 1e3 * params.span_length_km)
-    return (gain - 1.0) * db_to_linear(params.noise_figure_db) * params.planck_js * params.light_frequency_hz
+    return params.g0_ase
 
 
 def ase_psd(route, params: PhyParams) -> float:
     """ASE noise PSD accumulated over every span of ``route``."""
     if not route.links:
         raise ValueError("route has no links")
-    return route.total_spans * g0_ase(params)
+    return route.total_spans * params.g0_ase
+
+
+def _overlap_error(spacing: float, half: float) -> PhyModelError:
+    return PhyModelError(
+        "co-channel spectra overlap the interference integral "
+        f"(spacing {spacing:.3e} Hz, half-bandwidth {half:.3e} Hz)"
+    )
 
 
 def _interference_log(target: Channel, other: Channel) -> float:
@@ -226,71 +241,71 @@ def _interference_log(target: Channel, other: Channel) -> float:
     spacing = abs(target.center_frequency_hz - other.center_frequency_hz)
     half = other.bandwidth_hz / 2.0
     if spacing - half <= 0.0:
-        raise PhyModelError(
-            "co-channel spectra overlap the interference integral "
-            f"(spacing {spacing:.3e} Hz, half-bandwidth {half:.3e} Hz)"
-        )
+        raise _overlap_error(spacing, half)
     return math.log((spacing + half) / (spacing - half))
 
 
-def nli_secure_psd(
-    target: Channel,
-    per_link_cochannels,
-    params: PhyParams,
-) -> float:
-    """Nonlinear-interference PSD from legitimate co-propagating traffic.
+def sci_psd(target: Channel, span_count: int, params: PhyParams) -> float:
+    """Self-channel NLI PSD of ``target`` accumulated over ``span_count`` spans."""
+    return (
+        span_count
+        * params.phi
+        * target.psd_w_per_hz**3
+        * math.asinh(params.rho * target.bandwidth_hz**2)
+    )
 
-    ``per_link_cochannels`` is a sequence of ``(span_count, channels)``
-    pairs, one per route link, listing the channels sharing that link.
-    Each link contributes ``span_count * phi * G * (self-term + cross
-    terms)``; jammer channels must not appear here (their effect is
-    computed by :func:`jamming_psd`).
+
+def xci_psd(target: Channel, other: Channel, span_count: int, params: PhyParams) -> float:
+    """Cross-channel NLI PSD that ``other`` adds to ``target`` on one link.
+
+    Flat on purpose: the engine calls it per neighbour pair, where a
+    helper call would cost as much as the term.
     """
-    g = target.psd_w_per_hz
-    self_term = g * g * math.asinh(params.rho * target.bandwidth_hz**2)
-    total = 0.0
-    for span_count, channels in per_link_cochannels:
-        cross = 0.0
-        for other in channels:
-            if other.is_jammer:
-                raise PhyModelError("jammer channel passed to nli_secure_psd")
-            if other is target or other == target:
-                continue
-            cross += other.psd_w_per_hz**2 * _interference_log(target, other)
-        total += span_count * params.phi * g * (self_term + cross)
-    return total
+    spacing = abs(target.center_frequency_hz - other.center_frequency_hz)
+    half = other.bandwidth_hz / 2.0
+    if spacing - half <= 0.0:
+        raise _overlap_error(spacing, half)
+    return (
+        span_count
+        * params.phi
+        * target.psd_w_per_hz
+        * other.psd_w_per_hz**2
+        * math.log((spacing + half) / (spacing - half))
+    )
 
 
 def jamming_psd(
     target: Channel,
-    per_link_jammed,
+    span_count: int,
+    jammers,
     epsilon_w: float,
     params: PhyParams,
 ) -> float:
-    """Excess NLI PSD caused by jammed channels spectrally near the target.
+    """Jamming noise PSD on one attacked link of ``span_count`` spans.
 
-    Implements the out-of-band interaction: each jammed channel of
-    bandwidth ``B`` contributes ``(eps^2 + 2 eps P) / B^2`` in place of
-    the squared PSD of a legitimate channel, which is exactly the NLI of
-    a channel at power ``P + eps`` minus the NLI of one at power ``P``.
-    Overlapping (in-band) victims are outside this formula's domain and
-    are handled by :func:`inband_jamming_psd`.
+    A jammed channel overlapping the target adds the in-band excess of
+    :func:`inband_jamming_psd` once.  A disjoint one of bandwidth ``B``
+    contributes cross-channel NLI with ``(eps^2 + 2 eps P) / B^2`` in
+    place of the squared PSD of a legitimate channel, which is exactly
+    the NLI of a channel at power ``P + eps`` minus the NLI of one at
+    power ``P``.  Exactly 0.0 when ``epsilon_w`` is zero or
+    ``jammers`` is empty.
     """
     if epsilon_w < 0.0:
         raise ValueError(f"epsilon_w must be non-negative, got {epsilon_w!r}")
-    p = params.tx_power_w
-    excess = epsilon_w * epsilon_w + 2.0 * epsilon_w * p
-    g = target.psd_w_per_hz
+    excess = epsilon_w * epsilon_w + 2.0 * epsilon_w * params.tx_power_w
     total = 0.0
-    for span_count, channels in per_link_jammed:
-        cross = 0.0
-        for jam in channels:
-            if jam == target:
-                continue
-            if target.overlap_hz(jam) > 0.0:
-                raise PhyModelError("target overlaps a jammed channel; use inband_jamming_psd")
-            cross += (excess / jam.bandwidth_hz**2) * _interference_log(target, jam)
-        total += span_count * params.phi * g * cross
+    for jam in jammers:
+        if target.overlap_hz(jam) > 0.0:
+            total += inband_jamming_psd(target, jam, epsilon_w)
+        else:
+            total += (
+                span_count
+                * params.phi
+                * target.psd_w_per_hz
+                * (excess / jam.bandwidth_hz**2)
+                * _interference_log(target, jam)
+            )
     return total
 
 
@@ -322,41 +337,24 @@ def snr(
     """Linear SNR of ``target`` over ``route``.
 
     ``per_link_state`` is a sequence aligned with ``route.links`` whose
-    elements list every channel co-propagating on that link, jammer
-    channels included (flagged ``is_jammer``).  ``jammer_epsilon_w`` is
-    the attacker's extra linear power; ``None`` means no attacker and any
-    jammer-flagged channels contribute nothing.
-
-    Jammer channels are split by geometry: non-overlapping ones go
-    through the out-of-band formula, overlapping ones through the
-    in-band overlap rule.
+    elements list every channel co-propagating on that link, the target
+    excluded and jammer channels included (flagged ``is_jammer``).
+    ``jammer_epsilon_w`` is the attacker's extra linear power; ``None``
+    means no attacker and any jammer-flagged channels contribute
+    nothing.
     """
     if len(per_link_state) != len(route.links):
         raise ValueError("per_link_state must align with route.links")
-
-    secure: list[tuple[int, list[Channel]]] = []
-    jammed: list[tuple[int, list[Channel]]] = []
-    inband = 0.0
-    eps = 0.0 if jammer_epsilon_w is None else jammer_epsilon_w
+    noise = ase_psd(route, params) + sci_psd(target, route.total_spans, params)
     for link, channels in zip(route.links, per_link_state):
-        legit = [c for c in channels if not c.is_jammer]
-        secure.append((link.span_count, legit))
-        if jammer_epsilon_w is None:
-            continue
-        oob = []
-        for jam in (c for c in channels if c.is_jammer):
-            if target.overlap_hz(jam) > 0.0:
-                inband += inband_jamming_psd(target, jam, eps)
+        jammers = []
+        for other in channels:
+            if other.is_jammer:
+                jammers.append(other)
             else:
-                oob.append(jam)
-        if oob:
-            jammed.append((link.span_count, oob))
-
-    noise = ase_psd(route, params)
-    noise += nli_secure_psd(target, secure, params)
-    if jammer_epsilon_w is not None and jammed:
-        noise += jamming_psd(target, jammed, eps, params)
-    noise += inband
+                noise += xci_psd(target, other, link.span_count, params)
+        if jammer_epsilon_w is not None:
+            noise += jamming_psd(target, link.span_count, jammers, jammer_epsilon_w, params)
     return target.psd_w_per_hz / noise
 
 

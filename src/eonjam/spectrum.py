@@ -4,9 +4,8 @@ Each directed link owns a :class:`SlotGrid` of 320 slots.  A slot is
 free, used by exactly one lightpath, or forbidden (reserved by the
 jamming-aware control plane).  First Fit scans for the lowest start
 index where a block fits on every grid of a route with a 2-slot
-guardband separating it from used spectrum; when asked to respect
-forbidden marks it treats them exactly like used slots, guardband
-included.
+guardband separating it from used spectrum; forbidden marks count
+exactly like used slots, guardband included.
 
 Grids also integrate per-slot busy time so that utilization statistics
 come from exact event-time integration instead of sampling.
@@ -118,13 +117,13 @@ class SlotGrid:
     def invalidate_coverage(self) -> None:
         self._covered = None
 
-    def coverage_mask(self, guard_slots: int = GUARDBAND_SLOTS) -> np.ndarray:
+    def coverage_mask(self) -> np.ndarray:
         """Slots that are used or inside a circuit's guardband shadow."""
         if self._covered is not None:
             return self._covered
         used = self.occupancy > 0
         covered = used.copy()
-        for k in range(1, guard_slots + 1):
+        for k in range(1, GUARDBAND_SLOTS + 1):
             covered[k:] |= used[:-k]
         self._covered = covered
         return self._covered
@@ -163,19 +162,14 @@ class SlotGrid:
         return np.flatnonzero(self.occupancy == lightpath_id)
 
 
-def first_fit(
-    grids,
-    width: int,
-    forbidden_aware: bool = False,
-    guard_slots: int = GUARDBAND_SLOTS,
-) -> SlotBlock | None:
+def first_fit(grids, width: int) -> SlotBlock | None:
     """Lowest-index block of ``width`` slots feasible on every grid.
 
-    A candidate ``[s, s+width)`` is feasible when none of its slots is
-    used (or forbidden, when ``forbidden_aware``) on any grid, and the
-    ``guard_slots`` slots on either side contain no used slot.  With
-    ``forbidden_aware`` set, forbidden slots are treated as unavailable
-    for the guardband as well.  Returns ``None`` when nothing fits.
+    A candidate ``[s, s+width)`` is feasible when none of its slots and
+    none of the ``GUARDBAND_SLOTS`` slots on either side is used or
+    forbidden on any grid.  Forbidden marks only exist once the
+    jamming-aware plane has detected an attack, so the other planes
+    never meet one.  Returns ``None`` when nothing fits.
     """
     if width < 1:
         raise SpectrumError(f"width must be >= 1, got {width}")
@@ -188,19 +182,16 @@ def first_fit(
     if width > slot_count:
         return None
 
-    blocked = grids[0].occupancy > 0
+    blocked = grids[0].occupancy != FREE
     for grid in grids[1:]:
-        blocked = blocked | (grid.occupancy > 0)
-    if forbidden_aware:
-        for grid in grids:
-            blocked = blocked | (grid.occupancy == FORBIDDEN)
+        blocked = blocked | (grid.occupancy != FREE)
 
     # Prefix sums let every candidate window be tested in O(1).
     csum = np.zeros(slot_count + 1, dtype=np.int64)
     np.cumsum(blocked, out=csum[1:])
     starts = np.arange(0, slot_count - width + 1)
-    lo = np.maximum(starts - guard_slots, 0)
-    hi = np.minimum(starts + width + guard_slots, slot_count)
+    lo = np.maximum(starts - GUARDBAND_SLOTS, 0)
+    hi = np.minimum(starts + width + GUARDBAND_SLOTS, slot_count)
     feasible = (csum[hi] - csum[lo]) == 0
     idx = int(np.argmax(feasible))
     if not feasible[idx]:

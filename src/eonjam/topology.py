@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "load_topology",
     "load_topology_file",
     "nsfnet",
+    "nsfnet_text",
     "shortest_path",
 ]
 
@@ -80,7 +82,7 @@ class Route:
     def link_ids(self) -> tuple[str, ...]:
         return tuple(link.id for link in self.links)
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[str, ...]:
         seq = [self.source]
         for link in self.links:
@@ -91,11 +93,11 @@ class Route:
     def length_km(self) -> float:
         return sum(link.length_km for link in self.links)
 
-    @property
+    @cached_property
     def total_spans(self) -> int:
         return sum(link.span_count for link in self.links)
 
-    @property
+    @cached_property
     def directed_hops(self) -> tuple[tuple[str, str], ...]:
         """(from, to) node pairs, one per traversed link."""
         seq = self.nodes
@@ -290,10 +292,14 @@ def load_topology_file(path, span_length_km: float = DEFAULT_SPAN_LENGTH_KM) -> 
         return load_topology(handle.read(), span_length_km=span_length_km)
 
 
+def nsfnet_text() -> str:
+    """Source text of the bundled NSFNet topology file."""
+    return resources.files("eonjam.data").joinpath("nsfnet.topo").read_text(encoding="ascii")
+
+
 def nsfnet() -> Topology:
     """The bundled 14-node NSFNet with the widely used distance set."""
-    text = resources.files("eonjam.data").joinpath("nsfnet.topo").read_text(encoding="ascii")
-    return load_topology(text)
+    return load_topology(nsfnet_text())
 
 
 def shortest_path(topology: Topology, source: str, destination: str) -> Route:

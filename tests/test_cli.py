@@ -62,6 +62,23 @@ def test_validate_rejects_jammer_without_attack_mode(tmp_path):
     assert any("must be absent" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"modes": 5},
+        {"jammer": [1, 2]},
+        {"traffic": 5},
+        {"jammer": {"target": "1-8", "jammed_ranges": 7}},
+    ],
+)
+def test_validate_malformed_section_exit_code(tmp_path, capsys, section):
+    config_path = write_config(tmp_path, dict(TINY, **section))
+    assert main(["validate", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
+
+
 def test_validate_missing_file():
     assert any("not found" in v for v in validate("/nonexistent/scenario.yaml"))
 
@@ -138,6 +155,23 @@ def test_rank_links_command(tmp_path, capsys):
     before = (tmp_path / "out" / "link_ranking.csv").read_bytes()
     assert main(["rank-links", str(config_path)]) == 0
     assert (tmp_path / "out" / "link_ranking.csv").read_bytes() == before
+
+
+def test_rank_links_recomputes_after_topology_edit(tmp_path):
+    topo_file = tmp_path / "chain.topo"
+    topo_file.write_text("nodes: A B C\nlink: A B 100\nlink: B C 100\n")
+    config = dict(TINY, topology="chain.topo", output_dir=str(tmp_path / "out"))
+    config["jammer"] = {"target": "most_used"}
+    config["traffic"] = {"requests_per_replication": 300, "replications": 1}
+    config_path = write_config(tmp_path, config)
+    ranking = tmp_path / "out" / "link_ranking.csv"
+    assert main(["rank-links", str(config_path)]) == 0
+    before = ranking.read_text()
+
+    # A longer A-B link changes which routes fit, so a stale cache would show.
+    topo_file.write_text("nodes: A B C\nlink: A B 4000\nlink: B C 100\n")
+    assert main(["rank-links", str(config_path)]) == 0
+    assert ranking.read_text() != before
 
 
 def test_validate_command_output(tmp_path, capsys):

@@ -16,10 +16,11 @@ from eonjam.phy import (
     inband_jamming_psd,
     jamming_psd,
     linear_to_db,
-    nli_secure_psd,
     qot_verdict,
+    sci_psd,
     slot_center_frequency,
     snr,
+    xci_psd,
 )
 from eonjam.spectrum import SlotBlock
 from eonjam.topology import load_topology
@@ -107,70 +108,61 @@ def test_ase_split_link_invariance(params):
 
 def test_nli_self_term_only(params):
     target = channel_for_block(SlotBlock(0, 1), params)
-    value = nli_secure_psd(target, [(1, [])], params)
     g = target.psd_w_per_hz
-    expected = params.phi * g**3 * math.asinh(params.rho * target.bandwidth_hz**2)
-    assert value == pytest.approx(expected, rel=1e-12)
-    assert nli_secure_psd(target, [], params) == 0.0
+    expected = 3 * params.phi * g**3 * math.asinh(params.rho * target.bandwidth_hz**2)
+    assert sci_psd(target, 3, params) == pytest.approx(expected, rel=1e-12)
 
 
 def test_nli_symmetric_cochannels_contribute_equally(params):
     target = channel_for_block(SlotBlock(10, 2), params)
     below = channel_for_block(SlotBlock(4, 2), params)
     above = channel_for_block(SlotBlock(16, 2), params)
-    both = nli_secure_psd(target, [(1, [below, above])], params)
-    only_self = nli_secure_psd(target, [(1, [])], params)
-    one_side = nli_secure_psd(target, [(1, [below])], params)
-    assert both - one_side == pytest.approx(one_side - only_self, rel=1e-9)
+    assert xci_psd(target, below, 2, params) > 0.0
+    assert xci_psd(target, below, 2, params) == pytest.approx(
+        xci_psd(target, above, 2, params), rel=1e-12
+    )
 
 
 def test_nli_rejects_overlap(params):
     target = channel_for_block(SlotBlock(10, 4), params)
     overlapping = channel_for_block(SlotBlock(11, 2), params)
     with pytest.raises(PhyModelError):
-        nli_secure_psd(target, [(1, [overlapping])], params)
+        xci_psd(target, overlapping, 1, params)
 
 
-def test_nli_rejects_jammer_channel(params):
-    target = channel_for_block(SlotBlock(0, 1), params)
-    jam = channel_for_block(SlotBlock(50, 10), params, is_jammer=True)
-    with pytest.raises(PhyModelError):
-        nli_secure_psd(target, [(1, [jam])], params)
+def _jammer(block, eps, params):
+    return channel_for_block(block, params, power_w=params.tx_power_w + eps, is_jammer=True)
 
 
 def test_jamming_zero_epsilon(params):
     target = channel_for_block(SlotBlock(0, 2), params)
-    jam = channel_for_block(SlotBlock(50, 10), params, is_jammer=True)
-    assert jamming_psd(target, [(3, [jam])], 0.0, params) == 0.0
+    jammers = [_jammer(SlotBlock(50, 10), 0.0, params), _jammer(SlotBlock(1, 4), 0.0, params)]
+    assert jamming_psd(target, 3, jammers, 0.0, params) == 0.0
 
 
 def test_jamming_empty_set(params):
     target = channel_for_block(SlotBlock(0, 2), params)
-    assert jamming_psd(target, [(3, [])], 1e-3, params) == 0.0
+    assert jamming_psd(target, 3, [], 1e-3, params) == 0.0
 
 
 def test_jamming_equals_elevated_minus_baseline_cochannel(params):
-    # One jammed channel's excess NLI must equal the secure-model NLI of
+    # One jammed channel's excess NLI must equal the cross-channel NLI of
     # the same channel at power P + eps minus the one at power P.
     eps = 1e-3 * (db_to_linear(3.0) - 1.0)
     block = SlotBlock(50, 10)
     target = channel_for_block(SlotBlock(30, 2), params)
-    jam = channel_for_block(block, params, power_w=params.tx_power_w + eps, is_jammer=True)
-    value = jamming_psd(target, [(2, [jam])], eps, params)
+    value = jamming_psd(target, 2, [_jammer(block, eps, params)], eps, params)
 
     elevated = channel_for_block(block, params, power_w=params.tx_power_w + eps)
     baseline = channel_for_block(block, params)
-    brute = nli_secure_psd(target, [(2, [elevated])], params) - nli_secure_psd(
-        target, [(2, [baseline])], params
-    )
+    brute = xci_psd(target, elevated, 2, params) - xci_psd(target, baseline, 2, params)
     assert value == pytest.approx(brute, rel=1e-9)
 
 
-def test_jamming_rejects_overlap(params):
-    target = channel_for_block(SlotBlock(52, 2), params)
-    jam = channel_for_block(SlotBlock(50, 10), params, is_jammer=True)
-    with pytest.raises(PhyModelError):
-        jamming_psd(target, [(1, [jam])], 1e-3, params)
+def test_jamming_overlap_is_inband(params):
+    target = channel_for_block(SlotBlock(48, 4), params)
+    jam = _jammer(SlotBlock(50, 10), 1e-3, params)
+    assert jamming_psd(target, 5, [jam], 1e-3, params) == inband_jamming_psd(target, jam, 1e-3)
 
 
 def test_inband_overlap_fraction(params):
@@ -193,10 +185,7 @@ def _per_link_with_jammer(params, span_counts, jam_blocks, eps, cochannels=()):
     state = []
     for spans in span_counts:
         channels = list(cochannels)
-        channels += [
-            channel_for_block(b, params, power_w=params.tx_power_w + eps, is_jammer=True)
-            for b in jam_blocks
-        ]
+        channels += [_jammer(b, eps, params) for b in jam_blocks]
         state.append(channels)
     return state
 

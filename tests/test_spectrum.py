@@ -47,20 +47,19 @@ def test_first_fit_respects_guardband():
 
 
 def test_first_fit_forbidden_with_guard():
-    # 0-45 used, 50-59 forbidden: the aware search must keep a 2-slot
+    # 0-45 used, 50-59 forbidden: the search must keep a 2-slot
     # separation from the forbidden range as well, landing at 62.
     (grid,) = make_grids()
     occupy(grid, 0, 46, 1)
     grid.occupancy[50:60] = FORBIDDEN
     grid.invalidate_coverage()
-    assert first_fit([grid], 12, forbidden_aware=True) == SlotBlock(62, 12)
+    assert first_fit([grid], 12) == SlotBlock(62, 12)
 
 
-def test_first_fit_ignores_forbidden_when_unaware():
+def test_first_fit_skips_forbidden_range():
     (grid,) = make_grids()
     grid.occupancy[50:60] = FORBIDDEN
-    assert first_fit([grid], 12, forbidden_aware=False) == SlotBlock(0, 12)
-    assert first_fit([grid], 60, forbidden_aware=True) == SlotBlock(62, 60)
+    assert first_fit([grid], 60) == SlotBlock(62, 60)
 
 
 def test_first_fit_needs_all_grids_free():
@@ -164,7 +163,7 @@ def test_time_integration_tracks_used_and_shadow():
     assert grid.reserved_seconds[4] == 0.0
 
 
-def _first_fit_oracle(grids, width, forbidden_aware):
+def _first_fit_oracle(grids, width):
     """Linear scan over every start index, checking the definition."""
     slot_count = grids[0].slot_count
     for start in range(slot_count - width + 1):
@@ -172,13 +171,13 @@ def _first_fit_oracle(grids, width, forbidden_aware):
         for grid in grids:
             occ = grid.occupancy
             block = occ[start:start + width]
-            if np.any(block > 0) or (forbidden_aware and np.any(block == FORBIDDEN)):
+            if np.any(block != FREE):
                 ok = False
                 break
             lo = max(0, start - GUARDBAND_SLOTS)
             hi = min(slot_count, start + width + GUARDBAND_SLOTS)
             guard = occ[lo:hi]
-            if np.any(guard > 0) or (forbidden_aware and np.any(guard == FORBIDDEN)):
+            if np.any(guard != FREE):
                 ok = False
                 break
         if ok:
@@ -203,9 +202,7 @@ def random_grids(draw):
     return grids
 
 
-@given(random_grids(), st.integers(1, 10), st.booleans())
+@given(random_grids(), st.integers(1, 10))
 @settings(max_examples=200, deadline=None)
-def test_first_fit_matches_linear_scan_oracle(grids, width, aware):
-    assert first_fit(grids, width, forbidden_aware=aware) == _first_fit_oracle(
-        grids, width, aware
-    )
+def test_first_fit_matches_linear_scan_oracle(grids, width):
+    assert first_fit(grids, width) == _first_fit_oracle(grids, width)
