@@ -20,7 +20,7 @@ from eonjam.control_plane import (
 from eonjam.jammer import JammerConfig, ground_truth_channels
 from eonjam.phy import MODULATIONS, PhyParams, linear_to_db
 from eonjam.sim import Request
-from eonjam.spectrum import SlotBlock
+from eonjam.spectrum import SlotBlock, allocate
 from eonjam.topology import load_topology
 
 QPSK = next(m for m in MODULATIONS if m.name == "QPSK")
@@ -44,8 +44,8 @@ for label, block in (
     candidate = _build_candidate(1, route, block, QPSK, 40.0, 0.0, 600.0, state, ground_truth)
     measured = linear_to_db(candidate.snr)
     estimated = linear_to_db(candidate.snr_estimated)
-    fired = detect_jamming(candidate, state, ground_truth, params)
-    verdict = evaluate_candidate(candidate, state, ControlMode.AWARE, ground_truth, params)
+    fired = detect_jamming(candidate, ground_truth)
+    verdict = evaluate_candidate(candidate, state, ControlMode.AWARE, ground_truth)
     print(f"{label} slots {block.start:3d}-{block.end - 1:3d}: "
           f"estimated {estimated:6.2f} dB, measured {measured:6.2f} dB, "
           f"gap {estimated - measured:5.2f} dB, detection={str(fired):5s}, verdict={verdict.value}")
@@ -56,12 +56,10 @@ print("empty jammed channel) is already priced into the QoT check.\n")
 
 # Fill the spectrum below the first range so a real request is pushed
 # into it, letting the whole detect-forbid-retry loop play out.
-for direction in (("A", "B"), ("B", "A")):
-    state.grids[direction].occupancy[0:48] = 99
-    state.grids[direction].invalidate_coverage()
+allocate([state.grids[("A", "B")], state.grids[("B", "A")]], SlotBlock(0, 48), 99)
 outcome = handle_request(
     Request(1, "A", "B", 40.0, 0.0, 600.0), state, ControlMode.AWARE, ground_truth, params
 )
 print(f"with slots 0-47 busy, a real 40 Gbps request lands at slots "
       f"{outcome.block.start}-{outcome.block.end - 1} ({outcome.modulation.name})")
-print(f"and the registry now forbids: {state.forbidden_ranges}")
+print(f"and the grids now forbid: {state.forbidden_ranges}")

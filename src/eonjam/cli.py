@@ -181,6 +181,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
 
     try:
         base_seed = int(data.get("base_seed", 1))
+        if base_seed < 0:
+            violations.append("base_seed: must be >= 0")
     except (TypeError, ValueError):
         violations.append("base_seed: must be an integer")
         base_seed = 1

@@ -94,7 +94,6 @@ class Lightpath:
     block: SlotBlock
     modulation: phy.Modulation
     bandwidth_gbps: float
-    established_at: float
     departs_at: float
     channel: phy.Channel
     ase_psd: float
@@ -125,13 +124,10 @@ class Blocked:
     """A denied request and the dominant reason."""
 
     reason: str
-    source: str
-    destination: str
-    bandwidth_gbps: float
 
 
 class NetworkState:
-    """Slot grids, active circuits and the forbidden-slot registry."""
+    """Slot grids and active circuits; the grids hold the forbidden blocks."""
 
     def __init__(self, topology: Topology, params: phy.PhyParams):
         self.topology = topology
@@ -143,39 +139,31 @@ class NetworkState:
                 self.grids[direction] = SlotGrid(link.id, direction)
                 self.grid_actives[direction] = {}
         self.actives: dict[int, Lightpath] = {}
-        self.forbidden_ranges: dict[str, list[SlotBlock]] = {}
 
     def grids_for_route(self, route: Route) -> list[SlotGrid]:
         return [self.grids[hop] for hop in route.directed_hops]
 
+    @property
+    def forbidden_ranges(self) -> dict[str, list[SlotBlock]]:
+        """Forbidden blocks per link, read from the forward grids."""
+        ranges = {}
+        for link in self.topology.links:
+            forbidden = self.grids[(link.source, link.destination)].forbidden
+            if forbidden:
+                ranges[link.id] = list(forbidden)
+        return ranges
+
     def forbid_range(self, link_id: str, block: SlotBlock) -> bool:
-        """Register ``block`` as forbidden on both directions of a link.
+        """Forbid ``block`` on both directions of a link.
 
-        Returns False when the range was already registered.  Only free
-        slots are painted; slots still held by an active circuit are
-        painted when that circuit releases them.
+        Returns False when the range was already forbidden.  Slots still
+        held by an active circuit are marked when that circuit releases
+        them.
         """
-        registered = self.forbidden_ranges.setdefault(link_id, [])
-        if block in registered:
-            return False
-        registered.append(block)
         link = self.topology.link_by_id(link_id)
-        for direction in ((link.source, link.destination), (link.destination, link.source)):
-            grid = self.grids[direction]
-            segment = grid.occupancy[block.start:block.end]
-            segment[segment == 0] = -1
-            grid.invalidate_coverage()
-        return True
-
-    def _repaint_forbidden(self, grid: SlotGrid) -> None:
-        for block in self.forbidden_ranges.get(grid.link_id, ()):
-            segment = grid.occupancy[block.start:block.end]
-            segment[segment == 0] = -1
-            grid.invalidate_coverage()
-
-    def advance_time(self, route: Route, now: float) -> None:
-        for grid in self.grids_for_route(route):
-            grid.advance_time(now)
+        forward = self.grids[(link.source, link.destination)].forbid(block)
+        backward = self.grids[(link.destination, link.source)].forbid(block)
+        return forward and backward
 
     def flush_time(self, now: float) -> None:
         for grid in self.grids.values():
@@ -202,8 +190,6 @@ class NetworkState:
         for grid in grids:
             grid.advance_time(now)
         release(grids, lightpath_id)
-        for grid in grids:
-            self._repaint_forbidden(grid)
         for neighbour_id, delta in _neighbour_deltas(self, lightpath).items():
             self.actives[neighbour_id].xci_psd -= delta
 
@@ -258,7 +244,6 @@ def _build_candidate(
         block=block,
         modulation=modulation,
         bandwidth_gbps=bandwidth_gbps,
-        established_at=arrival_time,
         departs_at=arrival_time + holding_s,
         channel=channel,
         ase_psd=phy.ase_psd(route, params),
@@ -270,9 +255,7 @@ def _build_candidate(
 
 def detect_jamming(
     candidate: Lightpath,
-    state: NetworkState,
     ground_truth: GroundTruth | None,
-    params: phy.PhyParams,
     tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB,
 ) -> bool:
     """Compare measured and estimated SNR of a candidate circuit.
@@ -293,7 +276,6 @@ def evaluate_candidate(
     state: NetworkState,
     mode: ControlMode,
     ground_truth: GroundTruth | None,
-    params: phy.PhyParams,
     tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB,
 ) -> Verdict:
     """Admission decision for one candidate circuit.
@@ -311,7 +293,7 @@ def evaluate_candidate(
         if not phy.qot_verdict(degraded, neighbour.modulation):
             return Verdict.REJECT_QOT
     if mode is ControlMode.AWARE and ground_truth is not None:
-        if detect_jamming(candidate, state, ground_truth, params, tolerance_db):
+        if detect_jamming(candidate, ground_truth, tolerance_db):
             if ground_truth.ranges_overlapping(candidate.block):
                 return Verdict.REJECT_JAMMED
     return Verdict.ACCEPT
@@ -324,13 +306,11 @@ def handle_request(
     ground_truth: GroundTruth | None,
     params: phy.PhyParams,
     tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB,
-    now: float | None = None,
 ) -> Lightpath | Blocked:
     """Serve one connection request through the admission flowchart.
 
     Returns the established :class:`Lightpath` or a :class:`Blocked`
-    record.  ``now`` is the clock used for utilization integration and
-    defaults to the request arrival time.
+    record; an established circuit starts at the request arrival time.
     """
     route = state.topology.shortest_path(request.source, request.destination)
     grids = state.grids_for_route(route)
@@ -354,11 +334,9 @@ def handle_request(
                 state,
                 ground_truth,
             )
-            verdict = evaluate_candidate(
-                candidate, state, mode, ground_truth, params, tolerance_db
-            )
+            verdict = evaluate_candidate(candidate, state, mode, ground_truth, tolerance_db)
             if verdict is Verdict.ACCEPT:
-                state.establish(candidate, request.arrival_time if now is None else now)
+                state.establish(candidate, request.arrival_time)
                 return candidate
             if verdict is Verdict.REJECT_QOT:
                 saw_qot = True
@@ -373,12 +351,7 @@ def handle_request(
         reason = REASON_QOT
     else:
         reason = REASON_NO_SPECTRUM
-    return Blocked(
-        reason=reason,
-        source=request.source,
-        destination=request.destination,
-        bandwidth_gbps=request.bandwidth_gbps,
-    )
+    return Blocked(reason=reason)
 
 
 def verify_state_invariants(
@@ -399,6 +372,9 @@ def verify_state_invariants(
         free = grid.free_count()
         forbidden = grid.forbidden_count()
         assert used + free + forbidden == grid.slot_count, f"slot conservation broken on {hop}"
+        assert grid.forbidden == state.grids[hop[::-1]].forbidden, (
+            f"directions of {grid.link_id} disagree on forbidden blocks"
+        )
 
     for link_id, ranges in state.forbidden_ranges.items():
         if ground_truth is not None:
@@ -433,7 +409,7 @@ def verify_state_invariants(
             assert len(slots) == lightpath.block.width, "allocation width mismatch"
             assert slots[0] == lightpath.block.start, "allocation start mismatch"
             if mode is ControlMode.AWARE:
-                for block in state.forbidden_ranges.get(grid.link_id, ()):
+                for block in grid.forbidden:
                     assert not block.overlaps(lightpath.block), (
                         "aware-mode circuit occupies a detected range"
                     )

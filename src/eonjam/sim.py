@@ -186,13 +186,7 @@ def run_replication(
         else:
             request = event.payload
             outcome = handle_request(
-                request,
-                state,
-                mode,
-                ground_truth,
-                params,
-                tolerance_db=detection_tolerance_db,
-                now=now,
+                request, state, mode, ground_truth, params, tolerance_db=detection_tolerance_db
             )
             if isinstance(outcome, Blocked):
                 blocked_by_reason[outcome.reason] = blocked_by_reason.get(outcome.reason, 0) + 1
@@ -239,13 +233,11 @@ def run_replication(
     slot_utilization = (
         np.mean(np.stack(all_grids), axis=0) if all_grids else np.zeros(slot_count)
     )
-    link_used = {link_id: float(np.mean(vec)) for link_id, vec in used_by_link.items()}
 
     return metrics.ReplicationResult(
         requests=n_requests,
         blocked_by_reason=dict(sorted(blocked_by_reason.items())),
         slot_utilization=slot_utilization,
-        link_mean_utilization=link_used,
         slot_utilization_by_link=by_link,
         slot_used_by_link=used_by_link,
         established=established,

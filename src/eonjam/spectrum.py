@@ -2,10 +2,12 @@
 
 Each directed link owns a :class:`SlotGrid` of 320 slots.  A slot is
 free, used by exactly one lightpath, or forbidden (reserved by the
-jamming-aware control plane).  First Fit scans for the lowest start
-index where a block fits on every grid of a route with a 2-slot
-guardband separating it from used spectrum; forbidden marks count
-exactly like used slots, guardband included.
+jamming-aware control plane).  Only this module touches that encoding;
+each grid owns its forbidden blocks, and :func:`release` restores them.
+First Fit scans for the lowest start index where a block fits on every
+grid of a route with a 2-slot guardband separating it from used
+spectrum; forbidden marks count exactly like used slots, guardband
+included.
 
 Grids also integrate per-slot busy time so that utilization statistics
 come from exact event-time integration instead of sampling.
@@ -81,14 +83,16 @@ class SlotGrid:
     """Occupancy of one direction of one fibre link.
 
     ``occupancy[i]`` is 0 (free), -1 (forbidden) or a positive lightpath
-    id.  Two busy-time integrals are advanced by the simulation clock
-    through :meth:`advance_time`: ``used_seconds`` counts slots actually
-    carrying a circuit, while ``reserved_seconds`` additionally counts
-    each circuit's guardband shadow, the ``GUARDBAND_SLOTS`` slots above
-    its block.  A shadow slot cannot be allocated while the circuit
-    lives, so it is reserved spectrum rather than available capacity;
-    attributing the shared inter-circuit gap to the lower circuit keeps
-    the count one-sided.
+    id.  ``forbidden`` lists the blocks taken out of use; a slot in one
+    is forbidden unless an older circuit still holds it, and
+    :func:`release` marks it when freed.  Two busy-time integrals are
+    advanced by the simulation clock through :meth:`advance_time`:
+    ``used_seconds`` counts slots actually carrying a circuit, while
+    ``reserved_seconds`` additionally counts each circuit's guardband
+    shadow, the ``GUARDBAND_SLOTS`` slots above its block.  A shadow
+    slot cannot be allocated while the circuit lives, so it is reserved
+    spectrum rather than available capacity; attributing the shared
+    inter-circuit gap to the lower circuit keeps the count one-sided.
     """
 
     __slots__ = (
@@ -96,10 +100,10 @@ class SlotGrid:
         "direction",
         "slot_count",
         "occupancy",
+        "forbidden",
         "used_seconds",
         "reserved_seconds",
         "_clock",
-        "_covered",
     )
 
     def __init__(self, link_id: str, direction: tuple[str, str], slot_count: int = SLOT_COUNT):
@@ -109,32 +113,22 @@ class SlotGrid:
         self.direction = direction
         self.slot_count = slot_count
         self.occupancy = np.zeros(slot_count, dtype=np.int64)
+        self.forbidden: list[SlotBlock] = []
         self.used_seconds = np.zeros(slot_count, dtype=np.float64)
         self.reserved_seconds = np.zeros(slot_count, dtype=np.float64)
         self._clock = 0.0
-        self._covered: np.ndarray | None = None
-
-    def invalidate_coverage(self) -> None:
-        self._covered = None
-
-    def coverage_mask(self) -> np.ndarray:
-        """Slots that are used or inside a circuit's guardband shadow."""
-        if self._covered is not None:
-            return self._covered
-        used = self.occupancy > 0
-        covered = used.copy()
-        for k in range(1, GUARDBAND_SLOTS + 1):
-            covered[k:] |= used[:-k]
-        self._covered = covered
-        return self._covered
 
     def advance_time(self, now: float) -> None:
         """Integrate busy time up to ``now`` (monotone, clamped below)."""
         dt = now - self._clock
         if dt <= 0.0:
             return
-        self.used_seconds[self.occupancy > 0] += dt
-        self.reserved_seconds[self.coverage_mask()] += dt
+        used = self.occupancy > 0
+        self.used_seconds[used] += dt
+        covered = used.copy()
+        for k in range(1, GUARDBAND_SLOTS + 1):
+            covered[k:] |= used[:-k]
+        self.reserved_seconds[covered] += dt
         self._clock = now
 
     def used_count(self) -> int:
@@ -146,17 +140,19 @@ class SlotGrid:
     def free_count(self) -> int:
         return int(np.count_nonzero(self.occupancy == FREE))
 
-    def forbid(self, block: SlotBlock) -> None:
-        """Mark a block forbidden.  Only free slots may be marked."""
+    def forbid(self, block: SlotBlock) -> bool:
+        """Record ``block`` and mark its free slots; False if already recorded."""
         if block.end > self.slot_count:
             raise SpectrumError(f"block {block} exceeds grid of {self.slot_count} slots")
+        if block in self.forbidden:
+            return False
+        self.forbidden.append(block)
+        self._mark_forbidden(block)
+        return True
+
+    def _mark_forbidden(self, block: SlotBlock) -> None:
         segment = self.occupancy[block.start:block.end]
-        if np.any(segment > 0):
-            raise AllocationCollisionError(
-                f"cannot forbid {block} on {self.link_id}{self.direction}: slots in use"
-            )
-        segment[:] = FORBIDDEN
-        self.invalidate_coverage()
+        segment[segment == FREE] = FORBIDDEN
 
     def lightpath_slots(self, lightpath_id: int) -> np.ndarray:
         return np.flatnonzero(self.occupancy == lightpath_id)
@@ -212,18 +208,18 @@ def allocate(grids, block: SlotBlock, lightpath_id: int) -> None:
             )
     for grid in grids:
         grid.occupancy[block.start:block.end] = lightpath_id
-        grid.invalidate_coverage()
 
 
 def release(grids, lightpath_id: int) -> None:
-    """Return every slot held by ``lightpath_id`` to free."""
+    """Free every slot held by ``lightpath_id``; forbidden blocks stay forbidden."""
     held_anywhere = False
     for grid in grids:
         held = grid.occupancy == lightpath_id
         if np.any(held):
             held_anywhere = True
             grid.occupancy[held] = FREE
-            grid.invalidate_coverage()
+            for block in grid.forbidden:
+                grid._mark_forbidden(block)
     if not held_anywhere:
         raise UnknownLightpathError(f"lightpath {lightpath_id} holds no slots on these grids")
 

@@ -79,6 +79,16 @@ def test_validate_malformed_section_exit_code(tmp_path, capsys, section):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_negative_base_seed_is_a_config_error(tmp_path, capsys, command):
+    config_path = write_config(tmp_path, dict(TINY, base_seed=-1, output_dir=str(tmp_path / "out")))
+    assert main([command, str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: base_seed: must be >= 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_missing_file():
     assert any("not found" in v for v in validate("/nonexistent/scenario.yaml"))
 

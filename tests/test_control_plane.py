@@ -18,7 +18,7 @@ from eonjam.control_plane import (
 from eonjam.jammer import JammerConfig, ground_truth_channels
 from eonjam.phy import MODULATIONS, PhyParams, db_to_linear, linear_to_db
 from eonjam.sim import Request
-from eonjam.spectrum import SlotBlock
+from eonjam.spectrum import SlotBlock, allocate
 from eonjam.topology import load_topology
 
 import reference_model as ref
@@ -72,9 +72,7 @@ def test_modulation_falls_back_with_distance(params):
 def test_full_grid_blocks_no_spectrum(params):
     topo = topo_single(100)
     state = NetworkState(topo, params)
-    for grid in state.grids.values():
-        grid.occupancy[:] = 999
-        grid.invalidate_coverage()
+    allocate(list(state.grids.values()), SlotBlock(0, 320), 999)
     state.grid_actives[("A", "B")][999] = None  # never inspected: no first fit succeeds
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None, params)
     assert isinstance(outcome, Blocked)
@@ -100,7 +98,7 @@ def test_admission_protects_existing_circuit(params):
         2, route, SlotBlock(4, 1), MOD["16QAM"], 40.0, 0.0, 600.0, state, None
     )
     assert candidate.meets_threshold()
-    verdict = evaluate_candidate(candidate, state, ControlMode.NO_JAMMING, None, params)
+    verdict = evaluate_candidate(candidate, state, ControlMode.NO_JAMMING, None)
     assert verdict is Verdict.REJECT_QOT
 
     outcome = handle_request(request(2, "B", "C", 40.0), state, ControlMode.NO_JAMMING, None, params)
@@ -147,8 +145,8 @@ def test_aware_accepts_out_of_band_despite_detection(params):
     candidate = _build_candidate(
         1, route, SlotBlock(12, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt
     )
-    assert detect_jamming(candidate, state, gt, params) is True
-    assert evaluate_candidate(candidate, state, ControlMode.AWARE, gt, params) is Verdict.ACCEPT
+    assert detect_jamming(candidate, gt) is True
+    assert evaluate_candidate(candidate, state, ControlMode.AWARE, gt) is Verdict.ACCEPT
 
 
 def test_detect_jamming_cases(params):
@@ -160,19 +158,19 @@ def test_detect_jamming_cases(params):
     adjacent = _build_candidate(
         1, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt5
     )
-    assert detect_jamming(adjacent, state, gt5, params) is True
+    assert detect_jamming(adjacent, gt5) is True
 
     gt0 = ground_truth_channels(JammerConfig(target="A-B", epsilon_db=0.0), params)
     inert = _build_candidate(
         2, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt0
     )
-    assert detect_jamming(inert, state, gt0, params) is False
+    assert detect_jamming(inert, gt0) is False
 
     route_bc = topo.shortest_path("B", "C")
     off_route = _build_candidate(
         3, route_bc, SlotBlock(46, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt5
     )
-    assert detect_jamming(off_route, state, gt5, params) is False
+    assert detect_jamming(off_route, gt5) is False
 
 
 def test_detection_tolerance_gates_rejection(params):
@@ -185,11 +183,11 @@ def test_detection_tolerance_gates_rejection(params):
         1, route, SlotBlock(2, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt
     )
     assert evaluate_candidate(
-        candidate, state, ControlMode.AWARE, gt, params, tolerance_db=0.1
+        candidate, state, ControlMode.AWARE, gt, tolerance_db=0.1
     ) is Verdict.REJECT_JAMMED
     # An absurdly large tolerance swallows the mismatch.
     assert evaluate_candidate(
-        candidate, state, ControlMode.AWARE, gt, params, tolerance_db=50.0
+        candidate, state, ControlMode.AWARE, gt, tolerance_db=50.0
     ) is Verdict.ACCEPT
 
 

@@ -18,7 +18,7 @@ def fake_result(blocked, requests=1000, slots=None, links=None):
         requests=requests,
         blocked_by_reason={"qot-fail": blocked},
         slot_utilization=np.zeros(320) if slots is None else slots,
-        link_mean_utilization=links or {},
+        slot_used_by_link={k: np.array([v]) for k, v in (links or {}).items()},
     )
 
 

@@ -25,7 +25,6 @@ def make_grids(count=1, slots=320):
 
 def occupy(grid, start, end, lightpath_id):
     grid.occupancy[start:end] = lightpath_id
-    grid.invalidate_coverage()
 
 
 def test_block_validation():
@@ -52,7 +51,6 @@ def test_first_fit_forbidden_with_guard():
     (grid,) = make_grids()
     occupy(grid, 0, 46, 1)
     grid.occupancy[50:60] = FORBIDDEN
-    grid.invalidate_coverage()
     assert first_fit([grid], 12) == SlotBlock(62, 12)
 
 
@@ -120,11 +118,18 @@ def test_release_keeps_forbidden_marks():
     assert grid.used_count() == 0
 
 
-def test_forbid_in_use_rejected():
+def test_forbid_over_held_slots_marks_them_on_release():
     (grid,) = make_grids()
     allocate([grid], SlotBlock(5, 3), 1)
-    with pytest.raises(AllocationCollisionError):
-        grid.forbid(SlotBlock(6, 2))
+    assert grid.forbid(SlotBlock(6, 4)) is True
+    assert grid.occupancy[5:8].tolist() == [1, 1, 1]
+    assert grid.occupancy[8:10].tolist() == [FORBIDDEN, FORBIDDEN]
+    assert grid.forbid(SlotBlock(6, 4)) is False
+    assert grid.forbidden == [SlotBlock(6, 4)]
+    release([grid], 1)
+    assert grid.occupancy[6:10].tolist() == [FORBIDDEN] * 4
+    assert grid.occupancy[5] == FREE
+    assert grid.free_count() == 320 - 4
 
 
 def test_utilization_values():
@@ -198,7 +203,6 @@ def random_grids(draw):
             start = draw(st.integers(0, 56))
             segment = grid.occupancy[start:start + 6]
             segment[segment == FREE] = FORBIDDEN
-        grid.invalidate_coverage()
     return grids
 
 
@@ -206,3 +210,59 @@ def random_grids(draw):
 @settings(max_examples=200, deadline=None)
 def test_first_fit_matches_linear_scan_oracle(grids, width):
     assert first_fit(grids, width) == _first_fit_oracle(grids, width)
+
+
+@st.composite
+def grid_operations(draw):
+    """A random sequence of allocate / forbid / release steps."""
+    return draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["allocate", "forbid", "release"]),
+                st.integers(0, 63),
+                st.integers(1, 10),
+                st.integers(0, 1),
+            ),
+            max_size=40,
+        )
+    )
+
+
+@given(grid_operations())
+@settings(max_examples=200, deadline=None)
+def test_forbidden_blocks_survive_allocate_and_release(operations):
+    grids = make_grids(2, slots=64)
+    live: dict[int, SlotBlock] = {}
+    next_id = 1
+    for kind, start, width, which in operations:
+        if kind == "allocate":
+            block = first_fit(grids, width)
+            if block is not None:
+                allocate(grids, block, next_id)
+                live[next_id] = block
+                next_id += 1
+        elif kind == "forbid":
+            block = SlotBlock(start, min(width, 64 - start))
+            recorded = block in grids[which].forbidden
+            assert grids[which].forbid(block) is not recorded
+        elif live:
+            victim = sorted(live)[start % len(live)]
+            release(grids, victim)
+            del live[victim]
+
+        for grid in grids:
+            # Every slot of a recorded block is forbidden or still held...
+            barred = np.zeros(64, dtype=bool)
+            for block in grid.forbidden:
+                segment = grid.occupancy[block.start:block.end]
+                assert np.all((segment == FORBIDDEN) | np.isin(segment, list(live)))
+                barred[block.start:block.end] = True
+            # ...and every slot outside the live blocks is free or barred.
+            held = np.zeros(64, dtype=bool)
+            for lightpath_id, block in live.items():
+                assert grid.lightpath_slots(lightpath_id).tolist() == list(block.slots())
+                held[block.start:block.end] = True
+            expected = np.where(barred, FORBIDDEN, FREE)
+            assert np.array_equal(grid.occupancy[~held], expected[~held])
+        for probe in (1, 3, 7):
+            assert first_fit(grids, probe) == _first_fit_oracle(grids, probe)
