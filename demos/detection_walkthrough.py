@@ -58,7 +58,7 @@ print("empty jammed channel) is already priced into the QoT check.\n")
 # into it, letting the whole detect-forbid-retry loop play out.
 allocate([state.grids[("A", "B")], state.grids[("B", "A")]], SlotBlock(0, 48), 99)
 outcome = handle_request(
-    Request(1, "A", "B", 40.0, 0.0, 600.0), state, ControlMode.AWARE, ground_truth, params
+    Request(1, "A", "B", 40.0, 0.0, 600.0), state, ControlMode.AWARE, ground_truth
 )
 print(f"with slots 0-47 busy, a real 40 Gbps request lands at slots "
       f"{outcome.block.start}-{outcome.block.end - 1} ({outcome.modulation.name})")

@@ -2,17 +2,14 @@
 """Guided tour of the physical-layer model.
 
 Walks through the noise budget of a single channel: amplifier noise per
-span, self-channel and cross-channel nonlinear interference, and the
-extra interference injected by a high-power jammer, ending with the
-per-modulation reach table the control plane effectively sees.
+span and self-channel nonlinear interference, the control plane's own
+reach table (the formats it tries on each route), and the extra
+interference a high-power jammer injects.
 
 Run:  python demos/physical_layer_tour.py
 """
 
-import math
-
 from eonjam import (
-    MODULATIONS,
     PhyParams,
     channel_for_block,
     db_to_linear,
@@ -20,7 +17,7 @@ from eonjam import (
     linear_to_db,
     snr,
 )
-from eonjam.control_plane import required_slots
+from eonjam.control_plane import static_reach
 from eonjam.spectrum import SlotBlock
 from eonjam.topology import load_topology
 
@@ -47,22 +44,16 @@ for km in (100, 500, 1000, 2000, 4000):
     print(f"{km:5d} km ({route.total_spans:2d} spans): {linear_to_db(value):6.2f} dB")
 print()
 
-print("=== Reach table: the highest format each demand can use ===")
-print("distance ", *(f"{bw:>7.0f}G" for bw in (40.0, 200.0, 400.0)))
+print("=== Reach table: the formats the control plane will try ===")
+print("Best first, the formats whose lone circuit in an empty network")
+print("meets its threshold; admission never scores the others.")
 for km in (300, 700, 1200, 2000, 3000, 4000):
     route = route_km(km)
-    row = [f"{km:5d} km "]
     for bandwidth in (40.0, 200.0, 400.0):
-        chosen = "-"
-        for modulation in reversed(MODULATIONS):
-            width = required_slots(bandwidth, modulation, params)
-            channel = channel_for_block(SlotBlock(0, width), params)
-            value = snr(channel, route, [[] for _ in route.links], None, params)
-            if linear_to_db(value) >= modulation.snr_threshold_db:
-                chosen = modulation.name
-                break
-        row.append(f"{chosen:>8s}")
-    print(*row)
+        reach = static_reach(route, bandwidth, params)
+        names = " ".join(modulation.name for modulation, _ in reach.formats)
+        label = f"{km:5d} km" if bandwidth == 40.0 else ""
+        print(f"{label:8s} {bandwidth:4.0f}G: {names or 'none, always blocked'}")
 print()
 
 print("=== Jamming: a 10-slot jammer at slots 50-59, victim nearby ===")

@@ -48,7 +48,7 @@ from . import metrics, sim
 from .control_plane import DEFAULT_DETECTION_TOLERANCE_DB, ControlMode
 from .jammer import DEFAULT_JAMMED_RANGES, JammerConfig
 from .spectrum import SLOT_COUNT, SlotBlock
-from .topology import Topology, load_topology_file, nsfnet, nsfnet_text
+from .topology import Topology, TopologyError, load_topology_file, nsfnet, nsfnet_text
 
 __all__ = ["ScenarioConfig", "load_config", "validate", "run", "main"]
 
@@ -70,9 +70,26 @@ class ScenarioConfig:
     workers: int = 1
 
     def load_topology(self) -> Topology:
-        if self.topology == "nsfnet":
-            return nsfnet()
-        return load_topology_file(self.topology)
+        return _load_topology(self.topology)
+
+
+def _load_topology(topology: str) -> Topology:
+    if topology == "nsfnet":
+        return nsfnet()
+    return load_topology_file(topology)
+
+
+def _target_violation(topology: str, target: str) -> str | None:
+    """Why an explicit jammer link id does not name a link, if it does not."""
+    try:
+        loaded = _load_topology(topology)
+    except (OSError, ValueError) as exc:
+        return f"topology: {exc}"
+    try:
+        loaded.link_by_id(target)
+    except TopologyError as exc:
+        return f"jammer.target: {exc}"
+    return None
 
 
 def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, list[str]]:
@@ -136,6 +153,10 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
                 jammer = JammerConfig(target=target, jammed_ranges=tuple(ranges))
             except ValueError as exc:
                 violations.append(f"jammer: {exc}")
+        if jammer is not None and not jammer.uses_selector:
+            violation = _target_violation(topology, jammer.target)
+            if violation:
+                violations.append(violation)
 
     sweep_raw = data.get("epsilon_sweep")
     sweep = None

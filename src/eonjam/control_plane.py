@@ -26,6 +26,13 @@ whole attacked link at high jamming powers.
 QoT rejection falls through to the next lower modulation; when all
 formats are exhausted the request is blocked with the dominant reason.
 
+Formats the physics rules out in advance are never tried.  The XCI and
+jamming terms only add noise, so a lone circuit in an empty network has
+the best SNR a format can reach on its route; :func:`static_reach`
+keeps the formats that meet their threshold there, once per process.
+A pruned format could only have set the ``qot-fail`` reason, which a
+single First Fit probe recovers after the loop.
+
 The engine tracks each active circuit's noise incrementally: the ASE,
 self-channel and jamming terms are constants of its route and block, and
 the cross-channel term is updated by the exact pair contribution when a
@@ -36,6 +43,7 @@ from the :mod:`eonjam.phy` kernels that the audit's ``phy.snr`` uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,6 +63,8 @@ __all__ = [
     "REASON_QOT",
     "REASON_JAMMED",
     "required_slots",
+    "StaticReach",
+    "static_reach",
     "handle_request",
     "evaluate_candidate",
     "detect_jamming",
@@ -202,6 +212,57 @@ def required_slots(bandwidth_gbps: float, modulation: phy.Modulation, params: ph
     return math.ceil(bandwidth_gbps / (slot_gbps * modulation.bits_per_symbol))
 
 
+@dataclass(frozen=True)
+class StaticReach:
+    """Formats a route can carry a demand at, before any other traffic.
+
+    ``formats`` holds ``(modulation, width)`` pairs in trial order, most
+    spectrally efficient first; ``narrowest_pruned_width`` is the
+    smallest width among the formats left out (None when none is).
+    """
+
+    formats: tuple[tuple[phy.Modulation, int], ...]
+    narrowest_pruned_width: int | None
+
+
+@functools.cache
+def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> StaticReach:
+    """Keep each format whose lone circuit on an empty network meets its threshold.
+
+    The verdict comes from a :class:`Lightpath` with no XCI or jamming
+    noise, built through the same kernels as :func:`_build_candidate`.
+    A live candidate's noise adds non-negative terms to the same sum,
+    and rounding never lowers a sum, so a format left out here fails
+    its own QoT check wherever First Fit places it.  The SNR does not
+    depend on the block's position, only on its width.  ``Route`` and
+    ``PhyParams`` are frozen, so a cached entry never goes stale.
+    """
+    formats = []
+    pruned_widths = []
+    ase = phy.ase_psd(route, params)
+    for modulation in reversed(phy.MODULATIONS):
+        width = required_slots(bandwidth_gbps, modulation, params)
+        block = SlotBlock(0, width)
+        channel = phy.channel_for_block(block, params)
+        lone = Lightpath(
+            id=0,
+            route=route,
+            block=block,
+            modulation=modulation,
+            bandwidth_gbps=bandwidth_gbps,
+            departs_at=0.0,
+            channel=channel,
+            ase_psd=ase,
+            sci_psd=phy.sci_psd(channel, route.total_spans, params),
+            jam_psd=0.0,
+        )
+        if lone.meets_threshold():
+            formats.append((modulation, width))
+        else:
+            pruned_widths.append(width)
+    return StaticReach(tuple(formats), min(pruned_widths, default=None))
+
+
 def _neighbour_deltas(state: NetworkState, lightpath: Lightpath) -> dict[int, float]:
     """Per-neighbour XCI this circuit contributes, summed over shared links."""
     deltas: dict[int, float] = {}
@@ -304,21 +365,21 @@ def handle_request(
     state: NetworkState,
     mode: ControlMode,
     ground_truth: GroundTruth | None,
-    params: phy.PhyParams,
     tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB,
 ) -> Lightpath | Blocked:
     """Serve one connection request through the admission flowchart.
 
     Returns the established :class:`Lightpath` or a :class:`Blocked`
     record; an established circuit starts at the request arrival time.
+    Only the formats in the route's :func:`static_reach` are tried.
     """
     route = state.topology.shortest_path(request.source, request.destination)
     grids = state.grids_for_route(route)
+    reach = static_reach(route, request.bandwidth_gbps, state.params)
     saw_qot = False
     saw_jammed = False
 
-    for modulation in reversed(phy.MODULATIONS):
-        width = required_slots(request.bandwidth_gbps, modulation, params)
+    for modulation, width in reach.formats:
         while True:
             block = first_fit(grids, width)
             if block is None:
@@ -344,6 +405,12 @@ def handle_request(
             saw_jammed = True
             for jammed_range in ground_truth.ranges_overlapping(candidate.block):
                 state.forbid_range(ground_truth.link_id, jammed_range)
+
+    if not (saw_jammed or saw_qot) and reach.narrowest_pruned_width is not None:
+        # A pruned format would have failed QoT on any block First Fit
+        # found it.  The grids are unchanged without a detection, and a
+        # window that fits a wider format also fits the narrowest one.
+        saw_qot = first_fit(grids, reach.narrowest_pruned_width) is not None
 
     if saw_jammed:
         reason = REASON_JAMMED

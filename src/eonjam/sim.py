@@ -186,7 +186,7 @@ def run_replication(
         else:
             request = event.payload
             outcome = handle_request(
-                request, state, mode, ground_truth, params, tolerance_db=detection_tolerance_db
+                request, state, mode, ground_truth, tolerance_db=detection_tolerance_db
             )
             if isinstance(outcome, Blocked):
                 blocked_by_reason[outcome.reason] = blocked_by_reason.get(outcome.reason, 0) + 1

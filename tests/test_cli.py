@@ -131,8 +131,18 @@ def test_run_invalid_config_exit_code(tmp_path):
 def test_run_unknown_link_exit_code(tmp_path, capsys):
     config = dict(TINY, output_dir=str(tmp_path / "out"))
     config["jammer"] = {"target": "no-such-link"}
-    assert run(write_config(tmp_path, config)) == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert run(write_config(tmp_path, config)) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: jammer.target: unknown link id 'no-such-link'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_unknown_link_is_a_config_error(tmp_path, capsys):
+    config = dict(TINY, jammer={"target": "99-100"})
+    assert main(["validate", str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: jammer.target: unknown link id '99-100'\n"
+    assert captured.out == ""
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

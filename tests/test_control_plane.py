@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from eonjam import phy
+from eonjam import control_plane, phy
 from eonjam.control_plane import (
     Blocked,
     ControlMode,
@@ -13,6 +13,7 @@ from eonjam.control_plane import (
     evaluate_candidate,
     handle_request,
     required_slots,
+    static_reach,
     verify_state_invariants,
 )
 from eonjam.jammer import JammerConfig, ground_truth_channels
@@ -47,7 +48,7 @@ def test_empty_network_establishes_highest_passing_modulation(params):
     # ~26.5 dB, so the top format must be granted at the lowest index.
     topo = topo_single(100)
     state = NetworkState(topo, params)
-    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None, params)
+    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome.modulation.name == "64QAM"
     assert outcome.block == SlotBlock(0, 1)
     g = outcome.channel.psd_w_per_hz
@@ -64,9 +65,75 @@ def test_modulation_falls_back_with_distance(params):
     # 4000 km: only QPSK closes the budget for 40 Gbps.
     topo = topo_single(4000)
     state = NetworkState(topo, params)
-    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None, params)
+    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome.modulation.name == "QPSK"
     assert outcome.block.width == 2
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the control plane's First Fit and candidate evaluations."""
+    counts = {"first_fit": 0, "evaluate_candidate": 0}
+    for name in counts:
+        original = getattr(control_plane, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(control_plane, name, counting)
+    return counts
+
+
+def fill_except(state, free_block):
+    """Hold every slot of every grid outside ``free_block``."""
+    grids = list(state.grids.values())
+    allocate(grids, SlotBlock(0, free_block.start), 998)
+    allocate(grids, SlotBlock(free_block.end, 320 - free_block.end), 999)
+
+
+def test_unreachable_route_probes_first_fit_once(params, calls):
+    # No format closes 5000 km at 40 Gbps, so no candidate is built; the
+    # one First Fit probe still tells an empty grid from a full one.
+    topo = topo_single(5000)
+    assert static_reach(topo.shortest_path("A", "B"), 40.0, params).formats == ()
+    state = NetworkState(topo, params)
+    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
+    assert outcome == Blocked("qot-fail")
+    assert calls == {"first_fit": 1, "evaluate_candidate": 0}
+
+    allocate(list(state.grids.values()), SlotBlock(0, 320), 999)
+    outcome = handle_request(request(2, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
+    assert outcome == Blocked("no-spectrum")
+    assert calls == {"first_fit": 2, "evaluate_candidate": 0}
+
+
+def test_pruned_formats_are_skipped_but_keep_their_block_reason(params, calls):
+    # At 4000 km only QPSK (2 slots) reaches 40 Gbps; the one-slot formats
+    # above it are pruned.  With room it establishes at QPSK after one
+    # evaluation.  A gap that fits one slot plus guardbands but not two
+    # would have failed 64QAM's QoT, so the block reason is qot-fail.
+    topo = topo_single(4000)
+    reach = static_reach(topo.shortest_path("A", "B"), 40.0, params)
+    assert [(m.name, w) for m, w in reach.formats] == [("QPSK", 2)]
+    assert reach.narrowest_pruned_width == 1
+
+    state = NetworkState(topo, params)
+    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
+    assert outcome.modulation is reach.formats[0][0]
+    assert outcome.block == SlotBlock(0, 2)
+    assert calls == {"first_fit": 1, "evaluate_candidate": 1}
+
+    state = NetworkState(topo, params)
+    fill_except(state, SlotBlock(100, 5))
+    outcome = handle_request(request(2, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
+    assert outcome == Blocked("qot-fail")
+    assert calls == {"first_fit": 3, "evaluate_candidate": 1}
+
+    state = NetworkState(topo, params)
+    fill_except(state, SlotBlock(100, 4))
+    outcome = handle_request(request(3, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
+    assert outcome == Blocked("no-spectrum")
 
 
 def test_full_grid_blocks_no_spectrum(params):
@@ -74,7 +141,7 @@ def test_full_grid_blocks_no_spectrum(params):
     state = NetworkState(topo, params)
     allocate(list(state.grids.values()), SlotBlock(0, 320), 999)
     state.grid_actives[("A", "B")][999] = None  # never inspected: no first fit succeeds
-    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None, params)
+    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert isinstance(outcome, Blocked)
     assert outcome.reason == "no-spectrum"
 
@@ -88,7 +155,7 @@ def test_admission_protects_existing_circuit(params):
         "nodes: A B C D\nlink: A B 1800\nlink: B C 600\nlink: C D 1900\n"
     )
     state = NetworkState(topo, params)
-    active = handle_request(request(1, "A", "D", 40.0), state, ControlMode.NO_JAMMING, None, params)
+    active = handle_request(request(1, "A", "D", 40.0), state, ControlMode.NO_JAMMING, None)
     assert active.modulation.name == "QPSK"
     margin_db = linear_to_db(active.snr) - active.modulation.snr_threshold_db
     assert 0.0 < margin_db < 0.5
@@ -101,7 +168,7 @@ def test_admission_protects_existing_circuit(params):
     verdict = evaluate_candidate(candidate, state, ControlMode.NO_JAMMING, None)
     assert verdict is Verdict.REJECT_QOT
 
-    outcome = handle_request(request(2, "B", "C", 40.0), state, ControlMode.NO_JAMMING, None, params)
+    outcome = handle_request(request(2, "B", "C", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome.modulation.name == "8QAM"
     verify_state_invariants(state, ControlMode.NO_JAMMING, None)
 
@@ -113,7 +180,7 @@ def test_unaware_mode_suffers_inband_jamming(params):
     state = NetworkState(topo, params)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=5.0)
     gt = ground_truth_channels(config, params)
-    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.UNAWARE, gt, params)
+    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.UNAWARE, gt)
     assert isinstance(outcome, Blocked)
     assert outcome.reason == "qot-fail"
     assert not state.forbidden_ranges
@@ -124,7 +191,7 @@ def test_aware_mode_avoids_jammed_range_and_retries(params):
     state = NetworkState(topo, params)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=2.0)
     gt = ground_truth_channels(config, params)
-    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt, params)
+    outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt)
     assert not isinstance(outcome, Blocked)
     assert outcome.block.start == 12  # range forbidden, guard respected
     assert state.forbidden_ranges == {"A-B": [SlotBlock(0, 10)]}
@@ -202,13 +269,13 @@ def test_forbidden_registry_persists_and_grows_only(params):
         epsilon_db=2.0,
     )
     gt = ground_truth_channels(config, params)
-    first = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt, params)
+    first = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt)
     assert not isinstance(first, Blocked)
     assert state.forbidden_ranges["A-B"] == [SlotBlock(0, 10), SlotBlock(13, 10)]
     assert first.block.start == 25
 
     snapshot = [b for b in state.forbidden_ranges["A-B"]]
-    second = handle_request(request(2, "A", "B", 40.0), state, ControlMode.AWARE, gt, params)
+    second = handle_request(request(2, "A", "B", 40.0), state, ControlMode.AWARE, gt)
     assert not isinstance(second, Blocked)
     assert state.forbidden_ranges["A-B"] == snapshot
 
@@ -220,7 +287,7 @@ def test_release_repaints_forbidden_marks(params):
     state = NetworkState(topo, params)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=0.002)
     gt = ground_truth_channels(config, params)
-    inside = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt, params)
+    inside = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt)
     assert inside.block.start == 0  # weak attack: mismatch below tolerance
     state.forbid_range("A-B", SlotBlock(0, 10))
     state.depart(inside.id, 100.0)
@@ -246,7 +313,7 @@ def test_handle_request_termination_bound(params):
 
     phy.qot_verdict = counting
     try:
-        handle_request(request(1, "A", "B", 400.0), state, ControlMode.AWARE, gt, params)
+        handle_request(request(1, "A", "B", 400.0), state, ControlMode.AWARE, gt)
     finally:
         phy.qot_verdict = original
     assert calls <= len(MODULATIONS) * 320
