@@ -12,15 +12,12 @@ from eonjam.spectrum import SlotBlock, SlotGrid, allocate, first_fit, release, u
 
 
 def show(grid, upto=40):
-    cells = []
-    for value in grid.occupancy[:upto]:
-        if value == 0:
-            cells.append(".")
-        elif value == -1:
-            cells.append("x")
-        else:
-            cells.append(str(value % 10))
-    print("".join(cells), f"  (used {grid.used_count()}, util {utilization(grid):.3f})")
+    cells = ["."] * grid.slot_count
+    for block in grid.forbidden:
+        cells[block.start:block.end] = "x" * block.width
+    for lightpath_id, block in grid.blocks.items():
+        cells[block.start:block.end] = str(lightpath_id % 10) * block.width
+    print("".join(cells[:upto]), f"  (used {grid.used_count()}, util {utilization(grid):.3f})")
 
 
 grid = SlotGrid("demo", ("a", "b"), 320)

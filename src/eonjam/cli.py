@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -79,17 +80,30 @@ def _load_topology(topology: str) -> Topology:
     return load_topology_file(topology)
 
 
-def _target_violation(topology: str, target: str) -> str | None:
-    """Why an explicit jammer link id does not name a link, if it does not."""
-    try:
-        loaded = _load_topology(topology)
-    except (OSError, ValueError) as exc:
-        return f"topology: {exc}"
-    try:
-        loaded.link_by_id(target)
-    except TopologyError as exc:
-        return f"jammer.target: {exc}"
-    return None
+def _finite(value) -> float:
+    """A config number as a float; booleans, NaN and infinities are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _integer(value) -> int:
+    """A config integer; booleans and fractional numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+_TRAFFIC_FIELDS = {
+    "load_erlangs": _finite,
+    "mean_holding_s": _finite,
+    "bandwidth_choices_gbps": lambda values: tuple(_finite(b) for b in values),
+    "requests_per_replication": _integer,
+    "replications": _integer,
+}
 
 
 def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, list[str]]:
@@ -107,6 +121,12 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
         if not resolved.is_file():
             violations.append(f"topology: file not found: {topology}")
         topology = str(resolved)
+    loaded = None
+    if not violations:
+        try:
+            loaded = _load_topology(topology)
+        except (OSError, ValueError) as exc:
+            violations.append(f"topology: {exc}")
 
     raw_modes = data.get("modes", data.get("mode"))
     if isinstance(raw_modes, str):
@@ -140,7 +160,7 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
         else:
             for index, pair in enumerate(ranges_raw):
                 try:
-                    block = SlotBlock(int(pair[0]), int(pair[1]))
+                    block = SlotBlock(_integer(pair[0]), _integer(pair[1]))
                 except (TypeError, ValueError, IndexError):
                     violations.append(f"jammer.jammed_ranges[{index}]: expected [start, width]")
                     continue
@@ -153,23 +173,26 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
                 jammer = JammerConfig(target=target, jammed_ranges=tuple(ranges))
             except ValueError as exc:
                 violations.append(f"jammer: {exc}")
-        if jammer is not None and not jammer.uses_selector:
-            violation = _target_violation(topology, jammer.target)
-            if violation:
-                violations.append(violation)
+        if jammer is not None and not jammer.uses_selector and loaded is not None:
+            try:
+                loaded.link_by_id(jammer.target)
+            except TopologyError as exc:
+                violations.append(f"jammer.target: {exc}")
 
     sweep_raw = data.get("epsilon_sweep")
     sweep = None
     if sweep_raw is not None:
         try:
             sweep = (
-                float(sweep_raw["start"]),
-                float(sweep_raw["stop"]),
-                float(sweep_raw["step"]),
+                _finite(sweep_raw["start"]),
+                _finite(sweep_raw["stop"]),
+                _finite(sweep_raw["step"]),
             )
         except (KeyError, TypeError, ValueError):
-            violations.append("epsilon_sweep: expected {start, stop, step}")
+            violations.append("epsilon_sweep: expected finite {start, stop, step}")
         else:
+            if sweep[0] < 0:
+                violations.append("sweep.start: must be >= 0")
             if sweep[2] <= 0:
                 violations.append("sweep.step: must be positive")
             if sweep[1] < sweep[0]:
@@ -179,15 +202,14 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
     try:
         if not isinstance(traffic_raw, dict):
             raise TypeError("expected a mapping")
-        traffic = sim.TrafficModel(
-            load_erlangs=float(traffic_raw.get("load_erlangs", 200.0)),
-            mean_holding_s=float(traffic_raw.get("mean_holding_s", 600.0)),
-            bandwidth_choices_gbps=tuple(
-                float(b) for b in traffic_raw.get("bandwidth_choices_gbps", (40, 200, 400))
-            ),
-            requests_per_replication=int(traffic_raw.get("requests_per_replication", 100_000)),
-            replications=int(traffic_raw.get("replications", 10)),
-        )
+        fields = {}
+        for key, convert in _TRAFFIC_FIELDS.items():
+            if key in traffic_raw:
+                try:
+                    fields[key] = convert(traffic_raw[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+        traffic = sim.TrafficModel(**fields)
     except (TypeError, ValueError) as exc:
         violations.append(f"traffic: {exc}")
         traffic = sim.TrafficModel()
@@ -197,11 +219,11 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
         violations.append("jammer: required by modes other than no_jamming")
     if modes and not jamming_modes and jammer_data is not None:
         violations.append("jammer: must be absent when the only mode is no_jamming")
-    if jamming_modes and sweep is None:
+    if jamming_modes and sweep_raw is None:
         violations.append("epsilon_sweep: required by modes other than no_jamming")
 
     try:
-        base_seed = int(data.get("base_seed", 1))
+        base_seed = _integer(data.get("base_seed", 1))
         if base_seed < 0:
             violations.append("base_seed: must be >= 0")
     except (TypeError, ValueError):
@@ -212,14 +234,14 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
         violations.append("output_dir: must be a non-empty string")
         output_dir = "results"
     try:
-        tolerance = float(data.get("detection_tolerance_db", DEFAULT_DETECTION_TOLERANCE_DB))
+        tolerance = _finite(data.get("detection_tolerance_db", DEFAULT_DETECTION_TOLERANCE_DB))
         if tolerance < 0:
             violations.append("detection_tolerance_db: must be >= 0")
     except (TypeError, ValueError):
-        violations.append("detection_tolerance_db: must be a number")
+        violations.append("detection_tolerance_db: must be a finite number")
         tolerance = DEFAULT_DETECTION_TOLERANCE_DB
     try:
-        workers = int(data.get("workers", 1))
+        workers = _integer(data.get("workers", 1))
         if workers < 1:
             violations.append("workers: must be >= 1")
     except (TypeError, ValueError):
@@ -293,13 +315,13 @@ def _ranking_cache_key(config: ScenarioConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _load_or_compute_ranking(config: ScenarioConfig, outdir: Path):
+def _cached_ranking(config: ScenarioConfig, outdir: Path):
+    """The ranking in ``outdir`` if its cache key matches ``config``, else None."""
     cache = outdir / "link_ranking.csv"
     meta = outdir / "link_ranking.meta.json"
-    key = _ranking_cache_key(config)
     if cache.is_file() and meta.is_file():
         try:
-            if json.loads(meta.read_text())["key"] == key:
+            if json.loads(meta.read_text())["key"] == _ranking_cache_key(config):
                 ranking = []
                 for line in cache.read_text().splitlines()[1:]:
                     rank, link_id, value = line.split(",")
@@ -307,14 +329,15 @@ def _load_or_compute_ranking(config: ScenarioConfig, outdir: Path):
                 return ranking
         except (KeyError, ValueError, json.JSONDecodeError):
             pass
-    ranking = sim.compute_utilization_ranking(
-        config.load_topology(), config.traffic, config.base_seed, workers=config.workers
-    )
+    return None
+
+
+def _write_ranking(config: ScenarioConfig, outdir: Path, ranking) -> None:
     lines = ["rank,link_id,mean_utilization"]
     lines += [f"{i + 1},{link_id},{_fmt(value)}" for i, (link_id, value) in enumerate(ranking)]
-    cache.write_text("\n".join(lines) + "\n")
-    meta.write_text(json.dumps({"key": key}) + "\n")
-    return ranking
+    (outdir / "link_ranking.csv").write_text("\n".join(lines) + "\n")
+    meta = json.dumps({"key": _ranking_cache_key(config)})
+    (outdir / "link_ranking.meta.json").write_text(meta + "\n")
 
 
 def _sorted_points(result: sim.ScenarioResult):
@@ -408,8 +431,10 @@ def run(config_path, per_link_slots: bool = False) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         ranking = None
         if config.jammer is not None and config.jammer.uses_selector:
-            ranking = _load_or_compute_ranking(config, outdir)
+            ranking = _cached_ranking(config, outdir)
         result = sim.run_scenario(config, ranking=ranking)
+        if ranking is None and result.ranking is not None:
+            _write_ranking(config, outdir, result.ranking)
         _write_outputs(config, result, outdir, per_link_slots)
         _print_summary(result)
         print(f"wrote {outdir / 'blocking.csv'} and {outdir / 'slots.csv'}")
@@ -428,7 +453,12 @@ def _cmd_rank_links(config_path) -> int:
     try:
         outdir = _output_dir(config)
         outdir.mkdir(parents=True, exist_ok=True)
-        ranking = _load_or_compute_ranking(config, outdir)
+        ranking = _cached_ranking(config, outdir)
+        if ranking is None:
+            ranking = sim.compute_utilization_ranking(
+                config.load_topology(), config.traffic, config.base_seed, workers=config.workers
+            )
+            _write_ranking(config, outdir, ranking)
         for index, (link_id, value) in enumerate(ranking, start=1):
             print(f"{index:2d}. {link_id}  {value:.6f}")
         print(f"wrote {outdir / 'link_ranking.csv'}")

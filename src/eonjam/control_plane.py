@@ -435,10 +435,18 @@ def verify_state_invariants(
     """
     params = state.params
     for hop, grid in state.grids.items():
-        used = grid.used_count()
-        free = grid.free_count()
-        forbidden = grid.forbidden_count()
-        assert used + free + forbidden == grid.slot_count, f"slot conservation broken on {hop}"
+        held = 0
+        for block in grid.blocks.values():
+            assert not held & block.mask, f"overlapping allocations on {hop}"
+            held |= block.mask
+        assert held == grid.used, f"used slots disagree with the held blocks on {hop}"
+        assert grid.blocks.keys() == state.grid_actives[hop].keys(), (
+            f"slot holders disagree with the active circuits on {hop}"
+        )
+        barred = 0
+        for block in grid.forbidden:
+            barred |= block.mask
+        assert barred == grid.forbidden_mask, f"forbidden slots disagree with the blocks on {hop}"
         assert grid.forbidden == state.grids[hop[::-1]].forbidden, (
             f"directions of {grid.link_id} disagree on forbidden blocks"
         )

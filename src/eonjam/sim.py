@@ -338,76 +338,70 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     ``config`` is a :class:`eonjam.cli.ScenarioConfig` (or anything with
     the same attributes).  The no-jamming mode ignores the sweep: its
     blocking is constant in epsilon, so it contributes a single point.
-    A link-utilization ranking is computed from a jammer-free pre-run
-    when the jammer uses a most/least-used selector and none is given.
+    A link-utilization ranking is computed when the jammer uses a
+    most/least-used selector and none is given.  It comes from the
+    scenario's own no-jamming replications, run first, when the modes
+    include them (the same seeds, traffic and physics as a separate
+    pre-run, so the ranking is the same); otherwise from
+    :func:`compute_utilization_ranking`.
     """
     topology = config.load_topology()
     params = PhyParams()
     traffic = config.traffic
     seeds = [config.base_seed + r for r in range(traffic.replications)]
+    sweep = (
+        epsilon_sweep_values(*config.epsilon_sweep)
+        if config.epsilon_sweep is not None
+        else [0.0]
+    )
+    order = [
+        (mode, eps)
+        for mode in config.modes
+        for eps in ([None] if mode is ControlMode.NO_JAMMING else sweep)
+    ]
 
+    def jobs_for(mode, eps):
+        jam = None
+        if mode is not ControlMode.NO_JAMMING:
+            jam = JammerConfig(
+                target=target_link_id,
+                jammed_ranges=config.jammer.jammed_ranges,
+                epsilon_db=eps,
+            )
+        tolerance = config.detection_tolerance_db
+        return [(seed, topology, traffic, mode, jam, params, tolerance, None) for seed in seeds]
+
+    grouped: dict[tuple, list] = {}
+    pending = list(order)
     needs_jammer = any(m is not ControlMode.NO_JAMMING for m in config.modes)
     target_link_id = None
     if needs_jammer:
         if config.jammer is None:
             raise ValueError("jamming modes require a jammer section")
         if config.jammer.uses_selector and ranking is None:
-            ranking = compute_utilization_ranking(
-                topology, traffic, config.base_seed, params, workers=config.workers
-            )
+            if ControlMode.NO_JAMMING in config.modes:
+                pending.remove((ControlMode.NO_JAMMING, None))
+                baseline = _run_jobs(jobs_for(ControlMode.NO_JAMMING, None), config.workers)
+                grouped[(ControlMode.NO_JAMMING, None)] = baseline
+                ranking = metrics.utilization_ranking(baseline)
+            else:
+                ranking = compute_utilization_ranking(
+                    topology, traffic, config.base_seed, params, workers=config.workers
+                )
         target_link_id = resolve_target(config.jammer, ranking)
         topology.link_by_id(target_link_id)
 
-    sweep = (
-        epsilon_sweep_values(*config.epsilon_sweep)
-        if config.epsilon_sweep is not None
-        else [0.0]
-    )
-
-    jobs = []
-    keys = []
-    for mode in config.modes:
-        if mode is ControlMode.NO_JAMMING:
-            eps_values = [None]
-        else:
-            eps_values = list(sweep)
-        for eps in eps_values:
-            for rep_index, seed in enumerate(seeds):
-                if mode is ControlMode.NO_JAMMING:
-                    jam = None
-                else:
-                    jam = JammerConfig(
-                        target=target_link_id,
-                        jammed_ranges=config.jammer.jammed_ranges,
-                        epsilon_db=eps,
-                    )
-                jobs.append(
-                    (
-                        seed,
-                        topology,
-                        traffic,
-                        mode,
-                        jam,
-                        params,
-                        config.detection_tolerance_db,
-                        None,
-                    )
-                )
-                keys.append((mode, eps, rep_index))
-
-    outputs = _run_jobs(jobs, config.workers)
-
-    grouped: dict[tuple, list] = {}
-    for key, result in zip(keys, outputs):
-        grouped.setdefault(key[:2], []).append(result)
+    outputs = iter(_run_jobs([job for key in pending for job in jobs_for(*key)], config.workers))
+    for key in pending:
+        grouped.setdefault(key, []).extend(next(outputs) for _ in seeds)
     points = tuple(
         ScenarioPoint(
             mode=mode,
             target_link_id=None if mode is ControlMode.NO_JAMMING else target_link_id,
             epsilon_db=eps,
-            results=tuple(results),
+            results=tuple(grouped[(mode, eps)]),
         )
-        for (mode, eps), results in grouped.items()
+        for mode, eps in dict.fromkeys(order)
     )
     return ScenarioResult(
         points=points,

@@ -1,13 +1,14 @@
-"""Per-link slot-grid bookkeeping: occupancy, First Fit, guardbands.
+"""Per-link slot-grid bookkeeping: bitmasks, First Fit, guardbands.
 
-Each directed link owns a :class:`SlotGrid` of 320 slots.  A slot is
-free, used by exactly one lightpath, or forbidden (reserved by the
-jamming-aware control plane).  Only this module touches that encoding;
-each grid owns its forbidden blocks, and :func:`release` restores them.
-First Fit scans for the lowest start index where a block fits on every
-grid of a route with a 2-slot guardband separating it from used
-spectrum; forbidden marks count exactly like used slots, guardband
-included.
+Each directed link owns a :class:`SlotGrid` of 320 slots, kept as Python
+int bitmasks (bit ``i`` is slot ``i``): ``used`` holds the slots that
+circuits hold, ``forbidden_mask`` the slots of the blocks the
+jamming-aware control plane took out of use.  A forbidden slot an older
+circuit still holds is used until that circuit leaves; ``used |
+forbidden_mask`` is the blocked set either way, so release never has to
+restore forbidden blocks.  First Fit finds the lowest start index where
+a block fits on every grid of a route with a 2-slot guardband
+separating it from blocked spectrum, used and forbidden alike.
 
 Grids also integrate per-slot busy time so that utilization statistics
 come from exact event-time integration instead of sampling.
@@ -22,8 +23,6 @@ import numpy as np
 __all__ = [
     "SLOT_COUNT",
     "GUARDBAND_SLOTS",
-    "FREE",
-    "FORBIDDEN",
     "SpectrumError",
     "AllocationCollisionError",
     "UnknownLightpathError",
@@ -37,9 +36,6 @@ __all__ = [
 
 SLOT_COUNT = 320
 GUARDBAND_SLOTS = 2
-
-FREE = 0
-FORBIDDEN = -1
 
 
 class SpectrumError(ValueError):
@@ -72,6 +68,11 @@ class SlotBlock:
         """One past the last slot."""
         return self.start + self.width
 
+    @property
+    def mask(self) -> int:
+        """The block's slots as a bitmask."""
+        return ((1 << self.width) - 1) << self.start
+
     def slots(self) -> range:
         return range(self.start, self.end)
 
@@ -79,13 +80,19 @@ class SlotBlock:
         return self.start < other.end and other.start < self.end
 
 
-class SlotGrid:
-    """Occupancy of one direction of one fibre link.
+def _unpack(mask: int, slot_count: int) -> np.ndarray:
+    """Boolean array of a bitmask's low ``slot_count`` bits."""
+    raw = np.frombuffer(mask.to_bytes((slot_count + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=slot_count, bitorder="little").view(bool)
 
-    ``occupancy[i]`` is 0 (free), -1 (forbidden) or a positive lightpath
-    id.  ``forbidden`` lists the blocks taken out of use; a slot in one
-    is forbidden unless an older circuit still holds it, and
-    :func:`release` marks it when freed.  Two busy-time integrals are
+
+class SlotGrid:
+    """Spectrum of one direction of one fibre link.
+
+    ``used`` is the bitmask of slots held by circuits and ``blocks``
+    maps each holding lightpath id to its :class:`SlotBlock`.
+    ``forbidden`` lists the blocks taken out of use and
+    ``forbidden_mask`` is their union.  Two busy-time integrals are
     advanced by the simulation clock through :meth:`advance_time`:
     ``used_seconds`` counts slots actually carrying a circuit, while
     ``reserved_seconds`` additionally counts each circuit's guardband
@@ -99,8 +106,10 @@ class SlotGrid:
         "link_id",
         "direction",
         "slot_count",
-        "occupancy",
+        "used",
+        "blocks",
         "forbidden",
+        "forbidden_mask",
         "used_seconds",
         "reserved_seconds",
         "_clock",
@@ -112,8 +121,10 @@ class SlotGrid:
         self.link_id = link_id
         self.direction = direction
         self.slot_count = slot_count
-        self.occupancy = np.zeros(slot_count, dtype=np.int64)
+        self.used = 0
+        self.blocks: dict[int, SlotBlock] = {}
         self.forbidden: list[SlotBlock] = []
+        self.forbidden_mask = 0
         self.used_seconds = np.zeros(slot_count, dtype=np.float64)
         self.reserved_seconds = np.zeros(slot_count, dtype=np.float64)
         self._clock = 0.0
@@ -123,39 +134,39 @@ class SlotGrid:
         dt = now - self._clock
         if dt <= 0.0:
             return
-        used = self.occupancy > 0
-        self.used_seconds[used] += dt
-        covered = used.copy()
-        for k in range(1, GUARDBAND_SLOTS + 1):
-            covered[k:] |= used[:-k]
-        self.reserved_seconds[covered] += dt
+        if self.used:
+            covered = self.used
+            for k in range(1, GUARDBAND_SLOTS + 1):
+                covered |= self.used << k
+            covered &= (1 << self.slot_count) - 1
+            self.used_seconds[_unpack(self.used, self.slot_count)] += dt
+            self.reserved_seconds[_unpack(covered, self.slot_count)] += dt
         self._clock = now
 
     def used_count(self) -> int:
-        return int(np.count_nonzero(self.occupancy > 0))
+        return self.used.bit_count()
 
     def forbidden_count(self) -> int:
-        return int(np.count_nonzero(self.occupancy == FORBIDDEN))
+        """Forbidden slots no circuit holds."""
+        return (self.forbidden_mask & ~self.used).bit_count()
 
     def free_count(self) -> int:
-        return int(np.count_nonzero(self.occupancy == FREE))
+        return self.slot_count - (self.used | self.forbidden_mask).bit_count()
 
     def forbid(self, block: SlotBlock) -> bool:
-        """Record ``block`` and mark its free slots; False if already recorded."""
+        """Record ``block`` as forbidden; False if already recorded."""
         if block.end > self.slot_count:
             raise SpectrumError(f"block {block} exceeds grid of {self.slot_count} slots")
         if block in self.forbidden:
             return False
         self.forbidden.append(block)
-        self._mark_forbidden(block)
+        self.forbidden_mask |= block.mask
         return True
 
-    def _mark_forbidden(self, block: SlotBlock) -> None:
-        segment = self.occupancy[block.start:block.end]
-        segment[segment == FREE] = FORBIDDEN
-
-    def lightpath_slots(self, lightpath_id: int) -> np.ndarray:
-        return np.flatnonzero(self.occupancy == lightpath_id)
+    def lightpath_slots(self, lightpath_id: int) -> range:
+        """Slots ``lightpath_id`` holds here (empty if none)."""
+        block = self.blocks.get(lightpath_id)
+        return range(0) if block is None else block.slots()
 
 
 def first_fit(grids, width: int) -> SlotBlock | None:
@@ -163,7 +174,7 @@ def first_fit(grids, width: int) -> SlotBlock | None:
 
     A candidate ``[s, s+width)`` is feasible when none of its slots and
     none of the ``GUARDBAND_SLOTS`` slots on either side is used or
-    forbidden on any grid.  Forbidden marks only exist once the
+    forbidden on any grid.  Forbidden blocks only exist once the
     jamming-aware plane has detected an attack, so the other planes
     never meet one.  Returns ``None`` when nothing fits.
     """
@@ -171,55 +182,59 @@ def first_fit(grids, width: int) -> SlotBlock | None:
         raise SpectrumError(f"width must be >= 1, got {width}")
     if not grids:
         raise SpectrumError("first_fit needs at least one grid")
-    counts = {g.slot_count for g in grids}
-    if len(counts) != 1:
-        raise SpectrumError(f"grids disagree on slot_count: {sorted(counts)}")
-    slot_count = counts.pop()
+    slot_count = grids[0].slot_count
+    blocked = 0
+    for grid in grids:
+        if grid.slot_count != slot_count:
+            counts = sorted({g.slot_count for g in grids})
+            raise SpectrumError(f"grids disagree on slot_count: {counts}")
+        blocked |= grid.used | grid.forbidden_mask
     if width > slot_count:
         return None
 
-    blocked = grids[0].occupancy != FREE
-    for grid in grids[1:]:
-        blocked = blocked | (grid.occupancy != FREE)
-
-    # Prefix sums let every candidate window be tested in O(1).
-    csum = np.zeros(slot_count + 1, dtype=np.int64)
-    np.cumsum(blocked, out=csum[1:])
-    starts = np.arange(0, slot_count - width + 1)
-    lo = np.maximum(starts - GUARDBAND_SLOTS, 0)
-    hi = np.minimum(starts + width + GUARDBAND_SLOTS, slot_count)
-    feasible = (csum[hi] - csum[lo]) == 0
-    idx = int(np.argmax(feasible))
-    if not feasible[idx]:
+    # A start is feasible when every slot of its window lies at least a
+    # guardband away from a blocked slot.
+    near = blocked
+    for k in range(1, GUARDBAND_SLOTS + 1):
+        near |= (blocked << k) | (blocked >> k)
+    fits = ~near & ((1 << slot_count) - 1)
+    # Bit s of ``fits`` now says slots s..s+span-1 are all clear; double
+    # the span (capped at ``width``) until it covers the window.
+    span = 1
+    while span < width and fits:
+        step = min(span, width - span)
+        fits &= fits >> step
+        span += step
+    if not fits:
         return None
-    return SlotBlock(start=idx, width=width)
+    return SlotBlock(start=(fits & -fits).bit_length() - 1, width=width)
 
 
 def allocate(grids, block: SlotBlock, lightpath_id: int) -> None:
     """Mark ``block`` used by ``lightpath_id`` on every grid."""
-    if lightpath_id <= 0:
-        raise SpectrumError(f"lightpath id must be positive, got {lightpath_id}")
+    mask = block.mask
     for grid in grids:
         if block.end > grid.slot_count:
             raise SpectrumError(f"block {block} exceeds grid of {grid.slot_count} slots")
-        if np.any(grid.occupancy[block.start:block.end] != FREE):
+        if (grid.used | grid.forbidden_mask) & mask:
             raise AllocationCollisionError(
                 f"block {block} not free on {grid.link_id}{grid.direction}"
             )
+        if lightpath_id in grid.blocks:
+            raise SpectrumError(f"lightpath {lightpath_id} already holds slots on {grid.link_id}")
     for grid in grids:
-        grid.occupancy[block.start:block.end] = lightpath_id
+        grid.used |= mask
+        grid.blocks[lightpath_id] = block
 
 
 def release(grids, lightpath_id: int) -> None:
     """Free every slot held by ``lightpath_id``; forbidden blocks stay forbidden."""
     held_anywhere = False
     for grid in grids:
-        held = grid.occupancy == lightpath_id
-        if np.any(held):
+        block = grid.blocks.pop(lightpath_id, None)
+        if block is not None:
             held_anywhere = True
-            grid.occupancy[held] = FREE
-            for block in grid.forbidden:
-                grid._mark_forbidden(block)
+            grid.used &= ~block.mask
     if not held_anywhere:
         raise UnknownLightpathError(f"lightpath {lightpath_id} holds no slots on these grids")
 

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from eonjam import sim
 from eonjam.cli import load_config, main, run, validate
+from eonjam.control_plane import ControlMode
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -87,6 +89,64 @@ def test_negative_base_seed_is_a_config_error(tmp_path, capsys, command):
     assert "config error: base_seed: must be >= 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"detection_tolerance_db": float("nan")}, "detection_tolerance_db: must be a finite number"),
+        ({"traffic": {"load_erlangs": float("inf")}}, "traffic: load_erlangs: expected a finite number"),
+        ({"epsilon_sweep": {"start": float("nan"), "stop": 1.0, "step": 0.5}}, "epsilon_sweep: expected finite"),
+        ({"epsilon_sweep": {"start": 0.0, "stop": float("nan"), "step": 0.5}}, "epsilon_sweep: expected finite"),
+        ({"epsilon_sweep": {"start": -1.0, "stop": 1.0, "step": 0.5}}, "sweep.start: must be >= 0"),
+        ({"epsilon_sweep": {"start": 0.0, "stop": -1.0, "step": 0.5}}, "sweep.stop: must be >= sweep.start"),
+        ({"base_seed": True}, "base_seed: must be an integer"),
+        ({"traffic": {"requests_per_replication": 10.7}}, "traffic: requests_per_replication: expected an integer"),
+    ],
+    ids=["nan-tolerance", "inf-load", "nan-start", "nan-stop", "negative-start", "negative-stop",
+         "bool-seed", "fractional-requests"],
+)
+def test_non_finite_or_fractional_number_is_a_config_error(tmp_path, capsys, override, message):
+    config_path = write_config(tmp_path, dict(TINY, **override))
+    assert main(["validate", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_broken_topology_is_a_config_error_for_selector_targets(tmp_path, capsys, command):
+    (tmp_path / "broken.topo").write_text("nodes: A B\nlink: A C 100\n")
+    config = dict(TINY, topology="broken.topo", output_dir=str(tmp_path / "out"))
+    config["jammer"] = {"target": "most_used"}
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: topology: link A-C references an undeclared node\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cold_simulate_ranks_from_its_own_no_jamming_runs(tmp_path, monkeypatch):
+    calls = []
+    replicate = sim.run_replication
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return replicate(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_replication", counted)
+    config = dict(TINY, output_dir=str(tmp_path / "sim"))
+    config["jammer"] = {"target": "most_used"}
+    config["traffic"] = {"requests_per_replication": 150, "replications": 2}
+    assert main(["simulate", str(write_config(tmp_path, config, "sim.yaml"))]) == 0
+    # One call per main job: 2 no_jamming + 3 powers x 2 unaware, no pre-run.
+    assert len(calls) == 2 + 3 * 2
+    assert calls.count(ControlMode.NO_JAMMING) == 2
+
+    config["output_dir"] = str(tmp_path / "rank")
+    assert main(["rank-links", str(write_config(tmp_path, config, "rank.yaml"))]) == 0
+    for name in ("link_ranking.csv", "link_ranking.meta.json"):
+        assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "rank" / name).read_bytes()
 
 
 def test_validate_missing_file():

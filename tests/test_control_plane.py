@@ -317,3 +317,21 @@ def test_handle_request_termination_bound(params):
     finally:
         phy.qot_verdict = original
     assert calls <= len(MODULATIONS) * 320
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda grid: setattr(grid, "used", grid.used | 1 << 300),
+        lambda grid: grid.blocks.clear(),
+        lambda grid: setattr(grid, "forbidden_mask", grid.forbidden_mask | 1 << 300),
+    ],
+    ids=["stray-used-slot", "lost-holder", "stray-forbidden-slot"],
+)
+def test_invariants_catch_slot_bookkeeping_drift(params, corrupt):
+    state = NetworkState(topo_single(100), params)
+    handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
+    verify_state_invariants(state, ControlMode.NO_JAMMING, None)
+    corrupt(state.grids[("A", "B")])
+    with pytest.raises(AssertionError):
+        verify_state_invariants(state, ControlMode.NO_JAMMING, None)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonjam.spectrum import (
-    FORBIDDEN,
-    FREE,
     GUARDBAND_SLOTS,
     AllocationCollisionError,
     SlotBlock,
@@ -24,7 +22,31 @@ def make_grids(count=1, slots=320):
 
 
 def occupy(grid, start, end, lightpath_id):
-    grid.occupancy[start:end] = lightpath_id
+    allocate([grid], SlotBlock(start, end - start), lightpath_id)
+
+
+class GridModel:
+    """The test's own record of one grid: who holds each slot, which are forbidden."""
+
+    def __init__(self, slots):
+        self.holder = np.zeros(slots, dtype=np.int64)
+        self.forbidden = np.zeros(slots, dtype=bool)
+
+    @property
+    def blocked(self):
+        return (self.holder != 0) | self.forbidden
+
+
+def _first_fit_oracle(models, width):
+    """Linear scan over every start index, checking the definition."""
+    blocked = np.logical_or.reduce([model.blocked for model in models])
+    slot_count = len(blocked)
+    for start in range(slot_count - width + 1):
+        lo = max(0, start - GUARDBAND_SLOTS)
+        hi = min(slot_count, start + width + GUARDBAND_SLOTS)
+        if not blocked[lo:hi].any():
+            return SlotBlock(start, width)
+    return None
 
 
 def test_block_validation():
@@ -50,13 +72,13 @@ def test_first_fit_forbidden_with_guard():
     # separation from the forbidden range as well, landing at 62.
     (grid,) = make_grids()
     occupy(grid, 0, 46, 1)
-    grid.occupancy[50:60] = FORBIDDEN
+    grid.forbid(SlotBlock(50, 10))
     assert first_fit([grid], 12) == SlotBlock(62, 12)
 
 
 def test_first_fit_skips_forbidden_range():
     (grid,) = make_grids()
-    grid.occupancy[50:60] = FORBIDDEN
+    grid.forbid(SlotBlock(50, 10))
     assert first_fit([grid], 60) == SlotBlock(62, 60)
 
 
@@ -80,13 +102,15 @@ def test_first_fit_grid_mismatch():
 
 def test_allocate_and_release_roundtrip():
     grids = make_grids(2)
-    before = [g.occupancy.copy() for g in grids]
+    grids[0].forbid(SlotBlock(40, 5))
+    occupy(grids[1], 100, 104, 2)
+    before = [(g.used, g.forbidden_mask, dict(g.blocks)) for g in grids]
     allocate(grids, SlotBlock(10, 4), 9)
     for grid in grids:
-        assert grid.lightpath_slots(9).tolist() == [10, 11, 12, 13]
+        assert list(grid.lightpath_slots(9)) == [10, 11, 12, 13]
     release(grids, 9)
     for grid, snapshot in zip(grids, before):
-        assert np.array_equal(grid.occupancy, snapshot)
+        assert (grid.used, grid.forbidden_mask, grid.blocks) == snapshot
 
 
 def test_allocate_collision_used():
@@ -122,14 +146,19 @@ def test_forbid_over_held_slots_marks_them_on_release():
     (grid,) = make_grids()
     allocate([grid], SlotBlock(5, 3), 1)
     assert grid.forbid(SlotBlock(6, 4)) is True
-    assert grid.occupancy[5:8].tolist() == [1, 1, 1]
-    assert grid.occupancy[8:10].tolist() == [FORBIDDEN, FORBIDDEN]
+    # Slots 5-7 stay with the circuit; only 8-9 are forbidden so far.
+    assert list(grid.lightpath_slots(1)) == [5, 6, 7]
+    assert grid.used_count() == 3
+    assert grid.forbidden_count() == 2
     assert grid.forbid(SlotBlock(6, 4)) is False
     assert grid.forbidden == [SlotBlock(6, 4)]
     release([grid], 1)
-    assert grid.occupancy[6:10].tolist() == [FORBIDDEN] * 4
-    assert grid.occupancy[5] == FREE
+    # Once freed, 6-9 are all forbidden and slot 5 is free again.
+    assert grid.forbidden_count() == 4
     assert grid.free_count() == 320 - 4
+    with pytest.raises(AllocationCollisionError):
+        allocate([grid], SlotBlock(6, 1), 2)
+    allocate([grid], SlotBlock(5, 1), 2)
 
 
 def test_utilization_values():
@@ -137,7 +166,7 @@ def test_utilization_values():
     assert utilization(grid) == 0.0
     occupy(grid, 0, 320, 1)
     assert utilization(grid) == 1.0
-    occupy(grid, 0, 320, 0)
+    release([grid], 1)
     occupy(grid, 0, 80, 1)
     assert utilization(grid) == 0.25
 
@@ -168,48 +197,53 @@ def test_time_integration_tracks_used_and_shadow():
     assert grid.reserved_seconds[4] == 0.0
 
 
-def _first_fit_oracle(grids, width):
-    """Linear scan over every start index, checking the definition."""
-    slot_count = grids[0].slot_count
-    for start in range(slot_count - width + 1):
-        ok = True
-        for grid in grids:
-            occ = grid.occupancy
-            block = occ[start:start + width]
-            if np.any(block != FREE):
-                ok = False
-                break
-            lo = max(0, start - GUARDBAND_SLOTS)
-            hi = min(slot_count, start + width + GUARDBAND_SLOTS)
-            guard = occ[lo:hi]
-            if np.any(guard != FREE):
-                ok = False
-                break
-        if ok:
-            return SlotBlock(start, width)
-    return None
+def build_grids(layouts, slots=320):
+    """Fill grids through ``allocate`` and ``forbid``, mirroring each step in a model.
+
+    A layout is ``(circuits, forbidden)``, two lists of ``(start, width)``;
+    widths are clipped to the grid and circuits that would collide with
+    blocked slots are skipped.
+    """
+    grids, models = make_grids(len(layouts), slots), []
+    next_id = 1
+    for grid, (circuits, forbidden) in zip(grids, layouts):
+        model = GridModel(slots)
+        for start, width in circuits:
+            block = SlotBlock(start, min(width, slots - start))
+            if model.blocked[block.start:block.end].any():
+                continue
+            allocate([grid], block, next_id)
+            model.holder[block.start:block.end] = next_id
+            next_id += 1
+        for start, width in forbidden:
+            block = SlotBlock(start, min(width, slots - start))
+            grid.forbid(block)
+            model.forbidden[block.start:block.end] = True
+        models.append(model)
+    return grids, models
 
 
-@st.composite
-def random_grids(draw):
-    grids = make_grids(draw(st.integers(1, 3)), slots=64)
-    for grid in grids:
-        for _ in range(draw(st.integers(0, 6))):
-            start = draw(st.integers(0, 60))
-            width = draw(st.integers(1, 8))
-            end = min(64, start + width)
-            grid.occupancy[start:end] = draw(st.integers(1, 9))
-        for _ in range(draw(st.integers(0, 2))):
-            start = draw(st.integers(0, 56))
-            segment = grid.occupancy[start:start + 6]
-            segment[segment == FREE] = FORBIDDEN
-    return grids
+blocks_on_320 = st.tuples(st.integers(0, 319), st.integers(1, 80))
+
+grid_layouts = st.lists(
+    st.tuples(st.lists(blocks_on_320, max_size=6), st.lists(blocks_on_320, max_size=2)),
+    min_size=1,
+    max_size=3,
+)
 
 
-@given(random_grids(), st.integers(1, 10))
-@settings(max_examples=200, deadline=None)
-def test_first_fit_matches_linear_scan_oracle(grids, width):
-    assert first_fit(grids, width) == _first_fit_oracle(grids, width)
+@given(grid_layouts, st.one_of(st.integers(1, 12), st.integers(1, 320)))
+@example([([], [])], 320)  # the whole grid, from slot 0 to slot 319
+@example([([(0, 300)], [])], 18)  # lands on 302-319, touching the top
+@example([([(0, 300)], [])], 19)  # one slot too wide for the top gap
+@example([([(3, 1)], [])], 1)  # slot 0 needs no guardband below it
+@example([([], [(317, 3)])], 315)  # slots 0-314 keep clear of 317
+@example([([], [(317, 3)])], 316)
+@example([([(319, 1)], []), ([(0, 1)], [])], 314)  # both ends, different grids
+@settings(max_examples=300, deadline=None)
+def test_first_fit_matches_linear_scan_oracle(layouts, width):
+    grids, models = build_grids(layouts)
+    assert first_fit(grids, width) == _first_fit_oracle(models, width)
 
 
 @st.composite
@@ -228,10 +262,15 @@ def grid_operations(draw):
     )
 
 
+def _as_bits(flags):
+    return sum(1 << int(i) for i in np.flatnonzero(flags))
+
+
 @given(grid_operations())
 @settings(max_examples=200, deadline=None)
 def test_forbidden_blocks_survive_allocate_and_release(operations):
     grids = make_grids(2, slots=64)
+    models = [GridModel(64) for _ in grids]
     live: dict[int, SlotBlock] = {}
     next_id = 1
     for kind, start, width, which in operations:
@@ -239,30 +278,33 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
             block = first_fit(grids, width)
             if block is not None:
                 allocate(grids, block, next_id)
+                for model in models:
+                    assert not model.blocked[block.start:block.end].any()
+                    model.holder[block.start:block.end] = next_id
                 live[next_id] = block
                 next_id += 1
         elif kind == "forbid":
             block = SlotBlock(start, min(width, 64 - start))
             recorded = block in grids[which].forbidden
             assert grids[which].forbid(block) is not recorded
+            models[which].forbidden[block.start:block.end] = True
         elif live:
             victim = sorted(live)[start % len(live)]
             release(grids, victim)
+            for model in models:
+                model.holder[model.holder == victim] = 0
             del live[victim]
 
-        for grid in grids:
-            # Every slot of a recorded block is forbidden or still held...
-            barred = np.zeros(64, dtype=bool)
-            for block in grid.forbidden:
-                segment = grid.occupancy[block.start:block.end]
-                assert np.all((segment == FORBIDDEN) | np.isin(segment, list(live)))
-                barred[block.start:block.end] = True
-            # ...and every slot outside the live blocks is free or barred.
-            held = np.zeros(64, dtype=bool)
+        for grid, model in zip(grids, models):
+            # Every forbidden slot stays forbidden or held, every other
+            # slot outside the live blocks stays free.
+            held = model.holder != 0
+            assert grid.used == _as_bits(held)
+            assert grid.forbidden_mask == _as_bits(model.forbidden)
+            assert grid.used_count() == held.sum()
+            assert grid.forbidden_count() == (model.forbidden & ~held).sum()
+            assert grid.free_count() == (~model.blocked).sum()
             for lightpath_id, block in live.items():
-                assert grid.lightpath_slots(lightpath_id).tolist() == list(block.slots())
-                held[block.start:block.end] = True
-            expected = np.where(barred, FORBIDDEN, FREE)
-            assert np.array_equal(grid.occupancy[~held], expected[~held])
-        for probe in (1, 3, 7):
-            assert first_fit(grids, probe) == _first_fit_oracle(grids, probe)
+                assert list(grid.lightpath_slots(lightpath_id)) == list(block.slots())
+        for probe in (1, 3, 7, 64):
+            assert first_fit(grids, probe) == _first_fit_oracle(models, probe)
