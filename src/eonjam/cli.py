@@ -142,6 +142,9 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
                 modes.append(ControlMode(entry))
             except ValueError:
                 violations.append(f"modes: unknown mode {entry!r}")
+        repeated = [mode.value for mode in dict.fromkeys(modes) if modes.count(mode) > 1]
+        if repeated:
+            violations.append(f"modes: listed more than once: {', '.join(repeated)}")
 
     jammer_data = data.get("jammer")
     jammer = None
@@ -210,6 +213,9 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{key}: {exc}") from None
         traffic = sim.TrafficModel(**fields)
+        if traffic.requests_per_replication < 1:
+            # A replication without requests has no blocking probability.
+            raise ValueError("requests_per_replication: must be >= 1")
     except (TypeError, ValueError) as exc:
         violations.append(f"traffic: {exc}")
         traffic = sim.TrafficModel()

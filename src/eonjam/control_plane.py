@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import phy
@@ -96,7 +96,10 @@ class Lightpath:
 
     ``ase_psd``, ``sci_psd`` and ``jam_psd`` are constants of the route,
     block and static attack; ``xci_psd`` is the accumulated cross-channel
-    interference from currently co-propagating circuits.
+    interference from currently co-propagating circuits.  ``priced``
+    holds what :func:`evaluate_candidate` computed for
+    :meth:`NetworkState.establish`: the state and its change count, and
+    the XCI the candidate adds to each neighbour.
     """
 
     id: int
@@ -110,6 +113,7 @@ class Lightpath:
     sci_psd: float
     jam_psd: float
     xci_psd: float = 0.0
+    priced: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def noise_psd(self) -> float:
@@ -137,7 +141,11 @@ class Blocked:
 
 
 class NetworkState:
-    """Slot grids and active circuits; the grids hold the forbidden blocks."""
+    """Slot grids and active circuits; the grids hold the forbidden blocks.
+
+    ``changes`` counts establishments and departures, so a candidate's
+    neighbour XCI can be checked to be priced on the current circuits.
+    """
 
     def __init__(self, topology: Topology, params: phy.PhyParams):
         self.topology = topology
@@ -149,6 +157,7 @@ class NetworkState:
                 self.grids[direction] = SlotGrid(link.id, direction)
                 self.grid_actives[direction] = {}
         self.actives: dict[int, Lightpath] = {}
+        self.changes = 0
 
     def grids_for_route(self, route: Route) -> list[SlotGrid]:
         return [self.grids[hop] for hop in route.directed_hops]
@@ -180,12 +189,22 @@ class NetworkState:
             grid.advance_time(now)
 
     def establish(self, lightpath: Lightpath, now: float) -> None:
-        """Allocate spectrum and fold the circuit's NLI onto its neighbours."""
+        """Allocate spectrum and fold the circuit's NLI onto its neighbours.
+
+        The neighbour XCI comes from the :func:`evaluate_candidate` call
+        that accepted ``lightpath``; a candidate not evaluated against
+        the current circuits is refused.
+        """
+        priced, lightpath.priced = lightpath.priced, None
+        state, changes, deltas = priced or (None, None, None)
+        if state is not self or changes != self.changes:
+            raise ValueError(f"lightpath {lightpath.id} was not evaluated on the current state")
         grids = self.grids_for_route(lightpath.route)
         for grid in grids:
             grid.advance_time(now)
         allocate(grids, lightpath.block, lightpath.id)
-        for neighbour_id, delta in _neighbour_deltas(self, lightpath).items():
+        self.changes += 1
+        for neighbour_id, delta in deltas.items():
             self.actives[neighbour_id].xci_psd += delta
         for hop in lightpath.route.directed_hops:
             self.grid_actives[hop][lightpath.id] = lightpath
@@ -194,6 +213,7 @@ class NetworkState:
     def depart(self, lightpath_id: int, now: float) -> None:
         """Release spectrum and remove the circuit's NLI from neighbours."""
         lightpath = self.actives.pop(lightpath_id)
+        self.changes += 1
         for hop in lightpath.route.directed_hops:
             del self.grid_actives[hop][lightpath_id]
         grids = self.grids_for_route(lightpath.route)
@@ -344,11 +364,14 @@ def evaluate_candidate(
     Checks, in order: the candidate's own QoT under true physics, the
     survival of every active circuit sharing a link, and (aware mode)
     the jamming-detection comparison for candidates overlapping a
-    jammed range.
+    jammed range.  The neighbour XCI is kept on the candidate for
+    :meth:`NetworkState.establish`.
     """
     if not candidate.meets_threshold():
         return Verdict.REJECT_QOT
-    for neighbour_id, delta in _neighbour_deltas(state, candidate).items():
+    deltas = _neighbour_deltas(state, candidate)
+    candidate.priced = (state, state.changes, deltas)
+    for neighbour_id, delta in deltas.items():
         neighbour = state.actives[neighbour_id]
         degraded = neighbour.channel.psd_w_per_hz / (neighbour.noise_psd + delta)
         if not phy.qot_verdict(degraded, neighbour.modulation):

@@ -13,6 +13,7 @@ the measured-SNR comparison in the detection step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .phy import Channel, PhyParams, channel_for_block, db_to_linear
@@ -51,8 +52,8 @@ class JammerConfig:
     epsilon_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epsilon_db < 0.0:
-            raise ValueError(f"epsilon_db must be >= 0, got {self.epsilon_db}")
+        if not 0.0 <= self.epsilon_db < math.inf:
+            raise ValueError(f"epsilon_db must be finite and >= 0, got {self.epsilon_db}")
         if not self.jammed_ranges:
             raise ValueError("at least one jammed range is required")
         ordered = sorted(self.jammed_ranges, key=lambda b: b.start)

@@ -18,6 +18,7 @@ from t=0 up to the last arrival, so the drain tail does not dilute them.
 from __future__ import annotations
 
 import heapq
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -66,10 +67,12 @@ class TrafficModel:
     replications: int = 10
 
     def __post_init__(self) -> None:
-        if self.load_erlangs <= 0 or self.mean_holding_s <= 0:
-            raise ValueError("load and holding time must be positive")
-        if not self.bandwidth_choices_gbps or any(b <= 0 for b in self.bandwidth_choices_gbps):
-            raise ValueError("bandwidth choices must be positive")
+        if not (0 < self.load_erlangs < math.inf and 0 < self.mean_holding_s < math.inf):
+            raise ValueError("load and holding time must be positive and finite")
+        if not self.bandwidth_choices_gbps or not all(
+            0 < b < math.inf for b in self.bandwidth_choices_gbps
+        ):
+            raise ValueError("bandwidth choices must be positive and finite")
         if self.requests_per_replication < 0 or self.replications < 1:
             raise ValueError("request count must be >= 0 and replications >= 1")
 
@@ -345,6 +348,8 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     pre-run, so the ranking is the same); otherwise from
     :func:`compute_utilization_ranking`.
     """
+    if len(set(config.modes)) != len(config.modes):
+        raise ValueError("a mode may be listed only once")
     topology = config.load_topology()
     params = PhyParams()
     traffic = config.traffic
@@ -393,7 +398,7 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
 
     outputs = iter(_run_jobs([job for key in pending for job in jobs_for(*key)], config.workers))
     for key in pending:
-        grouped.setdefault(key, []).extend(next(outputs) for _ in seeds)
+        grouped[key] = [next(outputs) for _ in seeds]
     points = tuple(
         ScenarioPoint(
             mode=mode,
@@ -401,7 +406,7 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
             epsilon_db=eps,
             results=tuple(grouped[(mode, eps)]),
         )
-        for mode, eps in dict.fromkeys(order)
+        for mode, eps in order
     )
     return ScenarioResult(
         points=points,

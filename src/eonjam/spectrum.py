@@ -11,11 +11,16 @@ a block fits on every grid of a route with a 2-slot guardband
 separating it from blocked spectrum, used and forbidden alike.
 
 Grids also integrate per-slot busy time so that utilization statistics
-come from exact event-time integration instead of sampling.
+come from exact event-time integration instead of sampling.  Each clock
+step is buffered as ``(used, dt)`` and integrated in batches of
+``BUSY_TIME_BATCH`` with one ``np.cumsum``, which makes the same
+left-to-right ``+= dt`` additions as integrating every step on its own,
+so the totals are equal to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,7 @@ import numpy as np
 __all__ = [
     "SLOT_COUNT",
     "GUARDBAND_SLOTS",
+    "BUSY_TIME_BATCH",
     "SpectrumError",
     "AllocationCollisionError",
     "UnknownLightpathError",
@@ -36,6 +42,8 @@ __all__ = [
 
 SLOT_COUNT = 320
 GUARDBAND_SLOTS = 2
+# Clock steps a grid buffers before integrating them in one pass.
+BUSY_TIME_BATCH = 64
 
 
 class SpectrumError(ValueError):
@@ -80,10 +88,15 @@ class SlotBlock:
         return self.start < other.end and other.start < self.end
 
 
-def _unpack(mask: int, slot_count: int) -> np.ndarray:
-    """Boolean array of a bitmask's low ``slot_count`` bits."""
-    raw = np.frombuffer(mask.to_bytes((slot_count + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=slot_count, bitorder="little").view(bool)
+@functools.cache
+def _workspace(slot_count: int) -> np.ndarray:
+    """Scratch rows for :meth:`SlotGrid._integrate`, shared by all grids of a size.
+
+    Nothing in it outlives one call.  A fresh array per batch would be
+    mapped and page-faulted anew each time, which costs more than the
+    additions themselves.
+    """
+    return np.empty((slot_count, BUSY_TIME_BATCH + 1), dtype=np.float64)
 
 
 class SlotGrid:
@@ -100,6 +113,10 @@ class SlotGrid:
     slot cannot be allocated while the circuit lives, so it is reserved
     spectrum rather than available capacity; attributing the shared
     inter-circuit gap to the lower circuit keeps the count one-sided.
+
+    :meth:`advance_time` only records the step; the buffer is integrated
+    when it is full or when either integral is read, with the same
+    additions, in the same order, as integrating each step at once.
     """
 
     __slots__ = (
@@ -110,9 +127,11 @@ class SlotGrid:
         "blocks",
         "forbidden",
         "forbidden_mask",
-        "used_seconds",
-        "reserved_seconds",
+        "_seconds",
         "_clock",
+        "_masks",
+        "_dts",
+        "_pending",
     )
 
     def __init__(self, link_id: str, direction: tuple[str, str], slot_count: int = SLOT_COUNT):
@@ -125,23 +144,69 @@ class SlotGrid:
         self.blocks: dict[int, SlotBlock] = {}
         self.forbidden: list[SlotBlock] = []
         self.forbidden_mask = 0
-        self.used_seconds = np.zeros(slot_count, dtype=np.float64)
-        self.reserved_seconds = np.zeros(slot_count, dtype=np.float64)
+        # Row 0 is the used-slot integral, row 1 the reserved one.
+        self._seconds = np.zeros((2, slot_count), dtype=np.float64)
         self._clock = 0.0
+        self._masks = [0] * BUSY_TIME_BATCH
+        self._dts = [0.0] * BUSY_TIME_BATCH
+        self._pending = 0
 
     def advance_time(self, now: float) -> None:
-        """Integrate busy time up to ``now`` (monotone, clamped below)."""
+        """Integrate busy time up to ``now`` (monotone, clamped below).
+
+        The step is buffered; :meth:`_integrate` adds it to the totals.
+        """
         dt = now - self._clock
         if dt <= 0.0:
             return
         if self.used:
-            covered = self.used
-            for k in range(1, GUARDBAND_SLOTS + 1):
-                covered |= self.used << k
-            covered &= (1 << self.slot_count) - 1
-            self.used_seconds[_unpack(self.used, self.slot_count)] += dt
-            self.reserved_seconds[_unpack(covered, self.slot_count)] += dt
+            pending = self._pending
+            self._masks[pending] = self.used
+            self._dts[pending] = dt
+            self._pending = pending + 1
+            if pending + 1 == BUSY_TIME_BATCH:
+                self._integrate()
         self._clock = now
+
+    def _integrate(self) -> None:
+        """Add the buffered steps to the busy-time integrals.
+
+        Row ``s`` of ``steps`` is slot ``s``'s running total followed by
+        each step's ``dt`` where the slot was busy and 0.0 where it was
+        idle.  ``np.cumsum`` adds them left to right, so a total takes
+        the same ``+= dt`` additions as stepwise integration, and adding
+        0.0 to it changes nothing.
+        """
+        count, self._pending = self._pending, 0
+        if not count:
+            return
+        nbytes = (self.slot_count + 7) // 8
+        packed = b"".join(mask.to_bytes(nbytes, "little") for mask in self._masks[:count])
+        raw = np.frombuffer(packed, dtype=np.uint8).reshape(count, nbytes)
+        # held[s, e]: slot s was held during step e; covered adds the
+        # guardband shadow above each block.
+        held = np.unpackbits(raw.T, axis=0, count=self.slot_count, bitorder="little").view(bool)
+        covered = held.copy()
+        for k in range(1, GUARDBAND_SLOTS + 1):
+            covered[k:] |= held[:-k]
+        steps = _workspace(self.slot_count)[:, : count + 1]
+        for seconds, busy in zip(self._seconds, (held, covered)):
+            steps[:, 0] = seconds
+            np.multiply(busy, self._dts[:count], out=steps[:, 1:])
+            np.cumsum(steps, axis=1, out=steps)
+            seconds[...] = steps[:, -1]
+
+    @property
+    def used_seconds(self) -> np.ndarray:
+        """Seconds each slot carried a circuit, up to the last clock step."""
+        self._integrate()
+        return self._seconds[0]
+
+    @property
+    def reserved_seconds(self) -> np.ndarray:
+        """Seconds each slot was held or in a guardband shadow."""
+        self._integrate()
+        return self._seconds[1]
 
     def used_count(self) -> int:
         return self.used.bit_count()

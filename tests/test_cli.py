@@ -1,8 +1,15 @@
+import contextlib
+import dataclasses
+import io
 import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eonjam import sim
 from eonjam.cli import load_config, main, run, validate
@@ -112,6 +119,25 @@ def test_non_finite_or_fractional_number_is_a_config_error(tmp_path, capsys, ove
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_repeated_mode_is_a_config_error(tmp_path, capsys, command):
+    modes = ["no_jamming", "unaware", "no_jamming", "unaware", "unaware"]
+    config = dict(TINY, modes=modes, output_dir=str(tmp_path / "out"))
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: modes: listed more than once: no_jamming, unaware\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_scenario_refuses_a_repeated_mode(tmp_path):
+    config, violations = load_config(write_config(tmp_path, TINY))
+    assert not violations
+    repeated = dataclasses.replace(config, modes=(ControlMode.UNAWARE, ControlMode.UNAWARE))
+    with pytest.raises(ValueError, match="only once"):
+        sim.run_scenario(repeated)
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -282,3 +308,149 @@ def test_config_relative_topology_path(tmp_path):
     config_path = write_config(tmp_path, config)
     assert validate(config_path) == []
     assert run(config_path) == 0
+
+
+# A scenario is drawn valid-looking, small enough to simulate in a few
+# milliseconds (at most 20 requests, one replication, one worker, six
+# sweep points), and then has up to three fields replaced by values the
+# format may refuse.  Large sizes are left to the validate-only test.
+_JUNK_NUMBERS = [float("nan"), float("inf"), -1, 0, 1.5, True, "x", None, [1]]
+_PLAUSIBLE_SCENARIO = st.fixed_dictionaries(
+    {
+        "modes": st.one_of(
+            st.lists(st.sampled_from(["no_jamming", "unaware", "aware"]), min_size=1, max_size=3),
+            st.sampled_from(["no_jamming", "aware"]),
+        ),
+        "traffic": st.fixed_dictionaries(
+            {"requests_per_replication": st.sampled_from([20, 1, 0]), "replications": st.just(1)},
+            optional={
+                "load_erlangs": st.sampled_from([200, 0.5, 1e6]),
+                "mean_holding_s": st.sampled_from([600, 1e-3]),
+                "bandwidth_choices_gbps": st.sampled_from([[40, 200, 400], [1000]]),
+            },
+        ),
+    },
+    optional={
+        "topology": st.sampled_from(["nsfnet", "ring.topo"]),
+        "jammer": st.fixed_dictionaries(
+            {"target": st.sampled_from(["most_used", "least_used", "A-B", "8-9"])},
+            optional={"jammed_ranges": st.sampled_from([[[50, 10]], [[0, 10], [20, 5]], [[310, 10]]])},
+        ),
+        "epsilon_sweep": st.fixed_dictionaries(
+            {
+                "start": st.sampled_from([0.0, 0.5, 1]),
+                "stop": st.sampled_from([1.0, 2.5]),
+                "step": st.sampled_from([0.5, 1.0]),
+            }
+        ),
+        "base_seed": st.sampled_from([0, 3, 10**6]),
+        "output_dir": st.just("out"),
+        "detection_tolerance_db": st.sampled_from([0.1, 0.0, 5]),
+        "workers": st.just(1),
+    },
+)
+_ODD_VALUES = {
+    ("topology",): st.sampled_from(["broken.topo", "missing.topo", "", 5, None]),
+    ("modes",): st.sampled_from([[], ["bogus"], ["aware", "aware"], [1], 5, None, {"a": 1}]),
+    ("jammer",): st.sampled_from([None, [1, 2], "x", {}]),
+    ("jammer", "target"): st.sampled_from(["9-99", "", 5, None]),
+    ("jammer", "jammed_ranges"): st.sampled_from(
+        [[[0, 10], [5, 10]], [[315, 10]], [[1]], [["a", 2]], [[1.5, 2]], [[-1, 2]], [], 7, None]
+    ),
+    ("epsilon_sweep",): st.sampled_from([None, 5, "x", {}]),
+    ("epsilon_sweep", "start"): st.sampled_from(_JUNK_NUMBERS),
+    ("epsilon_sweep", "stop"): st.sampled_from(_JUNK_NUMBERS),
+    ("epsilon_sweep", "step"): st.sampled_from(_JUNK_NUMBERS),
+    ("traffic",): st.sampled_from([None, 5, [1], {}]),
+    ("traffic", "load_erlangs"): st.sampled_from(_JUNK_NUMBERS),
+    ("traffic", "mean_holding_s"): st.sampled_from(_JUNK_NUMBERS),
+    ("traffic", "bandwidth_choices_gbps"): st.sampled_from(
+        [[], [0], [-40], [float("inf")], [float("nan")], [40, "x"], "x", 40, None]
+    ),
+    ("traffic", "requests_per_replication"): st.sampled_from(_JUNK_NUMBERS),
+    ("traffic", "replications"): st.sampled_from(_JUNK_NUMBERS),
+    ("base_seed",): st.sampled_from(_JUNK_NUMBERS),
+    ("output_dir",): st.sampled_from(["", 5, None]),
+    ("detection_tolerance_db",): st.sampled_from(_JUNK_NUMBERS),
+    ("workers",): st.sampled_from(_JUNK_NUMBERS),
+}
+
+
+@st.composite
+def scenarios(draw):
+    scenario = draw(_PLAUSIBLE_SCENARIO)
+    paths = draw(st.lists(st.sampled_from(sorted(_ODD_VALUES)), max_size=3, unique=True))
+    for path in paths:
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            parent[path[-1]] = draw(_ODD_VALUES[path])
+    return scenario
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one ``eonjam`` command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _validate(config_path):
+    """Exit code of ``eonjam validate``, which must print ok or config errors only."""
+    code, out, err = _cli("validate", str(config_path))
+    assert code in (0, 1)
+    if code == 0:
+        assert (out, err) == ("ok\n", "")
+    else:
+        assert out == "" and err
+        assert all(line.startswith("config error: ") for line in err.splitlines())
+    return code
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_simulate_runs_what_validate_accepts(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "ring.topo").write_text("nodes: A B C\nlink: A B 100\nlink: B C 200\nlink: C A 300\n")
+        (tmp / "broken.topo").write_text("nodes: A B\nlink: A C 100\n")
+        config_path = tmp / "scenario.yaml"
+        config_path.write_text(yaml.safe_dump(scenario))
+
+        if _validate(config_path) == 1:
+            return
+        with mock.patch.dict(os.environ, {"EONJAM_OUTPUT_DIR": str(tmp / "out")}):
+            code, _, err = _cli("simulate", str(config_path))
+        assert (code, err) == (0, "")
+        assert (tmp / "out" / "blocking.csv").is_file()
+
+
+@given(
+    st.fixed_dictionaries(
+        {
+            "workers": st.sampled_from([1, 64, 10**6]),
+            "requests": st.sampled_from([20, 10**9]),
+            "replications": st.sampled_from([1, 10**6]),
+            "step": st.sampled_from([0.5, 1e-9]),
+        }
+    )
+)
+@settings(max_examples=20, deadline=None)
+def test_validate_judges_large_values_without_running_them(sizes):
+    # Large worker counts, request counts and sweeps are only validated:
+    # validate loads the config and its topology and starts nothing,
+    # whether it accepts them or not.
+    scenario = dict(
+        TINY,
+        workers=sizes["workers"],
+        traffic={"requests_per_replication": sizes["requests"], "replications": sizes["replications"]},
+        epsilon_sweep={"start": 0.0, "stop": 5.0, "step": sizes["step"]},
+    )
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        sim, "run_replication", side_effect=AssertionError("validate ran a replication")
+    ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=AssertionError("validate started workers")):
+        config_path = Path(tmp) / "scenario.yaml"
+        config_path.write_text(yaml.safe_dump(scenario))
+        _validate(config_path)

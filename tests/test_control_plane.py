@@ -335,3 +335,67 @@ def test_invariants_catch_slot_bookkeeping_drift(params, corrupt):
     corrupt(state.grids[("A", "B")])
     with pytest.raises(AssertionError):
         verify_state_invariants(state, ControlMode.NO_JAMMING, None)
+
+
+def test_establish_applies_the_evaluated_deltas_once(params):
+    # establish folds in the neighbour XCI that evaluate_candidate priced,
+    # then drops it from the circuit.
+    topo = load_topology("nodes: A B C\nlink: A B 300\nlink: B C 300\n")
+    state = NetworkState(topo, params)
+    first = handle_request(request(1, "A", "C", 200.0), state, ControlMode.NO_JAMMING, None)
+    assert first.priced is None and first.xci_psd == 0.0
+    candidate = _build_candidate(
+        2, topo.shortest_path("A", "B"), SlotBlock(40, 4), MOD["16QAM"], 200.0, 0.0, 600.0, state, None
+    )
+    assert evaluate_candidate(candidate, state, ControlMode.NO_JAMMING, None) is Verdict.ACCEPT
+    deltas = candidate.priced[2]
+    assert set(deltas) == {1} and deltas[1] > 0.0
+    state.establish(candidate, 0.0)
+    assert candidate.priced is None
+    assert first.xci_psd == deltas[1]
+    verify_state_invariants(state, ControlMode.NO_JAMMING, None)
+
+
+def test_establish_refuses_a_candidate_that_was_never_evaluated(params):
+    topo = topo_single(100)
+    state = NetworkState(topo, params)
+    candidate = _build_candidate(
+        1, topo.shortest_path("A", "B"), SlotBlock(0, 1), MOD["64QAM"], 40.0, 0.0, 600.0, state, None
+    )
+    with pytest.raises(ValueError, match="not evaluated"):
+        state.establish(candidate, 0.0)
+    assert not state.actives
+    assert all(grid.used == 0 for grid in state.grids.values())
+
+
+def test_establish_refuses_deltas_priced_on_other_circuits(params):
+    # A neighbour that arrived or left after the evaluation would get
+    # stale XCI, and so would the circuits of another state.
+    topo = topo_single(100)
+    route = topo.shortest_path("A", "B")
+    state = NetworkState(topo, params)
+
+    def evaluated(rid, start, on):
+        candidate = _build_candidate(
+            rid, route, SlotBlock(start, 1), MOD["64QAM"], 40.0, 0.0, 600.0, on, None
+        )
+        assert evaluate_candidate(candidate, on, ControlMode.NO_JAMMING, None) is Verdict.ACCEPT
+        return candidate
+
+    early = evaluated(1, 10, state)
+    state.establish(evaluated(2, 20, state), 0.0)
+    with pytest.raises(ValueError, match="not evaluated"):
+        state.establish(early, 1.0)
+
+    leaving = evaluated(3, 30, state)
+    state.establish(leaving, 1.0)
+    late = evaluated(4, 40, state)
+    state.depart(leaving.id, 2.0)
+    with pytest.raises(ValueError, match="not evaluated"):
+        state.establish(late, 2.0)
+
+    elsewhere = evaluated(5, 50, NetworkState(topo, params))
+    with pytest.raises(ValueError, match="not evaluated"):
+        state.establish(elsewhere, 2.0)
+    assert set(state.actives) == {2}
+    verify_state_invariants(state, ControlMode.NO_JAMMING, None)

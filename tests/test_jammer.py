@@ -30,6 +30,12 @@ def test_config_validation():
         JammerConfig(target="L1", jammed_ranges=())
 
 
+@pytest.mark.parametrize("epsilon_db", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_epsilon(epsilon_db):
+    with pytest.raises(ValueError, match="finite"):
+        JammerConfig(target="L1", epsilon_db=epsilon_db)
+
+
 def test_resolve_explicit():
     config = JammerConfig(target="L7")
     assert resolve_target(config, None) == "L7"

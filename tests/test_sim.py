@@ -34,6 +34,22 @@ def test_traffic_validation():
         TrafficModel(replications=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("load_erlangs", float("nan")),
+        ("load_erlangs", float("inf")),
+        ("mean_holding_s", float("inf")),
+        ("mean_holding_s", float("nan")),
+        ("bandwidth_choices_gbps", (40.0, float("inf"))),
+        ("bandwidth_choices_gbps", (float("nan"),)),
+    ],
+)
+def test_traffic_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        TrafficModel(**{field: value})
+
+
 def test_defaults_match_reference_workload():
     traffic = TrafficModel()
     assert traffic.load_erlangs == 200.0

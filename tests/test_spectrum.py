@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonjam.spectrum import (
+    BUSY_TIME_BATCH,
     GUARDBAND_SLOTS,
     AllocationCollisionError,
     SlotBlock,
@@ -308,3 +309,73 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
                 assert list(grid.lightpath_slots(lightpath_id)) == list(block.slots())
         for probe in (1, 3, 7, 64):
             assert first_fit(grids, probe) == _first_fit_oracle(models, probe)
+
+
+class BusyTimeModel:
+    """Eager busy-time integration: ``seconds[mask] += dt`` at every step."""
+
+    def __init__(self, slots):
+        self.used_seconds = np.zeros(slots)
+        self.reserved_seconds = np.zeros(slots)
+        self.clock = 0.0
+
+    def advance(self, now, held):
+        dt = now - self.clock
+        if dt <= 0.0:
+            return
+        covered = held.copy()
+        for k in range(1, GUARDBAND_SLOTS + 1):
+            covered[k:] |= held[:-k]
+        self.used_seconds[held] += dt
+        self.reserved_seconds[covered] += dt
+        self.clock = now
+
+
+busy_time_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "allocate", "release", "forbid", "none"]),
+        st.integers(0, 319),
+        st.integers(1, 12),
+        st.one_of(
+            st.floats(1e-3, 1e3, allow_nan=False), st.sampled_from([0.0, -1.0, 1e-9, 1e6])
+        ),
+        st.integers(0, 15),
+    ),
+    min_size=BUSY_TIME_BATCH + 1,
+    max_size=2 * BUSY_TIME_BATCH,
+)
+
+
+@pytest.mark.parametrize("slots", [45, 320])
+@given(steps=busy_time_steps)
+@settings(max_examples=40, deadline=None, report_multiple_bugs=False)
+def test_batched_busy_time_equals_eager_integration(slots, steps):
+    # More clock steps than one batch holds, with reads in between that
+    # integrate a partial batch before more steps arrive.  A clock step
+    # may go backwards or stand still; both must leave the totals alone.
+    (grid,) = make_grids(slots=slots)
+    model = BusyTimeModel(slots)
+    held = np.zeros(slots, dtype=bool)
+    live: dict[int, SlotBlock] = {}
+    now = 0.0
+    for lightpath_id, (kind, start, width, step, read) in enumerate(steps, start=1):
+        if kind == "allocate":
+            block = first_fit([grid], width)
+            if block is not None:
+                allocate([grid], block, lightpath_id)
+                held[block.start:block.end] = True
+                live[lightpath_id] = block
+        elif kind == "release" and live:
+            victim = sorted(live)[start % len(live)]
+            release([grid], victim)
+            held[live.pop(victim).slots()] = False
+        elif kind == "forbid" and start < slots:
+            grid.forbid(SlotBlock(start, min(width, slots - start)))
+        now += step
+        grid.advance_time(now)
+        model.advance(now, held)
+        if read == 0:
+            assert np.array_equal(grid.used_seconds, model.used_seconds)
+            assert np.array_equal(grid.reserved_seconds, model.reserved_seconds)
+    assert np.array_equal(grid.used_seconds, model.used_seconds)
+    assert np.array_equal(grid.reserved_seconds, model.reserved_seconds)
