@@ -28,8 +28,13 @@ significant digits, and identical configs with the same base seed
 reproduce byte-identical CSV bodies.  The no-jamming mode is constant in
 epsilon, so its rows carry ``na`` in the epsilon and target columns.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.  The
+Relative paths resolve differently: a relative ``topology`` file is read
+from the directory of the config file, while a relative ``output_dir``
+is created under the working directory of the ``eonjam`` process.  The
 environment variable ``EONJAM_OUTPUT_DIR`` overrides ``output_dir``.
+An ``epsilon_sweep`` may hold at most :data:`MAX_SWEEP_POINTS` powers.
+
+Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -51,9 +56,14 @@ from .jammer import DEFAULT_JAMMED_RANGES, JammerConfig
 from .spectrum import SLOT_COUNT, SlotBlock
 from .topology import Topology, TopologyError, load_topology_file, nsfnet, nsfnet_text
 
-__all__ = ["ScenarioConfig", "load_config", "validate", "run", "main"]
+__all__ = ["MAX_SWEEP_POINTS", "ScenarioConfig", "load_config", "validate", "run", "main"]
 
 _NA = "na"
+
+#: Most jamming powers one ``epsilon_sweep`` may hold.  A longer sweep is
+#: a configuration error: ``validate`` counts its points without building
+#: them, and ``simulate`` refuses it before starting anything.
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,16 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
                 violations.append("sweep.step: must be positive")
             if sweep[1] < sweep[0]:
                 violations.append("sweep.stop: must be >= sweep.start")
+            elif sweep[2] > 0:
+                try:
+                    points = sim.epsilon_sweep_length(*sweep)
+                except ValueError as exc:
+                    violations.append(f"epsilon_sweep: {exc}")
+                else:
+                    if points > MAX_SWEEP_POINTS:
+                        violations.append(
+                            f"epsilon_sweep: {points} powers, more than the {MAX_SWEEP_POINTS} allowed"
+                        )
 
     traffic_raw = data.get("traffic", {})
     try:

@@ -38,7 +38,17 @@ self-channel and jamming terms are constants of its route and block, and
 the cross-channel term is updated by the exact pair contribution when a
 neighbour arrives or departs.  This keeps admission checks O(shared
 neighbours) instead of rescanning the whole network.  Every term comes
-from the :mod:`eonjam.phy` kernels that the audit's ``phy.snr`` uses.
+from the :mod:`eonjam.phy` kernels that the audit's ``phy.snr`` uses:
+``phy.xci_onto`` sums a candidate's own XCI hop by hop, and
+``phy.xci_from`` prices what a circuit adds to its neighbours, one call
+per hop of its route.  ``NetworkState.grid_actives`` maps each directed
+hop to the channels of the circuits on it, which is all both kernels
+read.
+
+What a request's endpoints and bandwidth fix is looked up once per
+state: :meth:`NetworkState.admission` keeps the route, its slot grids
+and its :func:`static_reach` under ``(source, destination,
+bandwidth_gbps)``.
 """
 
 from __future__ import annotations
@@ -143,24 +153,45 @@ class Blocked:
 class NetworkState:
     """Slot grids and active circuits; the grids hold the forbidden blocks.
 
-    ``changes`` counts establishments and departures, so a candidate's
-    neighbour XCI can be checked to be priced on the current circuits.
+    ``grid_actives[hop]`` maps the id of each circuit on a directed hop
+    to its :class:`~eonjam.phy.Channel`.  ``changes`` counts
+    establishments and departures, so a candidate's neighbour XCI can be
+    checked to be priced on the current circuits.
     """
 
     def __init__(self, topology: Topology, params: phy.PhyParams):
         self.topology = topology
         self.params = params
         self.grids: dict[tuple[str, str], SlotGrid] = {}
-        self.grid_actives: dict[tuple[str, str], dict[int, Lightpath]] = {}
+        self.grid_actives: dict[tuple[str, str], dict[int, phy.Channel]] = {}
         for link in topology.links:
             for direction in ((link.source, link.destination), (link.destination, link.source)):
                 self.grids[direction] = SlotGrid(link.id, direction)
                 self.grid_actives[direction] = {}
         self.actives: dict[int, Lightpath] = {}
         self.changes = 0
+        self._admission: dict[tuple[str, str, float], tuple] = {}
 
     def grids_for_route(self, route: Route) -> list[SlotGrid]:
         return [self.grids[hop] for hop in route.directed_hops]
+
+    def admission(
+        self, source: str, destination: str, bandwidth_gbps: float
+    ) -> tuple[Route, tuple[SlotGrid, ...], StaticReach]:
+        """The route, its slot grids and its static reach for one demand.
+
+        Computed on the first request with these endpoints and bandwidth,
+        then looked up: the topology, the grids and the physics of a
+        state never change.
+        """
+        key = (source, destination, bandwidth_gbps)
+        entry = self._admission.get(key)
+        if entry is None:
+            route = self.topology.shortest_path(source, destination)
+            grids = tuple(self.grids_for_route(route))
+            entry = (route, grids, static_reach(route, bandwidth_gbps, self.params))
+            self._admission[key] = entry
+        return entry
 
     @property
     def forbidden_ranges(self) -> dict[str, list[SlotBlock]]:
@@ -207,7 +238,7 @@ class NetworkState:
         for neighbour_id, delta in deltas.items():
             self.actives[neighbour_id].xci_psd += delta
         for hop in lightpath.route.directed_hops:
-            self.grid_actives[hop][lightpath.id] = lightpath
+            self.grid_actives[hop][lightpath.id] = lightpath.channel
         self.actives[lightpath.id] = lightpath
 
     def depart(self, lightpath_id: int, now: float) -> None:
@@ -284,15 +315,17 @@ def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> 
 
 
 def _neighbour_deltas(state: NetworkState, lightpath: Lightpath) -> dict[int, float]:
-    """Per-neighbour XCI this circuit contributes, summed over shared links."""
+    """Per-neighbour XCI this circuit contributes, summed over shared links.
+
+    The circuit itself is not in ``state.grid_actives`` here: it is a
+    candidate not yet established, or a departing one already removed.
+    """
     deltas: dict[int, float] = {}
     params = state.params
+    channel = lightpath.channel
+    actives = state.grid_actives
     for link, hop in zip(lightpath.route.links, lightpath.route.directed_hops):
-        for other_id, other in state.grid_actives[hop].items():
-            if other_id == lightpath.id:
-                continue
-            term = phy.xci_psd(other.channel, lightpath.channel, link.span_count, params)
-            deltas[other_id] = deltas.get(other_id, 0.0) + term
+        phy.xci_from(channel, actives[hop].items(), link.span_count, params, deltas)
     return deltas
 
 
@@ -307,14 +340,17 @@ def _build_candidate(
     state: NetworkState,
     ground_truth: GroundTruth | None,
 ) -> Lightpath:
-    """Assemble a candidate circuit with its noise terms evaluated."""
+    """Assemble a candidate circuit with its noise terms evaluated.
+
+    The XCI is one running total over the route's hops, in order.
+    """
     params = state.params
     channel = phy.channel_for_block(block, params)
+    actives = state.grid_actives
     xci = 0.0
     jam = 0.0
     for link, hop in zip(route.links, route.directed_hops):
-        for other in state.grid_actives[hop].values():
-            xci += phy.xci_psd(channel, other.channel, link.span_count, params)
+        xci = phy.xci_onto(channel, actives[hop].values(), link.span_count, params, xci)
         if ground_truth is not None and link.id == ground_truth.link_id:
             jam = phy.jamming_psd(
                 channel, link.span_count, ground_truth.channels, ground_truth.epsilon_w, params
@@ -394,11 +430,12 @@ def handle_request(
 
     Returns the established :class:`Lightpath` or a :class:`Blocked`
     record; an established circuit starts at the request arrival time.
-    Only the formats in the route's :func:`static_reach` are tried.
+    Only the formats in the route's :func:`static_reach` are tried; the
+    route, grids and reach come from :meth:`NetworkState.admission`.
     """
-    route = state.topology.shortest_path(request.source, request.destination)
-    grids = state.grids_for_route(route)
-    reach = static_reach(route, request.bandwidth_gbps, state.params)
+    route, grids, reach = state.admission(
+        request.source, request.destination, request.bandwidth_gbps
+    )
     saw_qot = False
     saw_jammed = False
 
@@ -484,11 +521,11 @@ def verify_state_invariants(
     for lightpath in state.actives.values():
         per_link_state = []
         for link, hop in zip(lightpath.route.links, lightpath.route.directed_hops):
-            channels = [
-                other.channel
-                for other_id, other in state.grid_actives[hop].items()
-                if other_id != lightpath.id
-            ]
+            on_hop = state.grid_actives[hop]
+            assert on_hop.get(lightpath.id) is lightpath.channel, (
+                f"lightpath {lightpath.id} is listed on {hop} with another channel"
+            )
+            channels = [other for other_id, other in on_hop.items() if other_id != lightpath.id]
             if ground_truth is not None and link.id == ground_truth.link_id:
                 channels.extend(ground_truth.channels)
             per_link_state.append(channels)

@@ -21,8 +21,17 @@ used by the nonlinear terms.  Only frequency differences matter for the
 interference integrals, so the grid origin is an arbitrary constant.
 
 The noise terms are written here only (:func:`ase_psd`, :func:`sci_psd`,
-:func:`xci_psd`, :func:`jamming_psd`); :func:`snr` and the admission
-engine in ``control_plane`` both compose them.
+the cross-channel kernels, :func:`jamming_psd`); :func:`snr` and the
+admission engine in ``control_plane`` both compose them.
+
+The cross-channel (XCI) term has two kernels, one per direction of a
+neighbour pair on one link.  :func:`xci_onto` sums what many channels
+put on one target (a candidate's own noise); :func:`xci_from` spreads
+what one source puts on many channels (the noise a circuit adds to its
+neighbours).  Each computes the factor fixed across its loop once,
+as the same left-to-right prefix of the product that :func:`xci_psd`
+evaluates, so every term keeps its bits.  :func:`xci_psd` is the
+one-pair case of :func:`xci_onto`.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ __all__ = [
     "ase_psd",
     "sci_psd",
     "xci_psd",
+    "xci_onto",
+    "xci_from",
     "jamming_psd",
     "inband_jamming_psd",
     "snr",
@@ -256,22 +267,52 @@ def sci_psd(target: Channel, span_count: int, params: PhyParams) -> float:
 
 
 def xci_psd(target: Channel, other: Channel, span_count: int, params: PhyParams) -> float:
-    """Cross-channel NLI PSD that ``other`` adds to ``target`` on one link.
+    """Cross-channel NLI PSD that ``other`` adds to ``target`` on one link."""
+    return xci_onto(target, (other,), span_count, params, 0.0)
 
-    Flat on purpose: the engine calls it per neighbour pair, where a
-    helper call would cost as much as the term.
+
+def xci_onto(target: Channel, channels, span_count: int, params: PhyParams, total: float) -> float:
+    """``total`` plus the XCI each of ``channels`` adds to ``target`` on one link.
+
+    The terms are added in the order of ``channels``.  Each is
+    ``span_count * phi * G_target * G_other^2 * ln((f + B/2) / (f - B/2))``
+    evaluated left to right, with the target's prefix computed once.
+    Raises :class:`PhyModelError` when a channel overlaps the target's
+    centre.
     """
-    spacing = abs(target.center_frequency_hz - other.center_frequency_hz)
-    half = other.bandwidth_hz / 2.0
-    if spacing - half <= 0.0:
-        raise _overlap_error(spacing, half)
-    return (
-        span_count
-        * params.phi
-        * target.psd_w_per_hz
-        * other.psd_w_per_hz**2
-        * math.log((spacing + half) / (spacing - half))
-    )
+    scale = span_count * params.phi * target.psd_w_per_hz
+    center = target.center_frequency_hz
+    log = math.log
+    for other in channels:
+        spacing = abs(center - other.center_frequency_hz)
+        half = other.bandwidth_hz / 2.0
+        if spacing - half <= 0.0:
+            raise _overlap_error(spacing, half)
+        total += scale * other.psd_w_per_hz**2 * log((spacing + half) / (spacing - half))
+    return total
+
+
+def xci_from(source: Channel, items, span_count: int, params: PhyParams, deltas: dict) -> None:
+    """Add the XCI ``source`` puts on each channel of one link to ``deltas``.
+
+    ``items`` yields ``(id, channel)`` pairs; ``deltas[id]`` grows by the
+    term :func:`xci_psd` gives for ``channel`` as target and ``source``
+    as interferer, from the prefix ``span_count * phi`` and the source's
+    squared PSD computed once.  Raises :class:`PhyModelError` when the
+    source overlaps a channel's centre.
+    """
+    scale = span_count * params.phi
+    power = source.psd_w_per_hz**2
+    center = source.center_frequency_hz
+    half = source.bandwidth_hz / 2.0
+    log = math.log
+    get = deltas.get
+    for key, target in items:
+        spacing = abs(target.center_frequency_hz - center)
+        if spacing - half <= 0.0:
+            raise _overlap_error(spacing, half)
+        term = scale * target.psd_w_per_hz * power * log((spacing + half) / (spacing - half))
+        deltas[key] = get(key, 0.0) + term
 
 
 def jamming_psd(
@@ -347,12 +388,9 @@ def snr(
         raise ValueError("per_link_state must align with route.links")
     noise = ase_psd(route, params) + sci_psd(target, route.total_spans, params)
     for link, channels in zip(route.links, per_link_state):
-        jammers = []
-        for other in channels:
-            if other.is_jammer:
-                jammers.append(other)
-            else:
-                noise += xci_psd(target, other, link.span_count, params)
+        signals = [other for other in channels if not other.is_jammer]
+        jammers = [other for other in channels if other.is_jammer]
+        noise = xci_onto(target, signals, link.span_count, params, noise)
         if jammer_epsilon_w is not None:
             noise += jamming_psd(target, link.span_count, jammers, jammer_epsilon_w, params)
     return target.psd_w_per_hz / noise

@@ -10,6 +10,14 @@ Randomness comes from a counter-based Philox generator seeded with
 ``base_seed + replication_index``, so every replication result is a pure
 function of (seed, configuration) and is bit-identical across reruns.
 
+The requests do not depend on the control plane or the jamming power,
+so a replication's whole stream is drawn once per seed, by
+:func:`generate_request` in the same order, and kept as compact columns
+(see :func:`_request_stream`).  The last stream is cached, so the
+replications of one seed share it; :func:`run_scenario` runs its jobs
+seed by seed and empties the cache when it returns.  The event heap
+still receives each arrival only after the previous one is handled.
+
 After the last arrival the circuits still active are drained without
 generating new traffic; utilization statistics integrate exact busy time
 from t=0 up to the last arrival, so the drain tail does not dilute them.
@@ -17,10 +25,12 @@ from t=0 up to the last arrival, so the drain tail does not dilute them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +56,7 @@ __all__ = [
     "generate_request",
     "run_replication",
     "compute_utilization_ranking",
+    "epsilon_sweep_length",
     "epsilon_sweep_values",
     "ScenarioPoint",
     "ScenarioResult",
@@ -132,6 +143,56 @@ def generate_request(
     return request, float(arrival)
 
 
+class _RequestStream(NamedTuple):
+    """A replication's requests as columns; request ``k`` has id ``k + 1``."""
+
+    sources: array  # node indices
+    destinations: array
+    bandwidths_gbps: array
+    arrival_times: array
+    holding_s: array
+
+    def request(self, index: int, nodes: tuple[str, ...]) -> Request:
+        return Request(
+            id=index + 1,
+            source=nodes[self.sources[index]],
+            destination=nodes[self.destinations[index]],
+            bandwidth_gbps=self.bandwidths_gbps[index],
+            arrival_time=self.arrival_times[index],
+            holding_s=self.holding_s[index],
+        )
+
+
+class _Nodes(NamedTuple):
+    """The only part of a topology :func:`generate_request` reads."""
+
+    nodes: tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) -> _RequestStream:
+    """Every request of a replication, drawn by :func:`generate_request`.
+
+    Keyed by what the draws depend on, so the replications of one seed
+    under different planes and powers share one stream, also in a worker
+    process that received its own copy of the topology.  One stream is
+    kept; :func:`run_scenario` clears it when it returns.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    where = _Nodes(nodes)
+    index = {node: k for k, node in enumerate(nodes)}
+    stream = _RequestStream(array("I"), array("I"), array("d"), array("d"), array("d"))
+    previous = 0.0
+    for request_id in range(1, traffic.requests_per_replication + 1):
+        request, previous = generate_request(rng, where, traffic, previous, request_id)
+        stream.sources.append(index[request.source])
+        stream.destinations.append(index[request.destination])
+        stream.bandwidths_gbps.append(request.bandwidth_gbps)
+        stream.arrival_times.append(request.arrival_time)
+        stream.holding_s.append(request.holding_s)
+    return stream
+
+
 def run_replication(
     seed: int,
     topology: Topology,
@@ -165,7 +226,8 @@ def run_replication(
         ground_truth = ground_truth_channels(jammer_config, params, target_link_id=target)
 
     state = NetworkState(topology, params)
-    rng = np.random.Generator(np.random.Philox(seed))
+    nodes = topology.nodes
+    stream = _request_stream(seed, nodes, traffic)
     n_requests = traffic.requests_per_replication
 
     blocked_by_reason: dict[str, int] = {}
@@ -174,8 +236,8 @@ def run_replication(
     seq = 0
     arrivals_emitted = 0
     if n_requests > 0:
-        request, arrival = generate_request(rng, topology, traffic, 0.0, request_id=1)
-        heapq.heappush(heap, Event(arrival, ARRIVAL, seq, request))
+        request = stream.request(0, nodes)
+        heapq.heappush(heap, Event(request.arrival_time, ARRIVAL, seq, request))
         seq += 1
         arrivals_emitted = 1
 
@@ -198,10 +260,8 @@ def run_replication(
                 heapq.heappush(heap, Event(outcome.departs_at, DEPARTURE, seq, outcome.id))
                 seq += 1
             if arrivals_emitted < n_requests:
-                nxt, arrival = generate_request(
-                    rng, topology, traffic, request.arrival_time, request_id=request.id + 1
-                )
-                heapq.heappush(heap, Event(arrival, ARRIVAL, seq, nxt))
+                nxt = stream.request(arrivals_emitted, nodes)
+                heapq.heappush(heap, Event(nxt.arrival_time, ARRIVAL, seq, nxt))
                 seq += 1
                 arrivals_emitted += 1
             elif cutoff is None:
@@ -248,15 +308,26 @@ def run_replication(
     )
 
 
-def epsilon_sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive sweep grid, robust to floating-point step accumulation."""
+def epsilon_sweep_length(start: float, stop: float, step: float) -> int:
+    """How many powers :func:`epsilon_sweep_values` returns, without building them."""
     if step <= 0:
         raise ValueError(f"sweep step must be positive, got {step}")
     if stop < start:
         raise ValueError("sweep stop must be >= start")
-    count = int(round((stop - start) / step))
-    values = [round(start + i * step, 10) for i in range(count + 1)]
-    return [v for v in values if v <= stop + 1e-9]
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"step {step} is too small for a sweep from {start} to {stop}")
+    # The rounded values never decrease, so the bound keeps a prefix of
+    # them: only values at the end can exceed it (in practice the last).
+    kept = int(round(steps)) + 1
+    while kept and round(start + (kept - 1) * step, 10) > stop + 1e-9:
+        kept -= 1
+    return kept
+
+
+def epsilon_sweep_values(start: float, stop: float, step: float) -> list[float]:
+    """Inclusive sweep grid, robust to floating-point step accumulation."""
+    return [round(start + i * step, 10) for i in range(epsilon_sweep_length(start, stop, step))]
 
 
 def _replication_job(args):
@@ -347,9 +418,20 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     include them (the same seeds, traffic and physics as a separate
     pre-run, so the ranking is the same); otherwise from
     :func:`compute_utilization_ranking`.
+
+    Jobs are submitted seed by seed, so consecutive replications share
+    the cached request stream, and regrouped per point.  The cache is
+    emptied on return, so every call draws its streams afresh.
     """
     if len(set(config.modes)) != len(config.modes):
         raise ValueError("a mode may be listed only once")
+    try:
+        return _run_scenario(config, ranking)
+    finally:
+        _request_stream.cache_clear()
+
+
+def _run_scenario(config, ranking) -> ScenarioResult:
     topology = config.load_topology()
     params = PhyParams()
     traffic = config.traffic
@@ -365,7 +447,7 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
         for eps in ([None] if mode is ControlMode.NO_JAMMING else sweep)
     ]
 
-    def jobs_for(mode, eps):
+    def job(seed, mode, eps):
         jam = None
         if mode is not ControlMode.NO_JAMMING:
             jam = JammerConfig(
@@ -374,7 +456,7 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
                 epsilon_db=eps,
             )
         tolerance = config.detection_tolerance_db
-        return [(seed, topology, traffic, mode, jam, params, tolerance, None) for seed in seeds]
+        return (seed, topology, traffic, mode, jam, params, tolerance, None)
 
     grouped: dict[tuple, list] = {}
     pending = list(order)
@@ -386,7 +468,9 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
         if config.jammer.uses_selector and ranking is None:
             if ControlMode.NO_JAMMING in config.modes:
                 pending.remove((ControlMode.NO_JAMMING, None))
-                baseline = _run_jobs(jobs_for(ControlMode.NO_JAMMING, None), config.workers)
+                baseline = _run_jobs(
+                    [job(seed, ControlMode.NO_JAMMING, None) for seed in seeds], config.workers
+                )
                 grouped[(ControlMode.NO_JAMMING, None)] = baseline
                 ranking = metrics.utilization_ranking(baseline)
             else:
@@ -396,9 +480,10 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
         target_link_id = resolve_target(config.jammer, ranking)
         topology.link_by_id(target_link_id)
 
-    outputs = iter(_run_jobs([job for key in pending for job in jobs_for(*key)], config.workers))
-    for key in pending:
-        grouped[key] = [next(outputs) for _ in seeds]
+    outputs = iter(_run_jobs([job(seed, *key) for seed in seeds for key in pending], config.workers))
+    for _ in seeds:
+        for key in pending:
+            grouped.setdefault(key, []).append(next(outputs))
     points = tuple(
         ScenarioPoint(
             mode=mode,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eonjam import sim
-from eonjam.cli import load_config, main, run, validate
+from eonjam.cli import MAX_SWEEP_POINTS, load_config, main, run, validate
 from eonjam.control_plane import ControlMode
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -96,6 +96,36 @@ def test_negative_base_seed_is_a_config_error(tmp_path, capsys, command):
     assert "config error: base_seed: must be >= 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_sweep_above_the_point_limit_is_refused_before_anything_runs(tmp_path, command):
+    # 0 to 5 dB in 1e-9 dB steps would be 5e9 powers: counted, not built.
+    config_path = write_config(
+        tmp_path,
+        dict(TINY, epsilon_sweep={"start": 0, "stop": 5, "step": 1e-9}, output_dir=str(tmp_path / "out")),
+    )
+    started = AssertionError("the refused sweep started work")
+    with mock.patch.object(sim, "epsilon_sweep_values", side_effect=started), mock.patch.object(
+        sim, "run_replication", side_effect=started
+    ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=started):
+        code, out, err = _cli(command, str(config_path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"config error: epsilon_sweep: 5000000001 powers, more than the {MAX_SWEEP_POINTS} allowed"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_at_the_point_limit_validates(tmp_path):
+    step = 0.001
+    last = (MAX_SWEEP_POINTS - 1) * step
+    at_limit = write_config(tmp_path, dict(TINY, epsilon_sweep={"start": 0, "stop": last, "step": step}))
+    assert validate(at_limit) == []
+    over = write_config(tmp_path, dict(TINY, epsilon_sweep={"start": 0, "stop": last + step, "step": step}))
+    assert validate(over) == [
+        f"epsilon_sweep: {MAX_SWEEP_POINTS + 1} powers, more than the {MAX_SWEEP_POINTS} allowed"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -399,3 +399,18 @@ def test_establish_refuses_deltas_priced_on_other_circuits(params):
         state.establish(elsewhere, 2.0)
     assert set(state.actives) == {2}
     verify_state_invariants(state, ControlMode.NO_JAMMING, None)
+
+
+def test_admission_table_equals_a_fresh_lookup(nsf, params):
+    state = NetworkState(nsf, params)
+    for rid, (src, dst) in enumerate([("1", "14"), ("8", "9"), ("3", "12"), ("5", "2")], start=1):
+        handle_request(request(rid, src, dst, 200.0), state, ControlMode.NO_JAMMING, None)
+    for src in nsf.nodes:
+        for dst in nsf.nodes:
+            if src == dst:
+                continue
+            for gbps in (40.0, 200.0, 400.0):
+                entry = state.admission(src, dst, gbps)
+                route = nsf.shortest_path(src, dst)
+                assert entry == (route, tuple(state.grids_for_route(route)), static_reach(route, gbps, params))
+                assert state.admission(src, dst, gbps) is entry

@@ -20,6 +20,8 @@ from eonjam.phy import (
     sci_psd,
     slot_center_frequency,
     snr,
+    xci_from,
+    xci_onto,
     xci_psd,
 )
 from eonjam.spectrum import SlotBlock
@@ -128,6 +130,84 @@ def test_nli_rejects_overlap(params):
     overlapping = channel_for_block(SlotBlock(11, 2), params)
     with pytest.raises(PhyModelError):
         xci_psd(target, overlapping, 1, params)
+
+
+def _pair_xci(target, other, span_count, params):
+    """The per-pair cross-channel formula, written out as the kernels had it."""
+    spacing = abs(target.center_frequency_hz - other.center_frequency_hz)
+    half = other.bandwidth_hz / 2.0
+    return (
+        span_count
+        * params.phi
+        * target.psd_w_per_hz
+        * other.psd_w_per_hz**2
+        * math.log((spacing + half) / (spacing - half))
+    )
+
+
+@st.composite
+def _link_layouts(draw):
+    """Non-overlapping channels on one 320-slot link, and their span counts.
+
+    Returns the channels in slot order (random widths, gaps and launch
+    powers) and one span count per hop; every hop carries a random
+    subset of the channels.
+    """
+    channels = []
+    count = draw(st.integers(1, 12))
+    start = draw(st.integers(0, 20))
+    while len(channels) < count:
+        width = draw(st.integers(1, 16))
+        if start + width > 320:
+            break
+        power = draw(st.floats(1e-4, 1e-2))
+        channels.append(channel_for_block(SlotBlock(start, width), PhyParams(), power_w=power))
+        start += width + draw(st.integers(0, 30))
+    hops = draw(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.sets(st.integers(0, len(channels) - 1))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return channels, hops
+
+
+@given(_link_layouts(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
+    # The kernels hoist the factor fixed across their loop; a hoisted
+    # prefix keeps the left-to-right product, so every sum is equal to
+    # the per-pair accumulation to the bit.
+    params = PhyParams()
+    channels, hops = layout
+    focus = data.draw(st.integers(0, len(channels) - 1))
+    own = channels[focus]
+
+    total = expected = data.draw(st.floats(0.0, 1e-20))
+    deltas, expected_deltas = {}, {}
+    for span_count, members in hops:
+        others = [(k, channels[k]) for k in sorted(members) if k != focus]
+        total = xci_onto(own, [c for _, c in others], span_count, params, total)
+        xci_from(own, others, span_count, params, deltas)
+        for k, other in others:
+            term = _pair_xci(own, other, span_count, params)
+            assert term == xci_psd(own, other, span_count, params)
+            expected += term
+            term = _pair_xci(other, own, span_count, params)
+            assert term == xci_psd(other, own, span_count, params)
+            expected_deltas[k] = expected_deltas.get(k, 0.0) + term
+    assert total == expected
+    assert deltas == expected_deltas
+
+    overlapping = channel_for_block(
+        SlotBlock(int(own.center_frequency_hz // params.slot_width_hz), 1), params
+    )
+    span_count = hops[0][0]
+    with pytest.raises(PhyModelError):
+        xci_onto(own, channels[:focus] + [overlapping], span_count, params, 0.0)
+    with pytest.raises(PhyModelError):
+        xci_from(overlapping, [(focus, own)], span_count, params, {})
 
 
 def _jammer(block, eps, params):

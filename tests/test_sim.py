@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eonjam import sim
+from eonjam.cli import ScenarioConfig
 from eonjam.control_plane import ControlMode, verify_state_invariants
 from eonjam.jammer import JammerConfig
 from eonjam.metrics import blocking_probability, results_equal
@@ -9,9 +15,11 @@ from eonjam.sim import (
     DEPARTURE,
     Event,
     TrafficModel,
+    epsilon_sweep_length,
     epsilon_sweep_values,
     generate_request,
     run_replication,
+    run_scenario,
 )
 from eonjam.spectrum import SlotBlock
 from eonjam.topology import load_topology
@@ -163,6 +171,94 @@ def test_epsilon_sweep_values():
         epsilon_sweep_values(0.0, 5.0, 0.0)
     with pytest.raises(ValueError):
         epsilon_sweep_values(5.0, 0.0, 0.5)
+
+
+def _listed_sweep(start, stop, step):
+    """The sweep grid built in full and then cut at ``stop``."""
+    count = int(round((stop - start) / step))
+    values = [round(start + i * step, 10) for i in range(count + 1)]
+    return [v for v in values if v <= stop + 1e-9]
+
+
+@given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(1e-3, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_sweep_length_counts_the_listed_grid(start, span, step):
+    stop = start + span
+    listed = _listed_sweep(start, stop, step)
+    assert epsilon_sweep_values(start, stop, step) == listed
+    assert epsilon_sweep_length(start, stop, step) == len(listed)
+
+
+def test_sweep_length_refuses_a_step_too_small_to_count():
+    with pytest.raises(ValueError, match="too small"):
+        epsilon_sweep_length(0.0, 5.0, 1e-320)
+
+
+def test_request_stream_is_the_generated_sequence(nsf):
+    traffic = small_traffic(requests=200)
+    rng = np.random.Generator(np.random.Philox(13))
+    previous = 0.0
+    expected = []
+    for i in range(traffic.requests_per_replication):
+        request, previous = generate_request(rng, nsf, traffic, previous, i + 1)
+        expected.append(request)
+    stream = sim._request_stream(13, nsf.nodes, traffic)
+    assert [stream.request(i, nsf.nodes) for i in range(len(expected))] == expected
+
+
+def test_replication_is_equal_with_a_cold_and_a_warm_stream_cache(nsf):
+    traffic = small_traffic(requests=600)
+    jam = JammerConfig(target="8-9", epsilon_db=1.0)
+    sim._request_stream.cache_clear()
+    cold = run_replication(17, nsf, traffic, ControlMode.AWARE, jam)
+    assert sim._request_stream.cache_info().currsize == 1
+    hits = sim._request_stream.cache_info().hits
+    warm = run_replication(17, nsf, traffic, ControlMode.AWARE, jam)
+    assert sim._request_stream.cache_info().hits == hits + 1
+    sim._request_stream.cache_clear()
+    assert results_equal(cold, warm)
+
+
+def test_request_stream_changes_with_the_seed_and_the_holding_time(nsf):
+    traffic = small_traffic(requests=50)
+    base = sim._request_stream(3, nsf.nodes, traffic)
+    other_seed = sim._request_stream(4, nsf.nodes, traffic)
+    slower = TrafficModel(mean_holding_s=300.0, requests_per_replication=50, replications=1)
+    other_holding = sim._request_stream(3, nsf.nodes, slower)
+    sim._request_stream.cache_clear()
+    assert base == sim._request_stream(3, nsf.nodes, traffic)
+    assert base != other_seed
+    assert base != other_holding
+    sim._request_stream.cache_clear()
+
+
+def test_run_scenario_draws_each_seed_once_and_empties_the_cache():
+    traffic = TrafficModel(requests_per_replication=60, replications=2)
+    config = ScenarioConfig(
+        topology="nsfnet",
+        modes=(ControlMode.NO_JAMMING, ControlMode.UNAWARE, ControlMode.AWARE),
+        jammer=JammerConfig(target="8-9"),
+        epsilon_sweep=(0.5, 1.0, 0.5),
+        traffic=traffic,
+        base_seed=31,
+        output_dir="unused",
+    )
+    sim._request_stream.cache_clear()
+    with mock.patch.object(sim, "generate_request", wraps=sim.generate_request) as draws:
+        result = run_scenario(config)
+    assert draws.call_count == 2 * 60
+    assert sim._request_stream.cache_info().currsize == 0
+
+    # Jobs ran seed by seed; each point still lists its seeds in order.
+    topology = config.load_topology()
+    for point in result.points:
+        jam = None
+        if point.mode is not ControlMode.NO_JAMMING:
+            jam = JammerConfig(target="8-9", epsilon_db=point.epsilon_db)
+        for r, got in enumerate(point.results):
+            alone = run_replication(31 + r, topology, traffic, point.mode, jam)
+            assert results_equal(got, alone)
+    sim._request_stream.cache_clear()
 
 
 def test_blocking_in_unit_interval(nsf):
