@@ -12,15 +12,20 @@ function of (seed, configuration) and is bit-identical across reruns.
 
 The requests do not depend on the control plane or the jamming power,
 so a replication's whole stream is drawn once per seed, by
-:func:`generate_request` in the same order, and kept as compact columns
-(see :func:`_request_stream`).  The last stream is cached, so the
-replications of one seed share it; :func:`run_scenario` runs its jobs
-seed by seed and empties the cache when it returns.  The event heap
-still receives each arrival only after the previous one is handled.
+:func:`generate_request` in the same order, and kept as a tuple of
+:class:`Request` (see :func:`_request_stream`).  The last stream is
+cached, so the replications of one seed share it; :func:`run_scenario`
+runs its jobs seed by seed and empties the cache when it returns.
 
+The arrivals are already in time order, so the engine walks them in
+order and keeps only departures on a heap of ``(departs_at,
+lightpath_id)`` pairs.  Before each arrival it releases every circuit
+due at or before that arrival's time: a departure goes before an
+arrival at the same time, and tied departures leave in request order.
 After the last arrival the circuits still active are drained without
-generating new traffic; utilization statistics integrate exact busy time
-from t=0 up to the last arrival, so the drain tail does not dilute them.
+generating new traffic, their clock clipped to that arrival;
+utilization statistics integrate exact busy time from t=0 up to the
+last arrival, so the drain tail does not dilute them.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from array import array
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,7 +55,6 @@ from .topology import Topology
 __all__ = [
     "TrafficModel",
     "Request",
-    "Event",
     "DEPARTURE",
     "ARRIVAL",
     "generate_request",
@@ -93,7 +97,7 @@ class TrafficModel:
         return self.load_erlangs / self.mean_holding_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     id: int
     source: str
@@ -101,15 +105,6 @@ class Request:
     bandwidth_gbps: float
     arrival_time: float
     holding_s: float
-
-
-class Event(NamedTuple):
-    """Heap entry; ties break departure-before-arrival, then by seq."""
-
-    time: float
-    kind: int
-    seq: int
-    payload: object
 
 
 def generate_request(
@@ -143,26 +138,6 @@ def generate_request(
     return request, float(arrival)
 
 
-class _RequestStream(NamedTuple):
-    """A replication's requests as columns; request ``k`` has id ``k + 1``."""
-
-    sources: array  # node indices
-    destinations: array
-    bandwidths_gbps: array
-    arrival_times: array
-    holding_s: array
-
-    def request(self, index: int, nodes: tuple[str, ...]) -> Request:
-        return Request(
-            id=index + 1,
-            source=nodes[self.sources[index]],
-            destination=nodes[self.destinations[index]],
-            bandwidth_gbps=self.bandwidths_gbps[index],
-            arrival_time=self.arrival_times[index],
-            holding_s=self.holding_s[index],
-        )
-
-
 class _Nodes(NamedTuple):
     """The only part of a topology :func:`generate_request` reads."""
 
@@ -170,7 +145,7 @@ class _Nodes(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1)
-def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) -> _RequestStream:
+def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) -> tuple[Request, ...]:
     """Every request of a replication, drawn by :func:`generate_request`.
 
     Keyed by what the draws depend on, so the replications of one seed
@@ -180,17 +155,12 @@ def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) ->
     """
     rng = np.random.Generator(np.random.Philox(seed))
     where = _Nodes(nodes)
-    index = {node: k for k, node in enumerate(nodes)}
-    stream = _RequestStream(array("I"), array("I"), array("d"), array("d"), array("d"))
+    requests = []
     previous = 0.0
     for request_id in range(1, traffic.requests_per_replication + 1):
         request, previous = generate_request(rng, where, traffic, previous, request_id)
-        stream.sources.append(index[request.source])
-        stream.destinations.append(index[request.destination])
-        stream.bandwidths_gbps.append(request.bandwidth_gbps)
-        stream.arrival_times.append(request.arrival_time)
-        stream.holding_s.append(request.holding_s)
-    return stream
+        requests.append(request)
+    return tuple(requests)
 
 
 def run_replication(
@@ -207,10 +177,16 @@ def run_replication(
 ) -> metrics.ReplicationResult:
     """Simulate one seeded replication and aggregate its statistics.
 
+    The seed's requests are served in arrival order; before each one,
+    the circuits due at or before its arrival depart, earliest first and
+    in request order at equal times.  The circuits left after the last
+    arrival depart at that arrival's time.
+
     ``utilization_ranking`` is required when the jammer targets the
     most- or least-used link.  ``audit_hook(state, kind, time)`` is
-    invoked every ``audit_every`` processed events when set (testing
-    aid).
+    invoked every ``audit_every`` processed events (arrivals and
+    departures, in the order above) when set (testing aid); ``kind`` is
+    :data:`ARRIVAL` or :data:`DEPARTURE`.
     """
     if params is None:
         params = PhyParams()
@@ -226,51 +202,40 @@ def run_replication(
         ground_truth = ground_truth_channels(jammer_config, params, target_link_id=target)
 
     state = NetworkState(topology, params)
-    nodes = topology.nodes
-    stream = _request_stream(seed, nodes, traffic)
-    n_requests = traffic.requests_per_replication
+    requests = _request_stream(seed, topology.nodes, traffic)
+    horizon = requests[-1].arrival_time if requests else 0.0
 
     blocked_by_reason: dict[str, int] = {}
     established = 0
-    heap: list[Event] = []
-    seq = 0
-    arrivals_emitted = 0
-    if n_requests > 0:
-        request = stream.request(0, nodes)
-        heapq.heappush(heap, Event(request.arrival_time, ARRIVAL, seq, request))
-        seq += 1
-        arrivals_emitted = 1
-
-    cutoff: float | None = None
+    departures: list[tuple[float, int]] = []
     processed = 0
-    while heap:
-        event = heapq.heappop(heap)
-        now = event.time if cutoff is None else min(event.time, cutoff)
-        if event.kind == DEPARTURE:
-            state.depart(event.payload, now)
-        else:
-            request = event.payload
-            outcome = handle_request(
-                request, state, mode, ground_truth, tolerance_db=detection_tolerance_db
-            )
-            if isinstance(outcome, Blocked):
-                blocked_by_reason[outcome.reason] = blocked_by_reason.get(outcome.reason, 0) + 1
-            else:
-                established += 1
-                heapq.heappush(heap, Event(outcome.departs_at, DEPARTURE, seq, outcome.id))
-                seq += 1
-            if arrivals_emitted < n_requests:
-                nxt = stream.request(arrivals_emitted, nodes)
-                heapq.heappush(heap, Event(nxt.arrival_time, ARRIVAL, seq, nxt))
-                seq += 1
-                arrivals_emitted += 1
-            elif cutoff is None:
-                cutoff = request.arrival_time
+
+    def processed_event(kind: int, now: float) -> None:
+        nonlocal processed
         processed += 1
         if audit_hook is not None and audit_every and processed % audit_every == 0:
-            audit_hook(state, event.kind, now)
+            audit_hook(state, kind, now)
 
-    horizon = cutoff if cutoff is not None else 0.0
+    def depart_through(limit: float) -> None:
+        while departures and departures[0][0] <= limit:
+            departs_at, lightpath_id = heapq.heappop(departures)
+            now = min(departs_at, horizon)
+            state.depart(lightpath_id, now)
+            processed_event(DEPARTURE, now)
+
+    for request in requests:
+        depart_through(request.arrival_time)
+        outcome = handle_request(
+            request, state, mode, ground_truth, tolerance_db=detection_tolerance_db
+        )
+        if isinstance(outcome, Blocked):
+            blocked_by_reason[outcome.reason] = blocked_by_reason.get(outcome.reason, 0) + 1
+        else:
+            established += 1
+            heapq.heappush(departures, (outcome.departs_at, outcome.id))
+        processed_event(ARRIVAL, request.arrival_time)
+    depart_through(math.inf)
+
     if state.actives:
         raise RuntimeError("drain left active circuits behind")
     state.flush_time(horizon)
@@ -298,7 +263,7 @@ def run_replication(
     )
 
     return metrics.ReplicationResult(
-        requests=n_requests,
+        requests=len(requests),
         blocked_by_reason=dict(sorted(blocked_by_reason.items())),
         slot_utilization=slot_utilization,
         slot_utilization_by_link=by_link,
@@ -354,7 +319,10 @@ def _replication_job(args):
 
 
 def _run_jobs(jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    # The pool starts all its processes at once, so never ask it for
+    # more than there are jobs or CPUs; ``map`` keeps the job order.
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_replication_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replication_job, jobs))
@@ -413,11 +381,10 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     the same attributes).  The no-jamming mode ignores the sweep: its
     blocking is constant in epsilon, so it contributes a single point.
     A link-utilization ranking is computed when the jammer uses a
-    most/least-used selector and none is given.  It comes from the
-    scenario's own no-jamming replications, run first, when the modes
-    include them (the same seeds, traffic and physics as a separate
-    pre-run, so the ranking is the same); otherwise from
-    :func:`compute_utilization_ranking`.
+    most/least-used selector and none is given: the no-jamming
+    replications of the scenario's seeds run first and are ranked (the
+    same ranking as :func:`compute_utilization_ranking`).  They are kept
+    as the no-jamming point when the modes include it.
 
     Jobs are submitted seed by seed, so consecutive replications share
     the cached request stream, and regrouped per point.  The cache is
@@ -466,17 +433,13 @@ def _run_scenario(config, ranking) -> ScenarioResult:
         if config.jammer is None:
             raise ValueError("jamming modes require a jammer section")
         if config.jammer.uses_selector and ranking is None:
+            baseline = _run_jobs(
+                [job(seed, ControlMode.NO_JAMMING, None) for seed in seeds], config.workers
+            )
+            ranking = metrics.utilization_ranking(baseline)
             if ControlMode.NO_JAMMING in config.modes:
                 pending.remove((ControlMode.NO_JAMMING, None))
-                baseline = _run_jobs(
-                    [job(seed, ControlMode.NO_JAMMING, None) for seed in seeds], config.workers
-                )
                 grouped[(ControlMode.NO_JAMMING, None)] = baseline
-                ranking = metrics.utilization_ranking(baseline)
-            else:
-                ranking = compute_utilization_ranking(
-                    topology, traffic, config.base_seed, params, workers=config.workers
-                )
         target_link_id = resolve_target(config.jammer, ranking)
         topology.link_by_id(target_link_id)
 

@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eonjam import sim
+from eonjam import control_plane, sim
 from eonjam.cli import ScenarioConfig
 from eonjam.control_plane import ControlMode, verify_state_invariants
 from eonjam.jammer import JammerConfig
@@ -13,15 +14,16 @@ from eonjam.metrics import blocking_probability, results_equal
 from eonjam.sim import (
     ARRIVAL,
     DEPARTURE,
-    Event,
+    Request,
     TrafficModel,
+    compute_utilization_ranking,
     epsilon_sweep_length,
     epsilon_sweep_values,
     generate_request,
     run_replication,
     run_scenario,
 )
-from eonjam.spectrum import SlotBlock
+from eonjam.spectrum import GUARDBAND_SLOTS, SlotBlock, SlotGrid
 from eonjam.topology import load_topology
 
 
@@ -110,11 +112,68 @@ def test_bandwidth_choices_uniform(nsf):
         assert value == pytest.approx(10_000, rel=0.05)
 
 
-def test_event_ordering_departure_before_arrival():
-    events = sorted(
-        [Event(5.0, ARRIVAL, 2, "a"), Event(5.0, DEPARTURE, 3, "d"), Event(4.0, ARRIVAL, 1, "b")]
+def _record_events(*args, **kwargs):
+    """Run a replication; after every event, list its kind, time and the actives."""
+    events = []
+
+    def hook(state, kind, now):
+        events.append((kind, now, sorted(state.actives), dict(state.actives)))
+
+    result = run_replication(*args, audit_hook=hook, audit_every=1, **kwargs)
+    return result, events
+
+
+def test_departures_go_before_arrivals_and_drain_at_the_horizon():
+    # One 40 G circuit takes one slot plus a two-slot guardband, so a
+    # grid of three circuits is full: request 4 fits only because
+    # request 2 leaves at the instant it arrives (1.0 + 1.0 == 2.0).
+    # Requests 3 and 4 leave together at 5.0; 1 and 5 outlive the last
+    # arrival at 6.0 and are drained there.
+    topology = load_topology("nodes: A B\nlink: A B 100\n")
+    timing = [(0.5, 10.0), (1.0, 1.0), (1.5, 3.5), (2.0, 3.0), (6.0, 1.0)]
+    requests = tuple(
+        Request(k, "A", "B", 40.0, arrival, holding)
+        for k, (arrival, holding) in enumerate(timing, start=1)
     )
-    assert [e.payload for e in events] == ["b", "d", "a"]
+    traffic = TrafficModel(requests_per_replication=len(requests), replications=1)
+    three_circuits = functools.partial(SlotGrid, slot_count=3 + 2 * GUARDBAND_SLOTS)
+    with mock.patch.object(sim, "_request_stream", return_value=requests), \
+            mock.patch.object(control_plane, "SlotGrid", three_circuits):
+        result, events = _record_events(0, topology, traffic, ControlMode.NO_JAMMING)
+
+    assert [event[:3] for event in events] == [
+        (ARRIVAL, 0.5, [1]),
+        (ARRIVAL, 1.0, [1, 2]),
+        (ARRIVAL, 1.5, [1, 2, 3]),
+        (DEPARTURE, 2.0, [1, 3]),
+        (ARRIVAL, 2.0, [1, 3, 4]),
+        (DEPARTURE, 5.0, [1, 4]),
+        (DEPARTURE, 5.0, [1]),
+        (ARRIVAL, 6.0, [1, 5]),
+        (DEPARTURE, 6.0, [1]),
+        (DEPARTURE, 6.0, []),
+    ]
+    # Request 4 took the slots request 2 freed.
+    assert events[4][3][4].block == events[2][3][2].block
+    assert result.horizon_s == 6.0
+    assert result.established == 5
+    assert len(events) == result.requests + result.established
+
+
+@given(seed=st.integers(0, 2**32 - 1), load=st.floats(200.0, 800.0))
+@settings(max_examples=8, deadline=None)
+def test_events_follow_time_order_on_real_traffic(nsf, seed, load):
+    traffic = TrafficModel(load_erlangs=load, requests_per_replication=150, replications=1)
+    result, events = _record_events(seed, nsf, traffic, ControlMode.NO_JAMMING)
+    sim._request_stream.cache_clear()
+    times = [now for _, now, _, _ in events]
+    assert times == sorted(times)
+    assert times[-1] == result.horizon_s
+    for kind, now, _, actives in events:
+        if kind == ARRIVAL:
+            # Every circuit due at or before this arrival has left.
+            assert all(lightpath.departs_at > now for lightpath in actives.values())
+    assert len(events) == result.requests + result.established
 
 
 def test_same_seed_bitwise_identical(nsf):
@@ -203,7 +262,7 @@ def test_request_stream_is_the_generated_sequence(nsf):
         request, previous = generate_request(rng, nsf, traffic, previous, i + 1)
         expected.append(request)
     stream = sim._request_stream(13, nsf.nodes, traffic)
-    assert [stream.request(i, nsf.nodes) for i in range(len(expected))] == expected
+    assert stream == tuple(expected)
 
 
 def test_replication_is_equal_with_a_cold_and_a_warm_stream_cache(nsf):
@@ -259,6 +318,46 @@ def test_run_scenario_draws_each_seed_once_and_empties_the_cache():
             alone = run_replication(31 + r, topology, traffic, point.mode, jam)
             assert results_equal(got, alone)
     sim._request_stream.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "workers, jobs, cpus, started",
+    [(10**6, 2, 64, 2), (10**6, 6, 4, 4), (3, 6, 4, 3), (10**6, 6, None, None), (2, 1, 4, None)],
+)
+def test_pool_starts_no_more_processes_than_jobs_or_cpus(nsf, workers, jobs, cpus, started):
+    traffic = small_traffic(requests=40)
+    batch = [
+        (seed, nsf, traffic, ControlMode.NO_JAMMING, None, None, 0.1, None)
+        for seed in range(1, jobs + 1)
+    ]
+    # A fake pool records its size and maps in order; no process starts.
+    with mock.patch.object(sim, "ProcessPoolExecutor") as pool, \
+            mock.patch.object(sim.os, "cpu_count", return_value=cpus):
+        pool.return_value.__enter__.return_value.map.side_effect = map
+        results = sim._run_jobs(batch, workers)
+    assert pool.call_args_list == ([] if started is None else [mock.call(max_workers=started)])
+    serial = [run_replication(seed, nsf, traffic, ControlMode.NO_JAMMING) for seed in range(1, jobs + 1)]
+    assert all(results_equal(a, b) for a, b in zip(results, serial, strict=True))
+
+
+def test_selector_without_a_no_jamming_mode_ranks_like_the_pre_run():
+    traffic = TrafficModel(requests_per_replication=120, replications=2)
+    config = ScenarioConfig(
+        topology="nsfnet",
+        modes=(ControlMode.UNAWARE,),
+        jammer=JammerConfig(target="most_used"),
+        epsilon_sweep=(1.0, 1.0, 1.0),
+        traffic=traffic,
+        base_seed=5,
+        output_dir="unused",
+    )
+    result = run_scenario(config)
+    expected = compute_utilization_ranking(config.load_topology(), traffic, 5)
+    sim._request_stream.cache_clear()
+    assert result.ranking == tuple(expected)
+    [point] = result.points
+    assert point.mode is ControlMode.UNAWARE
+    assert point.target_link_id == expected[0][0]
 
 
 def test_blocking_in_unit_interval(nsf):
