@@ -18,7 +18,7 @@ from eonjam.control_plane import (
     handle_request,
 )
 from eonjam.jammer import JammerConfig, ground_truth_channels
-from eonjam.phy import MODULATIONS, PhyParams, linear_to_db
+from eonjam.phy import MODULATIONS, PhyParams, channel_for_block, linear_to_db
 from eonjam.sim import Request
 from eonjam.spectrum import SlotBlock, allocate
 from eonjam.topology import load_topology
@@ -41,7 +41,10 @@ for label, block in (
     ("overlapping range   ", SlotBlock(49, 2)),
     ("inside the range    ", SlotBlock(54, 2)),
 ):
-    candidate = _build_candidate(1, route, block, QPSK, 40.0, 0.0, 600.0, state, ground_truth)
+    channel = channel_for_block(block, params)
+    candidate = _build_candidate(
+        1, route, block, channel, QPSK, 40.0, 0.0, 600.0, state, ground_truth
+    )
     measured = linear_to_db(candidate.snr)
     estimated = linear_to_db(candidate.snr_estimated)
     fired = detect_jamming(candidate, ground_truth)

@@ -32,7 +32,8 @@ Relative paths resolve differently: a relative ``topology`` file is read
 from the directory of the config file, while a relative ``output_dir``
 is created under the working directory of the ``eonjam`` process.  The
 environment variable ``EONJAM_OUTPUT_DIR`` overrides ``output_dir``.
-An ``epsilon_sweep`` may hold at most :data:`MAX_SWEEP_POINTS` powers.
+An ``epsilon_sweep`` may hold at most :data:`MAX_SWEEP_POINTS` powers,
+and a replication at most :data:`MAX_REQUESTS_PER_REPLICATION` requests.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -56,7 +57,15 @@ from .jammer import DEFAULT_JAMMED_RANGES, JammerConfig
 from .spectrum import SLOT_COUNT, SlotBlock
 from .topology import Topology, TopologyError, load_topology_file, nsfnet, nsfnet_text
 
-__all__ = ["MAX_SWEEP_POINTS", "ScenarioConfig", "load_config", "validate", "run", "main"]
+__all__ = [
+    "MAX_SWEEP_POINTS",
+    "MAX_REQUESTS_PER_REPLICATION",
+    "ScenarioConfig",
+    "load_config",
+    "validate",
+    "run",
+    "main",
+]
 
 _NA = "na"
 
@@ -64,6 +73,14 @@ _NA = "na"
 #: a configuration error: ``validate`` counts its points without building
 #: them, and ``simulate`` refuses it before starting anything.
 MAX_SWEEP_POINTS = 10_000
+
+#: Most requests one replication may draw.  A replication holds its whole
+#: request stream in memory before serving it, about 170 B a request (a
+#: slotted ``Request`` with its own float and int objects, plus its slot
+#: in the tuple), and each worker process holds its own.  At this bound
+#: a stream takes about 170 MB, 100 times the shipped configs; a larger
+#: count is a configuration error rather than a run that exhausts memory.
+MAX_REQUESTS_PER_REPLICATION = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -236,6 +253,11 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
         if traffic.requests_per_replication < 1:
             # A replication without requests has no blocking probability.
             raise ValueError("requests_per_replication: must be >= 1")
+        if traffic.requests_per_replication > MAX_REQUESTS_PER_REPLICATION:
+            raise ValueError(
+                f"requests_per_replication: {traffic.requests_per_replication} requests, "
+                f"more than the {MAX_REQUESTS_PER_REPLICATION} allowed"
+            )
     except (TypeError, ValueError) as exc:
         violations.append(f"traffic: {exc}")
         traffic = sim.TrafficModel()

@@ -42,19 +42,30 @@ from the :mod:`eonjam.phy` kernels that the audit's ``phy.snr`` uses:
 ``phy.xci_onto`` sums a candidate's own XCI hop by hop, and
 ``phy.xci_from`` prices what a circuit adds to its neighbours, one call
 per hop of its route.  ``NetworkState.grid_actives`` maps each directed
-hop to the channels of the circuits on it, which is all both kernels
-read.
+hop to the spectral records (``phy.Channel.record``) of the circuits on
+it, which is all both kernels read.
+
+A neighbour that refuses one candidate tends to refuse the next: it is
+the circuit with the least margin near the free spectrum.  So
+:func:`evaluate_candidate` records the last neighbour that refused a
+candidate, and :func:`handle_request` first prices each First Fit block
+against that one circuit alone (:func:`_refused_by_last_refuser`).  A
+block it refuses is never built; the verdict is the one the full check
+would give.
 
 What a request's endpoints and bandwidth fix is looked up once per
 state: :meth:`NetworkState.admission` keeps the route, its slot grids
 and its :func:`static_reach` under ``(source, destination,
-bandwidth_gbps)``.
+bandwidth_gbps)``.  The route and the reach depend only on the topology
+and the physics, so every state of one topology and physics shares them
+(``_demand_tables``) and adds only its own grids.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -142,6 +153,15 @@ class Lightpath:
     def meets_threshold(self) -> bool:
         return phy.qot_verdict(self.snr, self.modulation)
 
+    def survives(self, delta: float) -> bool:
+        """Whether the circuit still meets its threshold with ``delta`` more XCI.
+
+        The noise is :attr:`noise_psd` plus ``delta``, added in that
+        order; spelled out, it saves a property call per neighbour.
+        """
+        noise = self.ase_psd + self.sci_psd + self.xci_psd + self.jam_psd + delta
+        return phy.qot_verdict(self.channel.psd_w_per_hz / noise, self.modulation)
+
 
 @dataclass(frozen=True)
 class Blocked:
@@ -154,23 +174,28 @@ class NetworkState:
     """Slot grids and active circuits; the grids hold the forbidden blocks.
 
     ``grid_actives[hop]`` maps the id of each circuit on a directed hop
-    to its :class:`~eonjam.phy.Channel`.  ``changes`` counts
+    to its spectral record, ``phy.Channel.record``.  ``changes`` counts
     establishments and departures, so a candidate's neighbour XCI can be
-    checked to be priced on the current circuits.
+    checked to be priced on the current circuits.  ``last_refuser`` is
+    the id of the last circuit that the neighbour check of
+    :func:`evaluate_candidate` found pushed below its threshold (None
+    before the first); it may have departed since.
     """
 
     def __init__(self, topology: Topology, params: phy.PhyParams):
         self.topology = topology
         self.params = params
         self.grids: dict[tuple[str, str], SlotGrid] = {}
-        self.grid_actives: dict[tuple[str, str], dict[int, phy.Channel]] = {}
+        self.grid_actives: dict[tuple[str, str], dict[int, tuple]] = {}
         for link in topology.links:
             for direction in ((link.source, link.destination), (link.destination, link.source)):
                 self.grids[direction] = SlotGrid(link.id, direction)
                 self.grid_actives[direction] = {}
         self.actives: dict[int, Lightpath] = {}
         self.changes = 0
+        self.last_refuser: int | None = None
         self._admission: dict[tuple[str, str, float], tuple] = {}
+        self._demands = _demand_tables.setdefault(topology, {}).setdefault(params, {})
 
     def grids_for_route(self, route: Route) -> list[SlotGrid]:
         return [self.grids[hop] for hop in route.directed_hops]
@@ -182,14 +207,19 @@ class NetworkState:
 
         Computed on the first request with these endpoints and bandwidth,
         then looked up: the topology, the grids and the physics of a
-        state never change.
+        state never change.  The route and the reach come from the table
+        shared by the states of this topology and physics.
         """
         key = (source, destination, bandwidth_gbps)
         entry = self._admission.get(key)
         if entry is None:
-            route = self.topology.shortest_path(source, destination)
-            grids = tuple(self.grids_for_route(route))
-            entry = (route, grids, static_reach(route, bandwidth_gbps, self.params))
+            demand = self._demands.get(key)
+            if demand is None:
+                route = self.topology.shortest_path(source, destination)
+                demand = (route, static_reach(route, bandwidth_gbps, self.params))
+                self._demands[key] = demand
+            route, reach = demand
+            entry = (route, tuple(self.grids_for_route(route)), reach)
             self._admission[key] = entry
         return entry
 
@@ -237,8 +267,9 @@ class NetworkState:
         self.changes += 1
         for neighbour_id, delta in deltas.items():
             self.actives[neighbour_id].xci_psd += delta
+        record = lightpath.channel.record
         for hop in lightpath.route.directed_hops:
-            self.grid_actives[hop][lightpath.id] = lightpath.channel
+            self.grid_actives[hop][lightpath.id] = record
         self.actives[lightpath.id] = lightpath
 
     def depart(self, lightpath_id: int, now: float) -> None:
@@ -253,6 +284,14 @@ class NetworkState:
         release(grids, lightpath_id)
         for neighbour_id, delta in _neighbour_deltas(self, lightpath).items():
             self.actives[neighbour_id].xci_psd -= delta
+
+
+#: Route and :func:`static_reach` per ``(source, destination,
+#: bandwidth_gbps)``, one table per topology (by identity) and physics,
+#: filled by :meth:`NetworkState.admission` and shared by every state
+#: built on them.  A topology never reroutes and ``PhyParams`` is frozen,
+#: so an entry never goes stale; the tables of a topology go with it.
+_demand_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def required_slots(bandwidth_gbps: float, modulation: phy.Modulation, params: phy.PhyParams) -> int:
@@ -322,17 +361,48 @@ def _neighbour_deltas(state: NetworkState, lightpath: Lightpath) -> dict[int, fl
     """
     deltas: dict[int, float] = {}
     params = state.params
-    channel = lightpath.channel
+    record = lightpath.channel.record
     actives = state.grid_actives
     for link, hop in zip(lightpath.route.links, lightpath.route.directed_hops):
-        phy.xci_from(channel, actives[hop].items(), link.span_count, params, deltas)
+        phy.xci_from(record, actives[hop].items(), link.span_count, params, deltas)
     return deltas
+
+
+def _refused_by_last_refuser(state: NetworkState, route: Route, record: tuple) -> bool:
+    """Whether ``state.last_refuser`` refuses a candidate on ``route``.
+
+    ``record`` is the spectral record of the candidate's channel.  Its
+    XCI onto that circuit is summed over the hops they share, in
+    route-hop order, by the same :func:`phy.xci_from` accumulation as
+    :func:`_neighbour_deltas`, so it equals the delta the full check
+    would compute to the bit, and :meth:`Lightpath.survives` gives the
+    same verdict on it.  True therefore means :func:`evaluate_candidate`
+    would return ``REJECT_QOT``: any failing neighbour does, whatever
+    the candidate's own QoT, because the neighbour check runs before
+    detection.  Running detection first (an open item of ``ROADMAP.md``)
+    must move this probe after detection, or it would refuse as
+    ``qot-fail`` a candidate that detection rejects as jammed.  False
+    when the circuit has departed or shares no hop with ``route``.
+    """
+    refuser = state.actives.get(state.last_refuser)
+    if refuser is None:
+        return False
+    key = refuser.id
+    params = state.params
+    actives = state.grid_actives
+    delta: dict[int, float] = {}
+    for link, hop in zip(route.links, route.directed_hops):
+        on_hop = actives[hop]
+        if key in on_hop:
+            phy.xci_from(record, ((key, on_hop[key]),), link.span_count, params, delta)
+    return bool(delta) and not refuser.survives(delta[key])
 
 
 def _build_candidate(
     request_id: int,
     route: Route,
     block: SlotBlock,
+    channel: phy.Channel,
     modulation: phy.Modulation,
     bandwidth_gbps: float,
     arrival_time: float,
@@ -340,17 +410,18 @@ def _build_candidate(
     state: NetworkState,
     ground_truth: GroundTruth | None,
 ) -> Lightpath:
-    """Assemble a candidate circuit with its noise terms evaluated.
+    """Assemble a candidate circuit on ``block`` with its noise terms evaluated.
 
-    The XCI is one running total over the route's hops, in order.
+    ``channel`` is ``phy.channel_for_block(block, state.params)``.  The
+    XCI is one running total over the route's hops, in order.
     """
     params = state.params
-    channel = phy.channel_for_block(block, params)
+    record = channel.record
     actives = state.grid_actives
     xci = 0.0
     jam = 0.0
     for link, hop in zip(route.links, route.directed_hops):
-        xci = phy.xci_onto(channel, actives[hop].values(), link.span_count, params, xci)
+        xci = phy.xci_onto(record, actives[hop].values(), link.span_count, params, xci)
         if ground_truth is not None and link.id == ground_truth.link_id:
             jam = phy.jamming_psd(
                 channel, link.span_count, ground_truth.channels, ground_truth.epsilon_w, params
@@ -401,16 +472,17 @@ def evaluate_candidate(
     survival of every active circuit sharing a link, and (aware mode)
     the jamming-detection comparison for candidates overlapping a
     jammed range.  The neighbour XCI is kept on the candidate for
-    :meth:`NetworkState.establish`.
+    :meth:`NetworkState.establish`; a neighbour that would drop below
+    its threshold is recorded as ``state.last_refuser``.
     """
     if not candidate.meets_threshold():
         return Verdict.REJECT_QOT
     deltas = _neighbour_deltas(state, candidate)
     candidate.priced = (state, state.changes, deltas)
+    actives = state.actives
     for neighbour_id, delta in deltas.items():
-        neighbour = state.actives[neighbour_id]
-        degraded = neighbour.channel.psd_w_per_hz / (neighbour.noise_psd + delta)
-        if not phy.qot_verdict(degraded, neighbour.modulation):
+        if not actives[neighbour_id].survives(delta):
+            state.last_refuser = neighbour_id
             return Verdict.REJECT_QOT
     if mode is ControlMode.AWARE and ground_truth is not None:
         if detect_jamming(candidate, ground_truth, tolerance_db):
@@ -432,10 +504,13 @@ def handle_request(
     record; an established circuit starts at the request arrival time.
     Only the formats in the route's :func:`static_reach` are tried; the
     route, grids and reach come from :meth:`NetworkState.admission`.
+    A block that :func:`_refused_by_last_refuser` refuses counts as a
+    ``REJECT_QOT`` verdict without building the candidate.
     """
     route, grids, reach = state.admission(
         request.source, request.destination, request.bandwidth_gbps
     )
+    params = state.params
     saw_qot = False
     saw_jammed = False
 
@@ -444,10 +519,15 @@ def handle_request(
             block = first_fit(grids, width)
             if block is None:
                 break
+            channel = phy.channel_for_block(block, params)
+            if _refused_by_last_refuser(state, route, channel.record):
+                saw_qot = True
+                break
             candidate = _build_candidate(
                 request.id,
                 route,
                 block,
+                channel,
                 modulation,
                 request.bandwidth_gbps,
                 request.arrival_time,
@@ -522,10 +602,12 @@ def verify_state_invariants(
         per_link_state = []
         for link, hop in zip(lightpath.route.links, lightpath.route.directed_hops):
             on_hop = state.grid_actives[hop]
-            assert on_hop.get(lightpath.id) is lightpath.channel, (
-                f"lightpath {lightpath.id} is listed on {hop} with another channel"
+            assert on_hop.get(lightpath.id) is lightpath.channel.record, (
+                f"lightpath {lightpath.id} is listed on {hop} with another record"
             )
-            channels = [other for other_id, other in on_hop.items() if other_id != lightpath.id]
+            channels = [
+                state.actives[other_id].channel for other_id in on_hop if other_id != lightpath.id
+            ]
             if ground_truth is not None and link.id == ground_truth.link_id:
                 channels.extend(ground_truth.channels)
             per_link_state.append(channels)

@@ -28,16 +28,25 @@ The cross-channel (XCI) term has two kernels, one per direction of a
 neighbour pair on one link.  :func:`xci_onto` sums what many channels
 put on one target (a candidate's own noise); :func:`xci_from` spreads
 what one source puts on many channels (the noise a circuit adds to its
-neighbours).  Each computes the factor fixed across its loop once,
-as the same left-to-right prefix of the product that :func:`xci_psd`
-evaluates, so every term keeps its bits.  :func:`xci_psd` is the
-one-pair case of :func:`xci_onto`.
+neighbours).  Both read spectral records, ``(center_hz, bandwidth_hz /
+2.0, psd, psd**2)`` tuples that each :class:`Channel` computes once as
+:attr:`Channel.record`, so their per-pair loops make no attribute
+lookup, division or power.  Each computes the factor fixed across its
+loop once, as the same left-to-right prefix of the product that
+:func:`xci_psd` evaluates, so every term keeps its bits.
+:func:`xci_psd` is the one-pair case of :func:`xci_onto`.
+
+:func:`qot_verdict` judges a linear SNR against the format threshold in
+dB.  Outside a band of relative half-width :data:`QOT_BAND` around the
+linear threshold the comparison with the band edge decides without a
+logarithm; the band is about 4e-9 dB wide on either side, millions of
+times the rounding error of the dB value, so no verdict changes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .spectrum import SlotBlock
@@ -61,6 +70,7 @@ __all__ = [
     "jamming_psd",
     "inband_jamming_psd",
     "snr",
+    "QOT_BAND",
     "qot_verdict",
 ]
 
@@ -164,6 +174,14 @@ class Channel:
     bandwidth_hz: float
     psd_w_per_hz: float
     is_jammer: bool = False
+    #: ``(center_frequency_hz, bandwidth_hz / 2.0, psd_w_per_hz,
+    #: psd_w_per_hz**2)``: everything the XCI kernels read of a channel.
+    record: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        psd = self.psd_w_per_hz
+        record = (self.center_frequency_hz, self.bandwidth_hz / 2.0, psd, psd**2)
+        object.__setattr__(self, "record", record)
 
     def overlap_hz(self, other: "Channel") -> float:
         """Width of the spectral intersection with ``other`` (0 if disjoint)."""
@@ -178,11 +196,28 @@ class Channel:
         return max(0.0, hi - lo)
 
 
+#: Relative half-width of the band around a linear SNR threshold inside
+#: which :func:`qot_verdict` compares in dB.
+QOT_BAND = 1e-9
+
+
 @dataclass(frozen=True)
 class Modulation:
+    """A modulation format and its SNR threshold.
+
+    ``qot_band`` holds the linear SNRs ``(L * (1 - QOT_BAND), L * (1 +
+    QOT_BAND))`` around ``L = db_to_linear(snr_threshold_db)``, computed
+    once per format for :func:`qot_verdict`.
+    """
+
     name: str
     bits_per_symbol: int
     snr_threshold_db: float
+    qot_band: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        linear = db_to_linear(self.snr_threshold_db)
+        object.__setattr__(self, "qot_band", (linear * (1.0 - QOT_BAND), linear * (1.0 + QOT_BAND)))
 
 
 #: Supported formats, ordered by spectral efficiency.
@@ -268,51 +303,51 @@ def sci_psd(target: Channel, span_count: int, params: PhyParams) -> float:
 
 def xci_psd(target: Channel, other: Channel, span_count: int, params: PhyParams) -> float:
     """Cross-channel NLI PSD that ``other`` adds to ``target`` on one link."""
-    return xci_onto(target, (other,), span_count, params, 0.0)
+    return xci_onto(target.record, (other.record,), span_count, params, 0.0)
 
 
-def xci_onto(target: Channel, channels, span_count: int, params: PhyParams, total: float) -> float:
-    """``total`` plus the XCI each of ``channels`` adds to ``target`` on one link.
+def xci_onto(target, records, span_count: int, params: PhyParams, total: float) -> float:
+    """``total`` plus the XCI each of ``records`` adds to ``target`` on one link.
 
-    The terms are added in the order of ``channels``.  Each is
+    ``target`` and each of ``records`` are :attr:`Channel.record` tuples.
+    The terms are added in the order of ``records``.  Each is
     ``span_count * phi * G_target * G_other^2 * ln((f + B/2) / (f - B/2))``
     evaluated left to right, with the target's prefix computed once.
     Raises :class:`PhyModelError` when a channel overlaps the target's
     centre.
     """
-    scale = span_count * params.phi * target.psd_w_per_hz
-    center = target.center_frequency_hz
+    center, _, psd, _ = target
+    scale = span_count * params.phi * psd
     log = math.log
-    for other in channels:
-        spacing = abs(center - other.center_frequency_hz)
-        half = other.bandwidth_hz / 2.0
-        if spacing - half <= 0.0:
+    for other_center, half, _, power in records:
+        spacing = abs(center - other_center)
+        low = spacing - half
+        if low <= 0.0:
             raise _overlap_error(spacing, half)
-        total += scale * other.psd_w_per_hz**2 * log((spacing + half) / (spacing - half))
+        total += scale * power * log((spacing + half) / low)
     return total
 
 
-def xci_from(source: Channel, items, span_count: int, params: PhyParams, deltas: dict) -> None:
+def xci_from(source, items, span_count: int, params: PhyParams, deltas: dict) -> None:
     """Add the XCI ``source`` puts on each channel of one link to ``deltas``.
 
-    ``items`` yields ``(id, channel)`` pairs; ``deltas[id]`` grows by the
-    term :func:`xci_psd` gives for ``channel`` as target and ``source``
-    as interferer, from the prefix ``span_count * phi`` and the source's
-    squared PSD computed once.  Raises :class:`PhyModelError` when the
-    source overlaps a channel's centre.
+    ``source`` is a :attr:`Channel.record` and ``items`` yields ``(id,
+    record)`` pairs; ``deltas[id]`` grows by the term :func:`xci_psd`
+    gives for that channel as target and ``source`` as interferer, from
+    the prefix ``span_count * phi`` and the source's squared PSD.
+    Raises :class:`PhyModelError` when the source overlaps a channel's
+    centre.
     """
+    center, half, _, power = source
     scale = span_count * params.phi
-    power = source.psd_w_per_hz**2
-    center = source.center_frequency_hz
-    half = source.bandwidth_hz / 2.0
     log = math.log
     get = deltas.get
-    for key, target in items:
-        spacing = abs(target.center_frequency_hz - center)
-        if spacing - half <= 0.0:
+    for key, (other_center, _, psd, _) in items:
+        spacing = abs(other_center - center)
+        low = spacing - half
+        if low <= 0.0:
             raise _overlap_error(spacing, half)
-        term = scale * target.psd_w_per_hz * power * log((spacing + half) / (spacing - half))
-        deltas[key] = get(key, 0.0) + term
+        deltas[key] = get(key, 0.0) + scale * psd * power * log((spacing + half) / low)
 
 
 def jamming_psd(
@@ -388,14 +423,28 @@ def snr(
         raise ValueError("per_link_state must align with route.links")
     noise = ase_psd(route, params) + sci_psd(target, route.total_spans, params)
     for link, channels in zip(route.links, per_link_state):
-        signals = [other for other in channels if not other.is_jammer]
+        signals = [other.record for other in channels if not other.is_jammer]
         jammers = [other for other in channels if other.is_jammer]
-        noise = xci_onto(target, signals, link.span_count, params, noise)
+        noise = xci_onto(target.record, signals, link.span_count, params, noise)
         if jammer_epsilon_w is not None:
             noise += jamming_psd(target, link.span_count, jammers, jammer_epsilon_w, params)
     return target.psd_w_per_hz / noise
 
 
 def qot_verdict(snr_linear: float, modulation: Modulation) -> bool:
-    """True when the SNR meets the modulation threshold (inclusive)."""
+    """True when the SNR meets the modulation threshold (inclusive).
+
+    The verdict is ``linear_to_db(snr_linear) >= snr_threshold_db``.  An
+    SNR at or above the upper edge of :attr:`Modulation.qot_band` lies
+    at least ``10 * log10(1 + QOT_BAND)``, about 4e-9 dB, above the
+    threshold, and one below the lower edge as far below it; the dB
+    value and the band edges are each off by a few units in the last
+    place, far less than that, so outside the band the edge decides the
+    same way.  Only inside the band is the logarithm taken.
+    """
+    low, high = modulation.qot_band
+    if snr_linear >= high:
+        return True
+    if snr_linear < low:
+        return False
     return linear_to_db(snr_linear) >= modulation.snr_threshold_db

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eonjam import sim
-from eonjam.cli import MAX_SWEEP_POINTS, load_config, main, run, validate
+from eonjam.cli import (
+    MAX_REQUESTS_PER_REPLICATION,
+    MAX_SWEEP_POINTS,
+    load_config,
+    main,
+    run,
+    validate,
+)
 from eonjam.control_plane import ControlMode
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -115,6 +122,38 @@ def test_sweep_above_the_point_limit_is_refused_before_anything_runs(tmp_path, c
         f"config error: epsilon_sweep: 5000000001 powers, more than the {MAX_SWEEP_POINTS} allowed"
     ]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_request_count_above_the_limit_is_refused_before_anything_runs(tmp_path, command):
+    # The stream of a refused count is never drawn: drawing it is what
+    # the bound prevents.
+    requests = MAX_REQUESTS_PER_REPLICATION + 1
+    config_path = write_config(
+        tmp_path,
+        dict(
+            TINY,
+            traffic={"requests_per_replication": requests, "replications": 1},
+            output_dir=str(tmp_path / "out"),
+        ),
+    )
+    started = AssertionError("the refused request count started work")
+    with mock.patch.object(sim, "_request_stream", side_effect=started), mock.patch.object(
+        sim, "run_replication", side_effect=started
+    ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=started):
+        code, out, err = _cli(command, str(config_path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"config error: traffic: requests_per_replication: {requests} requests, "
+        f"more than the {MAX_REQUESTS_PER_REPLICATION} allowed"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_request_count_at_the_limit_validates(tmp_path):
+    at_limit = dict(TINY, traffic={"requests_per_replication": MAX_REQUESTS_PER_REPLICATION})
+    with mock.patch.object(sim, "_request_stream", side_effect=AssertionError("validate drew a stream")):
+        assert validate(write_config(tmp_path, at_limit)) == []
 
 
 def test_sweep_at_the_point_limit_validates(tmp_path):

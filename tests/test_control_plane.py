@@ -1,6 +1,11 @@
+import heapq
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eonjam import control_plane, phy
 from eonjam.control_plane import (
@@ -9,6 +14,7 @@ from eonjam.control_plane import (
     NetworkState,
     Verdict,
     _build_candidate,
+    _refused_by_last_refuser,
     detect_jamming,
     evaluate_candidate,
     handle_request,
@@ -17,10 +23,11 @@ from eonjam.control_plane import (
     verify_state_invariants,
 )
 from eonjam.jammer import JammerConfig, ground_truth_channels
-from eonjam.phy import MODULATIONS, PhyParams, db_to_linear, linear_to_db
-from eonjam.sim import Request
-from eonjam.spectrum import SlotBlock, allocate
-from eonjam.topology import load_topology
+from eonjam.phy import MODULATIONS, PhyParams, channel_for_block, db_to_linear, linear_to_db
+from eonjam.metrics import results_equal
+from eonjam.sim import Request, TrafficModel, generate_request, run_replication
+from eonjam.spectrum import SlotBlock, allocate, first_fit
+from eonjam.topology import load_topology, nsfnet
 
 import reference_model as ref
 
@@ -33,6 +40,13 @@ def topo_single(length_km=100):
 
 def request(rid, src, dst, gbps, at=0.0, hold=600.0):
     return Request(rid, src, dst, gbps, at, hold)
+
+
+def candidate_on(rid, route, block, modulation, gbps, state, ground_truth):
+    channel = channel_for_block(block, state.params)
+    return _build_candidate(
+        rid, route, block, channel, modulation, gbps, 0.0, 600.0, state, ground_truth
+    )
 
 
 def test_required_slots_examples(params):
@@ -161,9 +175,7 @@ def test_admission_protects_existing_circuit(params):
     assert 0.0 < margin_db < 0.5
 
     route = topo.shortest_path("B", "C")
-    candidate = _build_candidate(
-        2, route, SlotBlock(4, 1), MOD["16QAM"], 40.0, 0.0, 600.0, state, None
-    )
+    candidate = candidate_on(2, route, SlotBlock(4, 1), MOD["16QAM"], 40.0, state, None)
     assert candidate.meets_threshold()
     verdict = evaluate_candidate(candidate, state, ControlMode.NO_JAMMING, None)
     assert verdict is Verdict.REJECT_QOT
@@ -209,9 +221,7 @@ def test_aware_accepts_out_of_band_despite_detection(params):
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=2.0)
     gt = ground_truth_channels(config, params)
     route = topo.shortest_path("A", "B")
-    candidate = _build_candidate(
-        1, route, SlotBlock(12, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt
-    )
+    candidate = candidate_on(1, route, SlotBlock(12, 2), MOD["QPSK"], 40.0, state, gt)
     assert detect_jamming(candidate, gt) is True
     assert evaluate_candidate(candidate, state, ControlMode.AWARE, gt) is Verdict.ACCEPT
 
@@ -222,21 +232,15 @@ def test_detect_jamming_cases(params):
     gt5 = ground_truth_channels(JammerConfig(target="A-B", epsilon_db=5.0), params)
 
     route_ab = topo.shortest_path("A", "B")
-    adjacent = _build_candidate(
-        1, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt5
-    )
+    adjacent = candidate_on(1, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, state, gt5)
     assert detect_jamming(adjacent, gt5) is True
 
     gt0 = ground_truth_channels(JammerConfig(target="A-B", epsilon_db=0.0), params)
-    inert = _build_candidate(
-        2, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt0
-    )
+    inert = candidate_on(2, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, state, gt0)
     assert detect_jamming(inert, gt0) is False
 
     route_bc = topo.shortest_path("B", "C")
-    off_route = _build_candidate(
-        3, route_bc, SlotBlock(46, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt5
-    )
+    off_route = candidate_on(3, route_bc, SlotBlock(46, 2), MOD["QPSK"], 40.0, state, gt5)
     assert detect_jamming(off_route, gt5) is False
 
 
@@ -246,9 +250,7 @@ def test_detection_tolerance_gates_rejection(params):
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=2.0)
     gt = ground_truth_channels(config, params)
     route = topo.shortest_path("A", "B")
-    candidate = _build_candidate(
-        1, route, SlotBlock(2, 2), MOD["QPSK"], 40.0, 0.0, 600.0, state, gt
-    )
+    candidate = candidate_on(1, route, SlotBlock(2, 2), MOD["QPSK"], 40.0, state, gt)
     assert evaluate_candidate(
         candidate, state, ControlMode.AWARE, gt, tolerance_db=0.1
     ) is Verdict.REJECT_JAMMED
@@ -344,9 +346,8 @@ def test_establish_applies_the_evaluated_deltas_once(params):
     state = NetworkState(topo, params)
     first = handle_request(request(1, "A", "C", 200.0), state, ControlMode.NO_JAMMING, None)
     assert first.priced is None and first.xci_psd == 0.0
-    candidate = _build_candidate(
-        2, topo.shortest_path("A", "B"), SlotBlock(40, 4), MOD["16QAM"], 200.0, 0.0, 600.0, state, None
-    )
+    route = topo.shortest_path("A", "B")
+    candidate = candidate_on(2, route, SlotBlock(40, 4), MOD["16QAM"], 200.0, state, None)
     assert evaluate_candidate(candidate, state, ControlMode.NO_JAMMING, None) is Verdict.ACCEPT
     deltas = candidate.priced[2]
     assert set(deltas) == {1} and deltas[1] > 0.0
@@ -359,9 +360,8 @@ def test_establish_applies_the_evaluated_deltas_once(params):
 def test_establish_refuses_a_candidate_that_was_never_evaluated(params):
     topo = topo_single(100)
     state = NetworkState(topo, params)
-    candidate = _build_candidate(
-        1, topo.shortest_path("A", "B"), SlotBlock(0, 1), MOD["64QAM"], 40.0, 0.0, 600.0, state, None
-    )
+    route = topo.shortest_path("A", "B")
+    candidate = candidate_on(1, route, SlotBlock(0, 1), MOD["64QAM"], 40.0, state, None)
     with pytest.raises(ValueError, match="not evaluated"):
         state.establish(candidate, 0.0)
     assert not state.actives
@@ -376,9 +376,7 @@ def test_establish_refuses_deltas_priced_on_other_circuits(params):
     state = NetworkState(topo, params)
 
     def evaluated(rid, start, on):
-        candidate = _build_candidate(
-            rid, route, SlotBlock(start, 1), MOD["64QAM"], 40.0, 0.0, 600.0, on, None
-        )
+        candidate = candidate_on(rid, route, SlotBlock(start, 1), MOD["64QAM"], 40.0, on, None)
         assert evaluate_candidate(candidate, on, ControlMode.NO_JAMMING, None) is Verdict.ACCEPT
         return candidate
 
@@ -414,3 +412,98 @@ def test_admission_table_equals_a_fresh_lookup(nsf, params):
                 route = nsf.shortest_path(src, dst)
                 assert entry == (route, tuple(state.grids_for_route(route)), static_reach(route, gbps, params))
                 assert state.admission(src, dst, gbps) is entry
+
+
+def test_states_of_one_topology_share_routes_and_reach(nsf, params):
+    # A second state adds only its own grids to the shared route and reach.
+    first, second = NetworkState(nsf, params), NetworkState(nsf, params)
+    route, grids, reach = first.admission("1", "14", 400.0)
+    other_route, other_grids, other_reach = second.admission("1", "14", 400.0)
+    assert other_route is route and other_reach is reach
+    assert other_grids == tuple(second.grids_for_route(route))
+    assert not set(map(id, other_grids)) & set(map(id, grids))
+
+
+def _loaded_state(seed, load, mode, epsilon_db, count):
+    """An NSFNet state after ``count`` seeded requests, and a draw of further requests."""
+    params = PhyParams()
+    topo = nsfnet()
+    ground_truth = None
+    if mode is not ControlMode.NO_JAMMING:
+        config = JammerConfig(target="8-9", epsilon_db=epsilon_db)
+        ground_truth = ground_truth_channels(config, params)
+    traffic = TrafficModel(load_erlangs=load)
+    rng = np.random.Generator(np.random.Philox(seed))
+    state = NetworkState(topo, params)
+    departures = []
+    now = 0.0
+    for rid in range(1, count + 1):
+        req, now = generate_request(rng, topo, traffic, now, rid)
+        while departures and departures[0][0] <= now:
+            state.depart(heapq.heappop(departures)[1], now)
+        outcome = handle_request(req, state, mode, ground_truth)
+        if not isinstance(outcome, Blocked):
+            heapq.heappush(departures, (outcome.departs_at, outcome.id))
+    return state, ground_truth, lambda: generate_request(rng, topo, traffic, now)[0]
+
+
+def _probe_refusals(seed, load, mode, epsilon_db):
+    """Refusals by every active circuit as last refuser, each checked in full."""
+    state, ground_truth, draw = _loaded_state(seed, load, mode, epsilon_db, 600)
+    refused = 0
+    for _ in range(30):
+        req = draw()
+        route, grids, reach = state.admission(req.source, req.destination, req.bandwidth_gbps)
+        for modulation, width in reach.formats:
+            block = first_fit(grids, width)
+            if block is None:
+                continue
+            channel = channel_for_block(block, state.params)
+            for circuit_id in list(state.actives):
+                state.last_refuser = circuit_id
+                if not _refused_by_last_refuser(state, route, channel.record):
+                    continue
+                refused += 1
+                candidate = candidate_on(
+                    req.id, route, block, modulation, req.bandwidth_gbps, state, ground_truth
+                )
+                verdict = evaluate_candidate(candidate, state, mode, ground_truth)
+                assert verdict is Verdict.REJECT_QOT, (circuit_id, block, modulation.name)
+    return refused
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([200.0, 400.0, 800.0]),
+    st.sampled_from(list(ControlMode)),
+    st.sampled_from([0.5, 3.0]),
+)
+@settings(max_examples=12, deadline=None)
+def test_a_block_the_probe_refuses_fails_the_full_check(seed, load, mode, epsilon_db):
+    _probe_refusals(seed, load, mode, epsilon_db)
+
+
+def test_the_probe_property_is_exercised():
+    assert _probe_refusals(1, 400.0, ControlMode.AWARE, 3.0) > 0
+
+
+def test_the_probe_changes_no_outcome(nsf):
+    # With the probe never refusing, every block is built and checked in
+    # full; the replications must agree to the bit.
+    traffic = TrafficModel(load_erlangs=600.0, requests_per_replication=1500, replications=1)
+    jammer = JammerConfig(target="8-9", epsilon_db=1.0)
+    probe = control_plane._refused_by_last_refuser
+    refusals = []
+
+    def counted(*args):
+        refusals.append(probe(*args))
+        return refusals[-1]
+
+    for mode in (ControlMode.UNAWARE, ControlMode.AWARE):
+        refusals.clear()
+        with mock.patch.object(control_plane, "_refused_by_last_refuser", counted):
+            probed = run_replication(7, nsf, traffic, mode, jammer)
+        assert any(refusals)
+        with mock.patch.object(control_plane, "_refused_by_last_refuser", return_value=False):
+            unprobed = run_replication(7, nsf, traffic, mode, jammer)
+        assert results_equal(probed, unprobed)

@@ -188,8 +188,8 @@ def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
     deltas, expected_deltas = {}, {}
     for span_count, members in hops:
         others = [(k, channels[k]) for k in sorted(members) if k != focus]
-        total = xci_onto(own, [c for _, c in others], span_count, params, total)
-        xci_from(own, others, span_count, params, deltas)
+        total = xci_onto(own.record, [c.record for _, c in others], span_count, params, total)
+        xci_from(own.record, [(k, c.record) for k, c in others], span_count, params, deltas)
         for k, other in others:
             term = _pair_xci(own, other, span_count, params)
             assert term == xci_psd(own, other, span_count, params)
@@ -205,9 +205,9 @@ def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
     )
     span_count = hops[0][0]
     with pytest.raises(PhyModelError):
-        xci_onto(own, channels[:focus] + [overlapping], span_count, params, 0.0)
+        xci_onto(own.record, [c.record for c in channels[:focus] + [overlapping]], span_count, params, 0.0)
     with pytest.raises(PhyModelError):
-        xci_from(overlapping, [(focus, own)], span_count, params, {})
+        xci_from(overlapping.record, [(focus, own.record)], span_count, params, {})
 
 
 def _jammer(block, eps, params):
@@ -323,6 +323,45 @@ def test_qot_verdict_boundaries():
     assert not qot_verdict(db_to_linear(8.99), bpsk)
     qam64 = MODULATIONS[-1]
     assert qot_verdict(db_to_linear(21.0), qam64)
+
+
+def _steps_around(x, count):
+    """``x`` and the ``count`` floats on either side of it."""
+    below, above = [], []
+    low = high = x
+    for _ in range(count):
+        low = math.nextafter(low, 0.0)
+        high = math.nextafter(high, math.inf)
+        below.append(low)
+        above.append(high)
+    return below + [x] + above
+
+
+@pytest.mark.parametrize("modulation", MODULATIONS, ids=lambda m: m.name)
+def test_qot_verdict_equals_the_db_comparison_around_the_threshold(modulation):
+    # Outside its band the verdict is read from a band edge without a
+    # logarithm; on every float near the threshold and near both edges
+    # it must equal the comparison in dB.
+    threshold = modulation.snr_threshold_db
+    low, high = modulation.qot_band
+    assert low < db_to_linear(threshold) < high
+    for centre in (db_to_linear(threshold), low, high):
+        for x in _steps_around(centre, 10_000):
+            assert qot_verdict(x, modulation) == (linear_to_db(x) >= threshold), x
+
+
+@given(st.sampled_from(MODULATIONS), st.data())
+@settings(max_examples=2000, deadline=None)
+def test_qot_verdict_equals_the_db_comparison(modulation, data):
+    # Drawn anywhere, or within a relative 1e-8 of the linear threshold.
+    linear = db_to_linear(modulation.snr_threshold_db)
+    x = data.draw(
+        st.one_of(
+            st.floats(min_value=1e-300, max_value=1e300),
+            st.floats(min_value=-1e-8, max_value=1e-8).map(lambda r: linear * (1.0 + r)),
+        )
+    )
+    assert qot_verdict(x, modulation) == (linear_to_db(x) >= modulation.snr_threshold_db)
 
 
 def test_modulation_table_matches_convention():
