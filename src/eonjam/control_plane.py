@@ -63,6 +63,7 @@ and the physics, so every state of one topology and physics shares them
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import weakref
@@ -196,6 +197,27 @@ class NetworkState:
         self.last_refuser: int | None = None
         self._admission: dict[tuple[str, str, float], tuple] = {}
         self._demands = _demand_tables.setdefault(topology, {}).setdefault(params, {})
+
+    def copy(self) -> "NetworkState":
+        """An exact, independent :class:`NetworkState` of the same network.
+
+        The grids, the hop lists and every active :class:`Lightpath` are
+        copied (a circuit's ``xci_psd`` changes as neighbours come and
+        go); the topology, the physics, the shared demand table and the
+        immutable channels and records are shared.  The admission table
+        starts empty, since its entries hold this state's grids.
+        """
+        twin = NetworkState.__new__(NetworkState)
+        twin.topology = self.topology
+        twin.params = self.params
+        twin.grids = {hop: grid.copy() for hop, grid in self.grids.items()}
+        twin.grid_actives = {hop: dict(on_hop) for hop, on_hop in self.grid_actives.items()}
+        twin.actives = {key: copy.copy(lightpath) for key, lightpath in self.actives.items()}
+        twin.changes = self.changes
+        twin.last_refuser = self.last_refuser
+        twin._admission = {}
+        twin._demands = self._demands
+        return twin
 
     def grids_for_route(self, route: Route) -> list[SlotGrid]:
         return [self.grids[hop] for hop in route.directed_hops]

@@ -17,6 +17,13 @@ so a replication's whole stream is drawn once per seed, by
 cached, so the replications of one seed share it; :func:`run_scenario`
 runs its jobs seed by seed and empties the cache when it returns.
 
+The unaware and the aware plane decide alike on every request until
+the aware plane first forbids a jammed range.  So :func:`run_scenario`
+runs a seed's two planes at one power as one pair job: a single state
+serves both, in aware mode, and at that first detection it is copied,
+so that each plane goes on with a state of its own (:func:`_replay`).
+A pair that never detects gives one result for both planes.
+
 The arrivals are already in time order, so the engine walks them in
 order and keeps only departures on a heap of ``(departs_at,
 lightpath_id)`` pairs.  Before each arrival it releases every circuit
@@ -150,8 +157,9 @@ def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) ->
 
     Keyed by what the draws depend on, so the replications of one seed
     under different planes and powers share one stream, also in a worker
-    process that received its own copy of the topology.  One stream is
-    kept; :func:`run_scenario` clears it when it returns.
+    process that received its own copy of the topology.  A pair job
+    draws it once for both of its planes.  One stream is kept;
+    :func:`run_scenario` clears it when it returns.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     where = _Nodes(nodes)
@@ -161,6 +169,175 @@ def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) ->
         request, previous = generate_request(rng, where, traffic, previous, request_id)
         requests.append(request)
     return tuple(requests)
+
+
+class _Split(Exception):
+    """Raised at the shared state's first detection: the planes part there."""
+
+
+class _SharedState(NetworkState):
+    """One state for the unaware and the aware plane of a seed and power.
+
+    It is served in aware mode.  Its first :meth:`forbid_range` call
+    raises :class:`_Split` instead of forbidding; from there on it is
+    the unaware plane's state, which never forbids, and a copy is the
+    aware plane's (see :func:`_replay`).
+    """
+
+    def forbid_range(self, link_id, block):
+        raise _Split
+
+
+class _Branch:
+    """One plane's run: its state, its departure heap and its counts."""
+
+    __slots__ = ("mode", "state", "departures", "blocked_by_reason", "established", "events")
+
+    def __init__(self, mode: ControlMode, state: NetworkState):
+        self.mode = mode
+        self.state = state
+        self.departures: list[tuple[float, int]] = []
+        self.blocked_by_reason: dict[str, int] = {}
+        self.established = 0
+        self.events = 0
+
+    def fork(self, mode: ControlMode) -> "_Branch":
+        """An independent branch in ``mode`` that starts where this one stands."""
+        twin = _Branch(mode, self.state.copy())
+        twin.departures = list(self.departures)
+        twin.blocked_by_reason = dict(self.blocked_by_reason)
+        twin.established = self.established
+        twin.events = self.events
+        return twin
+
+
+def _replay(
+    requests: tuple[Request, ...],
+    branches: list[_Branch],
+    ground_truth: GroundTruth | None,
+    tolerance_db: float,
+    audit_hook=None,
+    audit_every: int = 0,
+) -> list[_Branch]:
+    """Serve ``requests`` on every branch, in arrival order; return the branches.
+
+    Before each request, each branch releases the circuits due at or
+    before its arrival, earliest first and in request order at equal
+    times.  The circuits left after the last arrival depart at that
+    arrival's time.  ``audit_hook(state, kind, time)`` is called on
+    every ``audit_every``-th event of a branch.
+
+    A lone branch on a :class:`_SharedState` splits in two.  This relies
+    on the planes deciding alike until the aware plane's first
+    ``forbid_range``: before it, the aware plane differs only by
+    detections on blocks that overlap no jammed range, which reject
+    nothing.  When the shared state raises :class:`_Split`, the request
+    has changed nothing of it but ``last_refuser`` (no circuit was
+    established and no range forbidden), so that is restored, the
+    branch is forked, and the request is served again on the unaware
+    branch and on the aware fork.  Running detection before the own-QoT
+    check (ROADMAP item 1) must re-check this: it moves the split
+    earlier, and its probe skip for detectable blocks changes
+    ``last_refuser`` but no outcome.
+    """
+    horizon = requests[-1].arrival_time if requests else 0.0
+
+    def event(branch: _Branch, kind: int, now: float) -> None:
+        branch.events += 1
+        if audit_hook is not None and audit_every and branch.events % audit_every == 0:
+            audit_hook(branch.state, kind, now)
+
+    def depart_through(branch: _Branch, limit: float) -> None:
+        departures = branch.departures
+        while departures and departures[0][0] <= limit:
+            departs_at, lightpath_id = heapq.heappop(departures)
+            now = min(departs_at, horizon)
+            branch.state.depart(lightpath_id, now)
+            event(branch, DEPARTURE, now)
+
+    def serve(branch: _Branch, request: Request) -> None:
+        outcome = handle_request(
+            request, branch.state, branch.mode, ground_truth, tolerance_db=tolerance_db
+        )
+        if isinstance(outcome, Blocked):
+            reasons = branch.blocked_by_reason
+            reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
+        else:
+            branch.established += 1
+            heapq.heappush(branch.departures, (outcome.departs_at, outcome.id))
+        event(branch, ARRIVAL, request.arrival_time)
+
+    for request in requests:
+        for branch in branches:
+            depart_through(branch, request.arrival_time)
+        refuser = branches[0].state.last_refuser
+        try:
+            for branch in branches:
+                serve(branch, request)
+        except _Split:
+            [shared] = branches  # only a lone shared branch splits
+            shared.state.last_refuser = refuser
+            branches = [shared, shared.fork(ControlMode.AWARE)]
+            shared.mode = ControlMode.UNAWARE
+            for branch in branches:
+                serve(branch, request)
+    for branch in branches:
+        depart_through(branch, math.inf)
+    return branches
+
+
+def _ground_truth(mode, jammer_config, params, ranking, topology) -> GroundTruth | None:
+    """The attack a replication in ``mode`` runs under (None without jamming)."""
+    if mode is ControlMode.NO_JAMMING:
+        if jammer_config is not None:
+            raise ValueError("no_jamming runs must not carry a jammer")
+        return None
+    if jammer_config is None:
+        raise ValueError(f"mode {mode.value} requires a jammer config")
+    target = resolve_target(jammer_config, ranking)
+    topology.link_by_id(target)
+    return ground_truth_channels(jammer_config, params, target_link_id=target)
+
+
+def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.ReplicationResult:
+    """Aggregate a drained branch's statistics up to the last arrival."""
+    state = branch.state
+    if state.actives:
+        raise RuntimeError("drain left active circuits behind")
+    horizon = requests[-1].arrival_time if requests else 0.0
+    state.flush_time(horizon)
+
+    slot_count = next(iter(state.grids.values())).slot_count if state.grids else 0
+    by_link: dict[str, np.ndarray] = {}
+    used_by_link: dict[str, np.ndarray] = {}
+    all_grids = []
+    for grid in state.grids.values():
+        if horizon > 0:
+            fractions = grid.reserved_seconds / horizon
+            used_vec = grid.used_seconds / horizon
+        else:
+            fractions = np.zeros(slot_count)
+            used_vec = np.zeros(slot_count)
+        all_grids.append(fractions)
+        if grid.link_id in by_link:
+            by_link[grid.link_id] = (by_link[grid.link_id] + fractions) / 2.0
+            used_by_link[grid.link_id] = (used_by_link[grid.link_id] + used_vec) / 2.0
+        else:
+            by_link[grid.link_id] = fractions
+            used_by_link[grid.link_id] = used_vec
+    slot_utilization = (
+        np.mean(np.stack(all_grids), axis=0) if all_grids else np.zeros(slot_count)
+    )
+
+    return metrics.ReplicationResult(
+        requests=len(requests),
+        blocked_by_reason=dict(sorted(branch.blocked_by_reason.items())),
+        slot_utilization=slot_utilization,
+        slot_utilization_by_link=by_link,
+        slot_used_by_link=used_by_link,
+        established=branch.established,
+        horizon_s=horizon,
+    )
 
 
 def run_replication(
@@ -190,87 +367,35 @@ def run_replication(
     """
     if params is None:
         params = PhyParams()
-    if mode is ControlMode.NO_JAMMING:
-        if jammer_config is not None:
-            raise ValueError("no_jamming runs must not carry a jammer")
-        ground_truth: GroundTruth | None = None
-    else:
-        if jammer_config is None:
-            raise ValueError(f"mode {mode.value} requires a jammer config")
-        target = resolve_target(jammer_config, utilization_ranking)
-        topology.link_by_id(target)
-        ground_truth = ground_truth_channels(jammer_config, params, target_link_id=target)
-
-    state = NetworkState(topology, params)
+    ground_truth = _ground_truth(mode, jammer_config, params, utilization_ranking, topology)
     requests = _request_stream(seed, topology.nodes, traffic)
-    horizon = requests[-1].arrival_time if requests else 0.0
-
-    blocked_by_reason: dict[str, int] = {}
-    established = 0
-    departures: list[tuple[float, int]] = []
-    processed = 0
-
-    def processed_event(kind: int, now: float) -> None:
-        nonlocal processed
-        processed += 1
-        if audit_hook is not None and audit_every and processed % audit_every == 0:
-            audit_hook(state, kind, now)
-
-    def depart_through(limit: float) -> None:
-        while departures and departures[0][0] <= limit:
-            departs_at, lightpath_id = heapq.heappop(departures)
-            now = min(departs_at, horizon)
-            state.depart(lightpath_id, now)
-            processed_event(DEPARTURE, now)
-
-    for request in requests:
-        depart_through(request.arrival_time)
-        outcome = handle_request(
-            request, state, mode, ground_truth, tolerance_db=detection_tolerance_db
-        )
-        if isinstance(outcome, Blocked):
-            blocked_by_reason[outcome.reason] = blocked_by_reason.get(outcome.reason, 0) + 1
-        else:
-            established += 1
-            heapq.heappush(departures, (outcome.departs_at, outcome.id))
-        processed_event(ARRIVAL, request.arrival_time)
-    depart_through(math.inf)
-
-    if state.actives:
-        raise RuntimeError("drain left active circuits behind")
-    state.flush_time(horizon)
-
-    slot_count = next(iter(state.grids.values())).slot_count if state.grids else 0
-    by_link: dict[str, np.ndarray] = {}
-    used_by_link: dict[str, np.ndarray] = {}
-    all_grids = []
-    for grid in state.grids.values():
-        if horizon > 0:
-            fractions = grid.reserved_seconds / horizon
-            used_vec = grid.used_seconds / horizon
-        else:
-            fractions = np.zeros(slot_count)
-            used_vec = np.zeros(slot_count)
-        all_grids.append(fractions)
-        if grid.link_id in by_link:
-            by_link[grid.link_id] = (by_link[grid.link_id] + fractions) / 2.0
-            used_by_link[grid.link_id] = (used_by_link[grid.link_id] + used_vec) / 2.0
-        else:
-            by_link[grid.link_id] = fractions
-            used_by_link[grid.link_id] = used_vec
-    slot_utilization = (
-        np.mean(np.stack(all_grids), axis=0) if all_grids else np.zeros(slot_count)
+    branch = _Branch(mode, NetworkState(topology, params))
+    [branch] = _replay(
+        requests, [branch], ground_truth, detection_tolerance_db, audit_hook, audit_every
     )
+    return _result(branch, requests)
 
-    return metrics.ReplicationResult(
-        requests=len(requests),
-        blocked_by_reason=dict(sorted(blocked_by_reason.items())),
-        slot_utilization=slot_utilization,
-        slot_utilization_by_link=by_link,
-        slot_used_by_link=used_by_link,
-        established=established,
-        horizon_s=horizon,
-    )
+
+#: The modes of a paired job, in the order of its results.
+_PAIR = (ControlMode.UNAWARE, ControlMode.AWARE)
+
+
+def _paired_replications(
+    seed, topology, traffic, jammer_config, params, tolerance_db, ranking
+) -> tuple[metrics.ReplicationResult, metrics.ReplicationResult]:
+    """The unaware and the aware replication of one seed and jammer.
+
+    Both are served on one :class:`_SharedState` until the aware
+    plane's first detection; each result equals the one
+    :func:`run_replication` gives in its mode.  A pair that never splits
+    has one result for both modes.
+    """
+    ground_truth = _ground_truth(ControlMode.AWARE, jammer_config, params, ranking, topology)
+    requests = _request_stream(seed, topology.nodes, traffic)
+    shared = _Branch(ControlMode.AWARE, _SharedState(topology, params))
+    branches = _replay(requests, [shared], ground_truth, tolerance_db)
+    results = tuple(_result(branch, requests) for branch in branches)
+    return results * 2 if len(results) == 1 else results
 
 
 def epsilon_sweep_length(start: float, stop: float, step: float) -> int:
@@ -306,6 +431,10 @@ def _replication_job(args):
         tolerance,
         ranking,
     ) = args
+    if mode == _PAIR:
+        return _paired_replications(
+            seed, topology, traffic, jammer_config, params, tolerance, ranking
+        )
     return run_replication(
         seed,
         topology,
@@ -386,9 +515,16 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     same ranking as :func:`compute_utilization_ranking`).  They are kept
     as the no-jamming point when the modes include it.
 
-    Jobs are submitted seed by seed, so consecutive replications share
-    the cached request stream, and regrouped per point.  The cache is
-    emptied on return, so every call draws its streams afresh.
+    Jobs are submitted seed by seed, so consecutive jobs share the
+    cached request stream, and their results are regrouped per point.
+    Where a power has both an unaware and an aware point, one pair job
+    (:func:`_paired_replications`) serves both planes of a seed, split
+    at the aware plane's first detection; its results equal two
+    :func:`run_replication` calls.  Pairs are formed only when the pool
+    still gets a job per worker, that is when the jobs left after
+    pairing are at least ``min(workers, os.cpu_count())``; one worker
+    always pairs.  The cache is emptied on return, so every call draws
+    its streams afresh.
     """
     if len(set(config.modes)) != len(config.modes):
         raise ValueError("a mode may be listed only once")
@@ -443,10 +579,26 @@ def _run_scenario(config, ranking) -> ScenarioResult:
         target_link_id = resolve_target(config.jammer, ranking)
         topology.link_by_id(target_link_id)
 
-    outputs = iter(_run_jobs([job(seed, *key) for seed in seeds for key in pending], config.workers))
-    for _ in seeds:
-        for key in pending:
-            grouped.setdefault(key, []).append(next(outputs))
+    # A pair job serves a power's unaware and aware keys together; pair
+    # only when the pool still gets at least one job per worker.
+    paired = {eps for mode, eps in pending if mode is ControlMode.UNAWARE} & {
+        eps for mode, eps in pending if mode is ControlMode.AWARE
+    }
+    if len(seeds) * (len(pending) - len(paired)) < min(config.workers, os.cpu_count() or 1):
+        paired = set()
+    jobs, keys = [], []
+    for seed in seeds:
+        for mode, eps in pending:
+            if eps in paired:
+                if mode is not ControlMode.UNAWARE:
+                    continue
+                mode = _PAIR
+            jobs.append(job(seed, mode, eps))
+            keys.append((mode, eps))
+    for (mode, eps), output in zip(keys, _run_jobs(jobs, config.workers), strict=True):
+        results = zip(_PAIR, output) if mode == _PAIR else [(mode, output)]
+        for each_mode, result in results:
+            grouped.setdefault((each_mode, eps), []).append(result)
     points = tuple(
         ScenarioPoint(
             mode=mode,

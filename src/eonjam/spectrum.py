@@ -151,6 +151,27 @@ class SlotGrid:
         self._dts = [0.0] * BUSY_TIME_BATCH
         self._pending = 0
 
+    def copy(self) -> "SlotGrid":
+        """An independent grid with the same slots, blocks and busy time.
+
+        The step buffer is copied unintegrated, so the copy adds its
+        steps in the same order as this grid would.
+        """
+        twin = SlotGrid.__new__(SlotGrid)
+        twin.link_id = self.link_id
+        twin.direction = self.direction
+        twin.slot_count = self.slot_count
+        twin.used = self.used
+        twin.blocks = dict(self.blocks)
+        twin.forbidden = list(self.forbidden)
+        twin.forbidden_mask = self.forbidden_mask
+        twin._seconds = self._seconds.copy()
+        twin._clock = self._clock
+        twin._masks = list(self._masks)
+        twin._dts = list(self._dts)
+        twin._pending = self._pending
+        return twin
+
     def advance_time(self, now: float) -> None:
         """Integrate busy time up to ``now`` (monotone, clamped below).
 

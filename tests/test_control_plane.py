@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eonjam import control_plane, phy
+from eonjam import control_plane, phy, sim
 from eonjam.control_plane import (
     Blocked,
     ControlMode,
@@ -507,3 +507,90 @@ def test_the_probe_changes_no_outcome(nsf):
         with mock.patch.object(control_plane, "_refused_by_last_refuser", return_value=False):
             unprobed = run_replication(7, nsf, traffic, mode, jammer)
         assert results_equal(probed, unprobed)
+
+
+def _serve(state, requests, mode, ground_truth):
+    """Serve ``requests`` in order on ``state``, releasing circuits as they fall due."""
+    departures = [(lightpath.departs_at, lightpath.id) for lightpath in state.actives.values()]
+    heapq.heapify(departures)
+    outcomes = []
+    for req in requests:
+        while departures and departures[0][0] <= req.arrival_time:
+            state.depart(heapq.heappop(departures)[1], req.arrival_time)
+        outcome = handle_request(req, state, mode, ground_truth)
+        if not isinstance(outcome, Blocked):
+            heapq.heappush(departures, (outcome.departs_at, outcome.id))
+            outcome = outcome.block
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _stream_state(nsf, params, mode, epsilon_db, served, total):
+    """A state after the first ``served`` of ``total`` seeded requests, and the rest."""
+    requests = sim._request_stream(
+        7, nsf.nodes, TrafficModel(load_erlangs=600.0, requests_per_replication=total)
+    )
+    sim._request_stream.cache_clear()
+    ground_truth = ground_truth_channels(JammerConfig(target="8-9", epsilon_db=epsilon_db), params)
+    state = NetworkState(nsf, params)
+    _serve(state, requests[:served], mode, ground_truth)
+    return state, ground_truth, requests[served:]
+
+
+@pytest.mark.parametrize("mode", [ControlMode.UNAWARE, ControlMode.AWARE])
+def test_a_copied_state_serves_a_stream_exactly_like_the_original(nsf, params, mode):
+    state, ground_truth, rest = _stream_state(nsf, params, mode, 1.0, 500, 1200)
+    twin = state.copy()
+    assert len(state.actives) > 100
+    assert _serve(state, rest, mode, ground_truth) == _serve(twin, rest, mode, ground_truth)
+    horizon = rest[-1].arrival_time
+    state.flush_time(horizon)
+    twin.flush_time(horizon)
+
+    assert twin.actives.keys() == state.actives.keys()
+    for key, lightpath in state.actives.items():
+        assert twin.actives[key] is not lightpath
+        assert twin.actives[key].xci_psd == lightpath.xci_psd
+    for hop, grid in state.grids.items():
+        assert (twin.grids[hop].used_seconds == grid.used_seconds).all()
+        assert (twin.grids[hop].reserved_seconds == grid.reserved_seconds).all()
+        assert twin.grid_actives[hop] == state.grid_actives[hop]
+    assert twin.forbidden_ranges == state.forbidden_ranges
+    if mode is ControlMode.AWARE:
+        assert state.forbidden_ranges  # the stream meets a detection
+    verify_state_invariants(state, mode, ground_truth)
+    verify_state_invariants(twin, mode, ground_truth)
+
+
+def _snapshot(state):
+    grids = {
+        hop: (
+            grid.used,
+            dict(grid.blocks),
+            list(grid.forbidden),
+            grid.forbidden_mask,
+            grid.used_seconds.tolist(),
+            grid.reserved_seconds.tolist(),
+        )
+        for hop, grid in state.grids.items()
+    }
+    xci = {key: lightpath.xci_psd for key, lightpath in state.actives.items()}
+    hops = {hop: dict(on_hop) for hop, on_hop in state.grid_actives.items()}
+    return grids, xci, hops, state.changes, state.last_refuser
+
+
+def test_departing_or_forbidding_on_a_copy_leaves_the_original_untouched(nsf, params):
+    state, ground_truth, rest = _stream_state(nsf, params, ControlMode.UNAWARE, 1.0, 500, 500)
+    before = _snapshot(state)
+    twin = state.copy()
+    now = max(lightpath.departs_at for lightpath in state.actives.values())
+    for lightpath_id in list(twin.actives)[::3]:
+        twin.depart(lightpath_id, now)
+    for jammed_range in ground_truth.jammed_ranges:
+        assert twin.forbid_range(ground_truth.link_id, jammed_range)
+    assert _snapshot(state) == before
+    assert not state.forbidden_ranges
+    assert len(twin.actives) < len(state.actives)
+    verify_state_invariants(state, ControlMode.UNAWARE, ground_truth)
+    # The forbidden ranges may still hold circuits from before the marks.
+    verify_state_invariants(twin, ControlMode.UNAWARE, ground_truth)

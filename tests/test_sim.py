@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -309,15 +310,7 @@ def test_run_scenario_draws_each_seed_once_and_empties_the_cache():
     assert sim._request_stream.cache_info().currsize == 0
 
     # Jobs ran seed by seed; each point still lists its seeds in order.
-    topology = config.load_topology()
-    for point in result.points:
-        jam = None
-        if point.mode is not ControlMode.NO_JAMMING:
-            jam = JammerConfig(target="8-9", epsilon_db=point.epsilon_db)
-        for r, got in enumerate(point.results):
-            alone = run_replication(31 + r, topology, traffic, point.mode, jam)
-            assert results_equal(got, alone)
-    sim._request_stream.cache_clear()
+    assert _separate_runs_equal(result, config)
 
 
 @pytest.mark.parametrize(
@@ -422,3 +415,127 @@ def test_custom_jammed_ranges_flow(nsf):
     )
     result = run_replication(5, nsf, traffic, ControlMode.AWARE, jam)
     assert result.requests == 400
+
+
+def _separate_runs_equal(result, config):
+    """Whether every point of ``result`` equals its own ``run_replication`` calls."""
+    topology = config.load_topology()
+    target = result.points[-1].target_link_id
+    for point in result.points:
+        jam = None
+        if point.mode is not ControlMode.NO_JAMMING:
+            jam = JammerConfig(
+                target=target,
+                jammed_ranges=config.jammer.jammed_ranges,
+                epsilon_db=point.epsilon_db,
+            )
+        for r, got in enumerate(point.results):
+            alone = run_replication(config.base_seed + r, topology, config.traffic, point.mode, jam)
+            if not results_equal(got, alone):
+                return False
+    sim._request_stream.cache_clear()
+    return True
+
+
+def _spied_scenario(config):
+    """``run_scenario`` counting its pair jobs and the state copies of their splits."""
+    copy = control_plane.NetworkState.copy
+    with mock.patch.object(sim, "_paired_replications", wraps=sim._paired_replications) as pairs, \
+            mock.patch.object(
+                control_plane.NetworkState, "copy", autospec=True, side_effect=copy
+            ) as splits:
+        result = run_scenario(config)
+    return result, pairs.call_count, splits.call_count
+
+
+@pytest.mark.parametrize("load", [200.0, 800.0])
+def test_paired_planes_equal_separate_replications(load):
+    # On NSFNet the aware plane detects the most-used-link attack at some
+    # powers and never at others; on the metro network at 2.5 dB and
+    # 200 E, seed 9 detects early in the run and seed 7 late.
+    nsfnet_sweep = ScenarioConfig(
+        topology="nsfnet",
+        modes=(ControlMode.NO_JAMMING, ControlMode.UNAWARE, ControlMode.AWARE),
+        jammer=JammerConfig(target="most_used"),
+        epsilon_sweep=(0.0, 5.0, 1.0),
+        traffic=TrafficModel(load_erlangs=load, requests_per_replication=1500, replications=1),
+        base_seed=7,
+        output_dir="unused",
+    )
+    metro = ScenarioConfig(
+        topology=str(Path(__file__).parents[1] / "benchmarks" / "workloads" / "metro.topo"),
+        modes=(ControlMode.UNAWARE, ControlMode.AWARE),
+        jammer=JammerConfig(target="8-9"),
+        epsilon_sweep=(2.5, 2.5, 1.0),
+        traffic=TrafficModel(load_erlangs=load, requests_per_replication=3000, replications=3),
+        base_seed=7,
+        output_dir="unused",
+    )
+    pairs = splits = 0
+    for config in (nsfnet_sweep, metro):
+        result, config_pairs, config_splits = _spied_scenario(config)
+        powers = len(epsilon_sweep_values(*config.epsilon_sweep))
+        assert config_pairs == config.traffic.replications * powers
+        assert _separate_runs_equal(result, config)
+        pairs += config_pairs
+        splits += config_splits
+    # Some pairs split at a detection and some ran as one to the end.
+    assert 0 < splits < pairs
+
+
+def test_a_lone_plane_or_an_idle_worker_gets_no_pair_job(nsf):
+    aware_only = ScenarioConfig(
+        topology="nsfnet",
+        modes=(ControlMode.AWARE,),
+        jammer=JammerConfig(target="8-9"),
+        epsilon_sweep=(0.0, 1.0, 1.0),
+        traffic=TrafficModel(requests_per_replication=400, replications=2),
+        base_seed=3,
+        output_dir="unused",
+    )
+    result, pairs, _ = _spied_scenario(aware_only)
+    assert pairs == 0
+    assert _separate_runs_equal(result, aware_only)
+
+    # One seed and one power on two workers: a pair job would leave one
+    # worker idle.  A fake pool maps in order; no process starts.
+    two_workers = ScenarioConfig(
+        topology="nsfnet",
+        modes=(ControlMode.UNAWARE, ControlMode.AWARE),
+        jammer=JammerConfig(target="8-9"),
+        epsilon_sweep=(1.0, 1.0, 1.0),
+        traffic=TrafficModel(requests_per_replication=400, replications=1),
+        base_seed=3,
+        output_dir="unused",
+        workers=2,
+    )
+    with mock.patch.object(sim, "ProcessPoolExecutor") as pool, \
+            mock.patch.object(sim.os, "cpu_count", return_value=4):
+        pool.return_value.__enter__.return_value.map.side_effect = map
+        result, pairs, _ = _spied_scenario(two_workers)
+    assert pairs == 0
+    assert pool.call_args_list == [mock.call(max_workers=2)]
+    assert _separate_runs_equal(result, two_workers)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, powers, seeds, paired",
+    [(1, 4, 1, 1, True), (2, 4, 1, 1, False), (2, 4, 2, 1, True), (2, 1, 1, 1, True),
+     (4, 4, 1, 3, False), (4, 4, 2, 2, True), (8, 2, 1, 2, True)],
+)
+def test_pairs_are_formed_only_with_a_job_for_every_worker(workers, cpus, powers, seeds, paired):
+    config = ScenarioConfig(
+        topology="nsfnet",
+        modes=(ControlMode.UNAWARE, ControlMode.AWARE),
+        jammer=JammerConfig(target="8-9"),
+        epsilon_sweep=(1.0, float(powers), 1.0),
+        traffic=TrafficModel(requests_per_replication=20, replications=seeds),
+        base_seed=3,
+        output_dir="unused",
+        workers=workers,
+    )
+    with mock.patch.object(sim, "ProcessPoolExecutor") as pool, \
+            mock.patch.object(sim.os, "cpu_count", return_value=cpus):
+        pool.return_value.__enter__.return_value.map.side_effect = map
+        _, pairs, _ = _spied_scenario(config)
+    assert pairs == (powers * seeds if paired else 0)
