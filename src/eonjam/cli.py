@@ -34,6 +34,8 @@ is created under the working directory of the ``eonjam`` process.  The
 environment variable ``EONJAM_OUTPUT_DIR`` overrides ``output_dir``.
 An ``epsilon_sweep`` may hold at most :data:`MAX_SWEEP_POINTS` powers,
 and a replication at most :data:`MAX_REQUESTS_PER_REPLICATION` requests.
+A key the format does not define, at the top level or inside
+``traffic``, ``jammer`` or ``epsilon_sweep``, is a configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -46,7 +48,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -133,6 +135,16 @@ _TRAFFIC_FIELDS = {
 }
 
 
+_CONFIG_FIELDS = tuple(field.name for field in fields(ScenarioConfig))
+_JAMMER_FIELDS = ("target", "jammed_ranges")
+_SWEEP_FIELDS = ("start", "stop", "step")
+
+
+def _unknown_keys(section: str, data: dict, known) -> list[str]:
+    """One violation per key of ``data`` that ``known`` does not hold."""
+    return [f"{section}: unknown key {key!r}" for key in data if key not in known]
+
+
 def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, list[str]]:
     violations: list[str] = []
     if not isinstance(data, dict):
@@ -154,8 +166,9 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
             loaded = _load_topology(topology)
         except (OSError, ValueError) as exc:
             violations.append(f"topology: {exc}")
+    violations += _unknown_keys("config", data, _CONFIG_FIELDS)
 
-    raw_modes = data.get("modes", data.get("mode"))
+    raw_modes = data.get("modes")
     if isinstance(raw_modes, str):
         raw_modes = [raw_modes]
     modes: list[ControlMode] = []
@@ -178,6 +191,7 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
     if jammer_data is not None and not isinstance(jammer_data, dict):
         violations.append("jammer: expected a mapping with target and jammed_ranges")
     elif jammer_data is not None:
+        violations += _unknown_keys("jammer", jammer_data, _JAMMER_FIELDS)
         target = jammer_data.get("target")
         if not isinstance(target, str) or not target:
             violations.append("jammer.target: required (most_used, least_used or a link id)")
@@ -211,6 +225,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
 
     sweep_raw = data.get("epsilon_sweep")
     sweep = None
+    if isinstance(sweep_raw, dict):
+        violations += _unknown_keys("epsilon_sweep", sweep_raw, _SWEEP_FIELDS)
     if sweep_raw is not None:
         try:
             sweep = (
@@ -239,6 +255,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
                         )
 
     traffic_raw = data.get("traffic", {})
+    if isinstance(traffic_raw, dict):
+        violations += _unknown_keys("traffic", traffic_raw, _TRAFFIC_FIELDS)
     try:
         if not isinstance(traffic_raw, dict):
             raise TypeError("expected a mapping")
@@ -467,14 +485,30 @@ def _print_summary(result: sim.ScenarioResult) -> None:
         )
 
 
-def run(config_path, per_link_slots: bool = False) -> int:
-    """Execute a scenario file and write its CSV artifacts."""
+def _command(config_path, action) -> int:
+    """Load a scenario file and run ``action(config)``; return the exit code.
+
+    Each violation of the file prints one ``config error:`` line and
+    gives 1; an ``OSError`` or ``ValueError`` from ``action`` prints one
+    ``runtime error:`` line and gives 2.
+    """
     config, violations = load_config(config_path)
     if violations:
         for violation in violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 1
     try:
+        action(config)
+    except (OSError, ValueError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def run(config_path, per_link_slots: bool = False) -> int:
+    """Execute a scenario file and write its CSV artifacts."""
+
+    def simulate(config: ScenarioConfig) -> None:
         outdir = _output_dir(config)
         outdir.mkdir(parents=True, exist_ok=True)
         ranking = None
@@ -486,34 +520,22 @@ def run(config_path, per_link_slots: bool = False) -> int:
         _write_outputs(config, result, outdir, per_link_slots)
         _print_summary(result)
         print(f"wrote {outdir / 'blocking.csv'} and {outdir / 'slots.csv'}")
-    except (OSError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+
+    return _command(config_path, simulate)
 
 
-def _cmd_rank_links(config_path) -> int:
-    config, violations = load_config(config_path)
-    if violations:
-        for violation in violations:
-            print(f"config error: {violation}", file=sys.stderr)
-        return 1
-    try:
-        outdir = _output_dir(config)
-        outdir.mkdir(parents=True, exist_ok=True)
-        ranking = _cached_ranking(config, outdir)
-        if ranking is None:
-            ranking = sim.compute_utilization_ranking(
-                config.load_topology(), config.traffic, config.base_seed, workers=config.workers
-            )
-            _write_ranking(config, outdir, ranking)
-        for index, (link_id, value) in enumerate(ranking, start=1):
-            print(f"{index:2d}. {link_id}  {value:.6f}")
-        print(f"wrote {outdir / 'link_ranking.csv'}")
-    except (OSError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def _rank_links(config: ScenarioConfig) -> None:
+    outdir = _output_dir(config)
+    outdir.mkdir(parents=True, exist_ok=True)
+    ranking = _cached_ranking(config, outdir)
+    if ranking is None:
+        ranking = sim.compute_utilization_ranking(
+            config.load_topology(), config.traffic, config.base_seed, workers=config.workers
+        )
+        _write_ranking(config, outdir, ranking)
+    for index, (link_id, value) in enumerate(ranking, start=1):
+        print(f"{index:2d}. {link_id}  {value:.6f}")
+    print(f"wrote {outdir / 'link_ranking.csv'}")
 
 
 def main(argv=None) -> int:
@@ -541,14 +563,8 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         return run(args.config, per_link_slots=args.per_link_slots)
     if args.command == "validate":
-        violations = validate(args.config)
-        if violations:
-            for violation in violations:
-                print(f"config error: {violation}", file=sys.stderr)
-            return 1
-        print("ok")
-        return 0
-    return _cmd_rank_links(args.config)
+        return _command(args.config, lambda config: print("ok"))
+    return _command(args.config, _rank_links)
 
 
 if __name__ == "__main__":

@@ -53,12 +53,12 @@ against that one circuit alone (:func:`_refused_by_last_refuser`).  A
 block it refuses is never built; the verdict is the one the full check
 would give.
 
-What a request's endpoints and bandwidth fix is looked up once per
-state: :meth:`NetworkState.admission` keeps the route, its slot grids
-and its :func:`static_reach` under ``(source, destination,
-bandwidth_gbps)``.  The route and the reach depend only on the topology
-and the physics, so every state of one topology and physics shares them
-(``_demand_tables``) and adds only its own grids.
+What a request's endpoints and bandwidth fix is computed once:
+:meth:`NetworkState.admission` keeps the route and its
+:func:`static_reach` under ``(source, destination, bandwidth_gbps)``.
+They depend only on the topology and the physics, so every state of one
+topology and physics shares them (``_demand_tables``); each request
+reads its route's slot grids from its own state.
 """
 
 from __future__ import annotations
@@ -195,7 +195,6 @@ class NetworkState:
         self.actives: dict[int, Lightpath] = {}
         self.changes = 0
         self.last_refuser: int | None = None
-        self._admission: dict[tuple[str, str, float], tuple] = {}
         self._demands = _demand_tables.setdefault(topology, {}).setdefault(params, {})
 
     def copy(self) -> "NetworkState":
@@ -204,8 +203,7 @@ class NetworkState:
         The grids, the hop lists and every active :class:`Lightpath` are
         copied (a circuit's ``xci_psd`` changes as neighbours come and
         go); the topology, the physics, the shared demand table and the
-        immutable channels and records are shared.  The admission table
-        starts empty, since its entries hold this state's grids.
+        immutable channels and records are shared.
         """
         twin = NetworkState.__new__(NetworkState)
         twin.topology = self.topology
@@ -215,7 +213,6 @@ class NetworkState:
         twin.actives = {key: copy.copy(lightpath) for key, lightpath in self.actives.items()}
         twin.changes = self.changes
         twin.last_refuser = self.last_refuser
-        twin._admission = {}
         twin._demands = self._demands
         return twin
 
@@ -227,23 +224,18 @@ class NetworkState:
     ) -> tuple[Route, tuple[SlotGrid, ...], StaticReach]:
         """The route, its slot grids and its static reach for one demand.
 
-        Computed on the first request with these endpoints and bandwidth,
-        then looked up: the topology, the grids and the physics of a
-        state never change.  The route and the reach come from the table
-        shared by the states of this topology and physics.
+        The route and the reach are computed on the first request with
+        these endpoints and bandwidth, then looked up in the table shared
+        by the states of this topology and physics, which never change.
         """
         key = (source, destination, bandwidth_gbps)
-        entry = self._admission.get(key)
-        if entry is None:
-            demand = self._demands.get(key)
-            if demand is None:
-                route = self.topology.shortest_path(source, destination)
-                demand = (route, static_reach(route, bandwidth_gbps, self.params))
-                self._demands[key] = demand
-            route, reach = demand
-            entry = (route, tuple(self.grids_for_route(route)), reach)
-            self._admission[key] = entry
-        return entry
+        demand = self._demands.get(key)
+        if demand is None:
+            route = self.topology.shortest_path(source, destination)
+            demand = (route, static_reach(route, bandwidth_gbps, self.params))
+            self._demands[key] = demand
+        route, reach = demand
+        return route, tuple(self.grids_for_route(route)), reach
 
     @property
     def forbidden_ranges(self) -> dict[str, list[SlotBlock]]:

@@ -22,7 +22,8 @@ the aware plane first forbids a jammed range.  So :func:`run_scenario`
 runs a seed's two planes at one power as one pair job: a single state
 serves both, in aware mode, and at that first detection it is copied,
 so that each plane goes on with a state of its own (:func:`_replay`).
-A pair that never detects gives one result for both planes.
+A pair that never detects gives one result for both planes.  A lone
+plane and a pair run through the same job function, :func:`_replicate`.
 
 The arrivals are already in time order, so the engine walks them in
 order and keeps only departures on a heap of ``(departs_at,
@@ -157,9 +158,10 @@ def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) ->
 
     Keyed by what the draws depend on, so the replications of one seed
     under different planes and powers share one stream, also in a worker
-    process that received its own copy of the topology.  A pair job
-    draws it once for both of its planes.  One stream is kept;
-    :func:`run_scenario` clears it when it returns.
+    process that received its own copy of the topology.  Each
+    :func:`_replicate` call looks it up once, so the two planes of a
+    pair job read one stream.  One stream is kept; :func:`run_scenario`
+    clears it when it returns.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     where = _Nodes(nodes)
@@ -221,11 +223,13 @@ def _replay(
 ) -> list[_Branch]:
     """Serve ``requests`` on every branch, in arrival order; return the branches.
 
-    Before each request, each branch releases the circuits due at or
-    before its arrival, earliest first and in request order at equal
-    times.  The circuits left after the last arrival depart at that
-    arrival's time.  ``audit_hook(state, kind, time)`` is called on
-    every ``audit_every``-th event of a branch.
+    Every result of :func:`_replicate`, a lone plane's or a pair's, is
+    aggregated by :func:`_result` from a branch this returns.  Before
+    each request, each branch releases the circuits due at or before
+    its arrival, earliest first and in request order at equal times.
+    The circuits left after the last arrival depart at that arrival's
+    time.  ``audit_hook(state, kind, time)`` is called on every
+    ``audit_every``-th event of a branch.
 
     A lone branch on a :class:`_SharedState` splits in two.  This relies
     on the planes deciding alike until the aware plane's first
@@ -286,7 +290,7 @@ def _replay(
     return branches
 
 
-def _ground_truth(mode, jammer_config, params, ranking, topology) -> GroundTruth | None:
+def _ground_truth(mode, jammer_config, params, topology) -> GroundTruth | None:
     """The attack a replication in ``mode`` runs under (None without jamming)."""
     if mode is ControlMode.NO_JAMMING:
         if jammer_config is not None:
@@ -294,9 +298,9 @@ def _ground_truth(mode, jammer_config, params, ranking, topology) -> GroundTruth
         return None
     if jammer_config is None:
         raise ValueError(f"mode {mode.value} requires a jammer config")
-    target = resolve_target(jammer_config, ranking)
-    topology.link_by_id(target)
-    return ground_truth_channels(jammer_config, params, target_link_id=target)
+    ground_truth = ground_truth_channels(jammer_config, params)
+    topology.link_by_id(ground_truth.link_id)
+    return ground_truth
 
 
 def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.ReplicationResult:
@@ -340,6 +344,34 @@ def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.Replicati
     )
 
 
+#: The modes of a pair job, in the order of its results.
+_PAIR = (ControlMode.UNAWARE, ControlMode.AWARE)
+
+
+def _replicate(
+    seed, topology, traffic, modes, jammer_config, params, tolerance_db,
+    audit_hook=None, audit_every=0,
+) -> tuple[metrics.ReplicationResult, ...]:
+    """The replication of one seed in each of ``modes``, one result per mode.
+
+    ``modes`` is ``(mode,)``, served on a plain :class:`NetworkState`,
+    or :data:`_PAIR`, whose planes are served on one
+    :class:`_SharedState` until the aware plane's first detection; each
+    result equals the one the mode gives alone.  A pair that never
+    splits returns its one result twice.  The jammer must name its link.
+    """
+    ground_truth = _ground_truth(modes[0], jammer_config, params, topology)
+    requests = _request_stream(seed, topology.nodes, traffic)
+    if modes == _PAIR:
+        start = _Branch(ControlMode.AWARE, _SharedState(topology, params))
+    else:
+        [mode] = modes
+        start = _Branch(mode, NetworkState(topology, params))
+    branches = _replay(requests, [start], ground_truth, tolerance_db, audit_hook, audit_every)
+    results = tuple(_result(branch, requests) for branch in branches)
+    return results * len(modes) if len(results) == 1 else results
+
+
 def run_replication(
     seed: int,
     topology: Topology,
@@ -348,7 +380,6 @@ def run_replication(
     jammer_config: JammerConfig | None = None,
     params: PhyParams | None = None,
     detection_tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB,
-    utilization_ranking=None,
     audit_hook=None,
     audit_every: int = 0,
 ) -> metrics.ReplicationResult:
@@ -359,43 +390,18 @@ def run_replication(
     in request order at equal times.  The circuits left after the last
     arrival depart at that arrival's time.
 
-    ``utilization_ranking`` is required when the jammer targets the
-    most- or least-used link.  ``audit_hook(state, kind, time)`` is
-    invoked every ``audit_every`` processed events (arrivals and
-    departures, in the order above) when set (testing aid); ``kind`` is
-    :data:`ARRIVAL` or :data:`DEPARTURE`.
+    The jammer must target a link id: a most- or least-used selector is
+    resolved by :func:`run_scenario`, and here it raises ``ValueError``.
+    ``audit_hook(state, kind, time)`` is invoked every ``audit_every``
+    processed events (arrivals and departures, in the order above) when
+    set (testing aid); ``kind`` is :data:`ARRIVAL` or :data:`DEPARTURE`.
     """
     if params is None:
         params = PhyParams()
-    ground_truth = _ground_truth(mode, jammer_config, params, utilization_ranking, topology)
-    requests = _request_stream(seed, topology.nodes, traffic)
-    branch = _Branch(mode, NetworkState(topology, params))
-    [branch] = _replay(
-        requests, [branch], ground_truth, detection_tolerance_db, audit_hook, audit_every
-    )
-    return _result(branch, requests)
-
-
-#: The modes of a paired job, in the order of its results.
-_PAIR = (ControlMode.UNAWARE, ControlMode.AWARE)
-
-
-def _paired_replications(
-    seed, topology, traffic, jammer_config, params, tolerance_db, ranking
-) -> tuple[metrics.ReplicationResult, metrics.ReplicationResult]:
-    """The unaware and the aware replication of one seed and jammer.
-
-    Both are served on one :class:`_SharedState` until the aware
-    plane's first detection; each result equals the one
-    :func:`run_replication` gives in its mode.  A pair that never splits
-    has one result for both modes.
-    """
-    ground_truth = _ground_truth(ControlMode.AWARE, jammer_config, params, ranking, topology)
-    requests = _request_stream(seed, topology.nodes, traffic)
-    shared = _Branch(ControlMode.AWARE, _SharedState(topology, params))
-    branches = _replay(requests, [shared], ground_truth, tolerance_db)
-    results = tuple(_result(branch, requests) for branch in branches)
-    return results * 2 if len(results) == 1 else results
+    return _replicate(
+        seed, topology, traffic, (mode,), jammer_config, params, detection_tolerance_db,
+        audit_hook, audit_every,
+    )[0]
 
 
 def epsilon_sweep_length(start: float, stop: float, step: float) -> int:
@@ -420,41 +426,22 @@ def epsilon_sweep_values(start: float, stop: float, step: float) -> list[float]:
     return [round(start + i * step, 10) for i in range(epsilon_sweep_length(start, stop, step))]
 
 
-def _replication_job(args):
-    (
-        seed,
-        topology,
-        traffic,
-        mode,
-        jammer_config,
-        params,
-        tolerance,
-        ranking,
-    ) = args
-    if mode == _PAIR:
-        return _paired_replications(
-            seed, topology, traffic, jammer_config, params, tolerance, ranking
-        )
-    return run_replication(
-        seed,
-        topology,
-        traffic,
-        mode,
-        jammer_config,
-        params,
-        detection_tolerance_db=tolerance,
-        utilization_ranking=ranking,
-    )
-
-
-def _run_jobs(jobs, workers: int):
+def _run_jobs(jobs, workers: int) -> list[tuple[metrics.ReplicationResult, ...]]:
+    """The results of :func:`_replicate` for each job's arguments, in job order."""
     # The pool starts all its processes at once, so never ask it for
     # more than there are jobs or CPUs; ``map`` keeps the job order.
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        return [_replication_job(job) for job in jobs]
+        return [_replicate(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replication_job, jobs))
+        return list(pool.map(_replicate, *zip(*jobs)))
+
+
+def _no_jamming_runs(seeds, topology, traffic, params, workers) -> list[metrics.ReplicationResult]:
+    """The jammer-free replication of each seed, in seed order."""
+    modes, tolerance = (ControlMode.NO_JAMMING,), DEFAULT_DETECTION_TOLERANCE_DB
+    jobs = [(seed, topology, traffic, modes, None, params, tolerance) for seed in seeds]
+    return [result for (result,) in _run_jobs(jobs, workers)]
 
 
 def compute_utilization_ranking(
@@ -471,12 +458,8 @@ def compute_utilization_ranking(
     """
     if params is None:
         params = PhyParams()
-    jobs = [
-        (base_seed + r, topology, traffic, ControlMode.NO_JAMMING, None, params, 0.1, None)
-        for r in range(traffic.replications)
-    ]
-    results = _run_jobs(jobs, workers)
-    return metrics.utilization_ranking(results)
+    seeds = range(base_seed, base_seed + traffic.replications)
+    return metrics.utilization_ranking(_no_jamming_runs(seeds, topology, traffic, params, workers))
 
 
 @dataclass(frozen=True)
@@ -515,11 +498,13 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     same ranking as :func:`compute_utilization_ranking`).  They are kept
     as the no-jamming point when the modes include it.
 
-    Jobs are submitted seed by seed, so consecutive jobs share the
+    Every job is one :func:`_replicate` call, which gives a result per
+    mode.  Jobs are submitted seed by seed, so consecutive jobs share the
     cached request stream, and their results are regrouped per point.
+    A selector is resolved to a link id once, before any job is built.
     Where a power has both an unaware and an aware point, one pair job
-    (:func:`_paired_replications`) serves both planes of a seed, split
-    at the aware plane's first detection; its results equal two
+    (modes :data:`_PAIR`) serves both planes of a seed, split at the
+    aware plane's first detection; its results equal two
     :func:`run_replication` calls.  Pairs are formed only when the pool
     still gets a job per worker, that is when the jobs left after
     pairing are at least ``min(workers, os.cpu_count())``; one worker
@@ -550,16 +535,15 @@ def _run_scenario(config, ranking) -> ScenarioResult:
         for eps in ([None] if mode is ControlMode.NO_JAMMING else sweep)
     ]
 
-    def job(seed, mode, eps):
+    def job(seed, modes, eps):
         jam = None
-        if mode is not ControlMode.NO_JAMMING:
+        if ControlMode.NO_JAMMING not in modes:
             jam = JammerConfig(
                 target=target_link_id,
                 jammed_ranges=config.jammer.jammed_ranges,
                 epsilon_db=eps,
             )
-        tolerance = config.detection_tolerance_db
-        return (seed, topology, traffic, mode, jam, params, tolerance, None)
+        return (seed, topology, traffic, modes, jam, params, config.detection_tolerance_db)
 
     grouped: dict[tuple, list] = {}
     pending = list(order)
@@ -569,9 +553,7 @@ def _run_scenario(config, ranking) -> ScenarioResult:
         if config.jammer is None:
             raise ValueError("jamming modes require a jammer section")
         if config.jammer.uses_selector and ranking is None:
-            baseline = _run_jobs(
-                [job(seed, ControlMode.NO_JAMMING, None) for seed in seeds], config.workers
-            )
+            baseline = _no_jamming_runs(seeds, topology, traffic, params, config.workers)
             ranking = metrics.utilization_ranking(baseline)
             if ControlMode.NO_JAMMING in config.modes:
                 pending.remove((ControlMode.NO_JAMMING, None))
@@ -589,16 +571,16 @@ def _run_scenario(config, ranking) -> ScenarioResult:
     jobs, keys = [], []
     for seed in seeds:
         for mode, eps in pending:
+            modes = (mode,)
             if eps in paired:
                 if mode is not ControlMode.UNAWARE:
                     continue
-                mode = _PAIR
-            jobs.append(job(seed, mode, eps))
-            keys.append((mode, eps))
-    for (mode, eps), output in zip(keys, _run_jobs(jobs, config.workers), strict=True):
-        results = zip(_PAIR, output) if mode == _PAIR else [(mode, output)]
-        for each_mode, result in results:
-            grouped.setdefault((each_mode, eps), []).append(result)
+                modes = _PAIR
+            jobs.append(job(seed, modes, eps))
+            keys.append((modes, eps))
+    for (modes, eps), results in zip(keys, _run_jobs(jobs, config.workers), strict=True):
+        for mode, result in zip(modes, results, strict=True):
+            grouped.setdefault((mode, eps), []).append(result)
     points = tuple(
         ScenarioPoint(
             mode=mode,

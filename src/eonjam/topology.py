@@ -124,6 +124,8 @@ class Topology:
         for link in self.links:
             self._adjacency[link.source].append(link)
             self._adjacency[link.destination].append(link)
+        if len(self.nodes) > 1 and len(self._dijkstra_distances(self.nodes[0])) < len(self.nodes):
+            raise TopologyError("graph is not connected")
         self._by_id = {link.id: link for link in self.links}
         self._route_cache: dict[tuple[str, str], Route] = {}
 
@@ -143,22 +145,6 @@ class Topology:
             if pair in seen_pairs:
                 raise TopologyError(f"parallel link between {link.source} and {link.destination}")
             seen_pairs.add(pair)
-        if len(self.nodes) > 1 and not self._connected():
-            raise TopologyError("graph is not connected")
-
-    def _connected(self) -> bool:
-        edges: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for link in self.links:
-            edges[link.source].add(link.destination)
-            edges[link.destination].add(link.source)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for neighbour in edges[stack.pop()]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    stack.append(neighbour)
-        return len(seen) == len(self.nodes)
 
     def link_by_id(self, link_id: str) -> Link:
         try:

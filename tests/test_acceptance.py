@@ -55,8 +55,8 @@ def _point(mode: ControlMode, target: str | None, eps: float | None, traffic=DES
                 if mode is ControlMode.NO_JAMMING
                 else JammerConfig(target=target, jammed_ranges=JAMMED_RANGES, epsilon_db=eps)
             )
-            jobs.append((BASE_SEED + r, TOPOLOGY, traffic, mode, jam, PARAMS, 0.1, None))
-        _cache[key] = tuple(_run_jobs(jobs, WORKERS))
+            jobs.append((BASE_SEED + r, TOPOLOGY, traffic, (mode,), jam, PARAMS, 0.1))
+        _cache[key] = tuple(result for (result,) in _run_jobs(jobs, WORKERS))
     return _cache[key]
 
 

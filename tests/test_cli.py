@@ -223,20 +223,20 @@ def test_broken_topology_is_a_config_error_for_selector_targets(tmp_path, capsys
 
 def test_cold_simulate_ranks_from_its_own_no_jamming_runs(tmp_path, monkeypatch):
     calls = []
-    replicate = sim.run_replication
+    replicate = sim._replicate
 
     def counted(*args, **kwargs):
         calls.append(args[3])
         return replicate(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "run_replication", counted)
+    monkeypatch.setattr(sim, "_replicate", counted)
     config = dict(TINY, output_dir=str(tmp_path / "sim"))
     config["jammer"] = {"target": "most_used"}
     config["traffic"] = {"requests_per_replication": 150, "replications": 2}
     assert main(["simulate", str(write_config(tmp_path, config, "sim.yaml"))]) == 0
     # One call per main job: 2 no_jamming + 3 powers x 2 unaware, no pre-run.
     assert len(calls) == 2 + 3 * 2
-    assert calls.count(ControlMode.NO_JAMMING) == 2
+    assert calls.count((ControlMode.NO_JAMMING,)) == 2
 
     config["output_dir"] = str(tmp_path / "rank")
     assert main(["rank-links", str(write_config(tmp_path, config, "rank.yaml"))]) == 0
@@ -297,6 +297,54 @@ def test_validate_unknown_link_is_a_config_error(tmp_path, capsys):
     assert main(["validate", str(write_config(tmp_path, config))]) == 1
     captured = capsys.readouterr()
     assert captured.err == "config error: jammer.target: unknown link id '99-100'\n"
+    assert captured.out == ""
+
+
+_TINY_WITHOUT_TRAFFIC = {key: value for key, value in TINY.items() if key != "traffic"}
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(_TINY_WITHOUT_TRAFFIC, trafic=TINY["traffic"]), "config: unknown key 'trafic'"),
+        (dict(TINY, mode="aware"), "config: unknown key 'mode'"),
+        (dict(TINY, traffic={"requests": 200, "replications": 1}), "traffic: unknown key 'requests'"),
+        (dict(TINY, jammer={"target": "8-9", "epsilon_db": 1.0}), "jammer: unknown key 'epsilon_db'"),
+        (
+            dict(TINY, epsilon_sweep={"start": 0.0, "stop": 1.0, "step": 0.5, "points": 3}),
+            "epsilon_sweep: unknown key 'points'",
+        ),
+    ],
+    ids=["top-level", "singular-mode", "traffic", "jammer", "epsilon_sweep"],
+)
+def test_unknown_key_is_a_config_error(tmp_path, capsys, command, config, message):
+    # A misspelled key must not leave its section on the defaults.
+    config = dict(config, output_dir=str(tmp_path / "out"))
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "rank-links"])
+def test_output_dir_on_a_regular_file_is_a_runtime_error(tmp_path, capsys, monkeypatch, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setenv("EONJAM_OUTPUT_DIR", str(taken))
+    assert main([command, str(write_config(tmp_path, TINY))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_rank_links_on_a_missing_config_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["rank-links", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: config: file not found: {missing}\n"
     assert captured.out == ""
 
 

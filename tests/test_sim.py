@@ -12,6 +12,7 @@ from eonjam.cli import ScenarioConfig
 from eonjam.control_plane import ControlMode, verify_state_invariants
 from eonjam.jammer import JammerConfig
 from eonjam.metrics import blocking_probability, results_equal
+from eonjam.phy import PhyParams
 from eonjam.sim import (
     ARRIVAL,
     DEPARTURE,
@@ -320,7 +321,7 @@ def test_run_scenario_draws_each_seed_once_and_empties_the_cache():
 def test_pool_starts_no_more_processes_than_jobs_or_cpus(nsf, workers, jobs, cpus, started):
     traffic = small_traffic(requests=40)
     batch = [
-        (seed, nsf, traffic, ControlMode.NO_JAMMING, None, None, 0.1, None)
+        (seed, nsf, traffic, (ControlMode.NO_JAMMING,), None, PhyParams(), 0.1)
         for seed in range(1, jobs + 1)
     ]
     # A fake pool records its size and maps in order; no process starts.
@@ -330,7 +331,7 @@ def test_pool_starts_no_more_processes_than_jobs_or_cpus(nsf, workers, jobs, cpu
         results = sim._run_jobs(batch, workers)
     assert pool.call_args_list == ([] if started is None else [mock.call(max_workers=started)])
     serial = [run_replication(seed, nsf, traffic, ControlMode.NO_JAMMING) for seed in range(1, jobs + 1)]
-    assert all(results_equal(a, b) for a, b in zip(results, serial, strict=True))
+    assert all(results_equal(a, b) for (a,), b in zip(results, serial, strict=True))
 
 
 def test_selector_without_a_no_jamming_mode_ranks_like_the_pre_run():
@@ -440,12 +441,13 @@ def _separate_runs_equal(result, config):
 def _spied_scenario(config):
     """``run_scenario`` counting its pair jobs and the state copies of their splits."""
     copy = control_plane.NetworkState.copy
-    with mock.patch.object(sim, "_paired_replications", wraps=sim._paired_replications) as pairs, \
+    with mock.patch.object(sim, "_replicate", wraps=sim._replicate) as jobs, \
             mock.patch.object(
                 control_plane.NetworkState, "copy", autospec=True, side_effect=copy
             ) as splits:
         result = run_scenario(config)
-    return result, pairs.call_count, splits.call_count
+    pairs = sum(call.args[3] == sim._PAIR for call in jobs.call_args_list)
+    return result, pairs, splits.call_count
 
 
 @pytest.mark.parametrize("load", [200.0, 800.0])
