@@ -59,7 +59,7 @@ print("empty jammed channel) is already priced into the QoT check.\n")
 
 # Fill the spectrum below the first range so a real request is pushed
 # into it, letting the whole detect-forbid-retry loop play out.
-allocate([state.grids[("A", "B")], state.grids[("B", "A")]], SlotBlock(0, 48), 99)
+allocate([state.grids[("A", "B")], state.grids[("B", "A")]], SlotBlock(0, 48))
 outcome = handle_request(
     Request(1, "A", "B", 40.0, 0.0, 600.0), state, ControlMode.AWARE, ground_truth
 )

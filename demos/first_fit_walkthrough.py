@@ -4,6 +4,8 @@
 Shows how First Fit packs a route's slot grids: guardbands keep blocks
 two slots apart, forbidden ranges (aware mode) repel allocations and
 their guardbands, and release returns spectrum exactly as it was.
+A grid records slots, not circuits, so the demo keeps its own map from
+lightpath id to block to label the picture, as the control plane does.
 
 Run:  python demos/first_fit_walkthrough.py
 """
@@ -11,33 +13,35 @@ Run:  python demos/first_fit_walkthrough.py
 from eonjam.spectrum import SlotBlock, SlotGrid, allocate, first_fit, release, utilization
 
 
-def show(grid, upto=40):
+def show(grid, held, upto=40):
     cells = ["."] * grid.slot_count
     for block in grid.forbidden:
         cells[block.start:block.end] = "x" * block.width
-    for lightpath_id, block in grid.blocks.items():
+    for lightpath_id, block in held.items():
         cells[block.start:block.end] = str(lightpath_id % 10) * block.width
     print("".join(cells[:upto]), f"  (used {grid.used_count()}, util {utilization(grid):.3f})")
 
 
 grid = SlotGrid("demo", ("a", "b"), 320)
+held = {}
 print("empty grid:")
-show(grid)
+show(grid, held)
 
 print("\nallocate widths 3, 2, 4 by First Fit (2-slot guardbands):")
 for lightpath_id, width in ((1, 3), (2, 2), (3, 4)):
     block = first_fit([grid], width)
-    allocate([grid], block, lightpath_id)
+    allocate([grid], block)
+    held[lightpath_id] = block
     print(f"  lightpath {lightpath_id} width {width} -> start {block.start}")
-    show(grid)
+    show(grid, held)
 
 print("\nrelease lightpath 2: its hole is reusable only by narrow blocks")
-release([grid], 2)
-show(grid)
+release([grid], held.pop(2))
+show(grid, held)
 print("width 2 fits back into the hole:", first_fit([grid], 2))
 print("width 3 skips past it         :", first_fit([grid], 3))
 
 print("\nforbid slots 20-29 (as the jamming-aware plane would):")
 grid.forbid(SlotBlock(20, 10))
-show(grid)
+show(grid, held)
 print("width 6 keeps a guardband from the forbidden range:", first_fit([grid], 6))

@@ -13,7 +13,6 @@ from eonjam import (
     PhyParams,
     channel_for_block,
     db_to_linear,
-    g0_ase,
     linear_to_db,
     snr,
 )
@@ -24,7 +23,7 @@ from eonjam.topology import load_topology
 params = PhyParams()
 
 print("=== Constants (SI domain) ===")
-print(f"per-span ASE PSD      : {g0_ase(params):.4e} W/Hz")
+print(f"per-span ASE PSD      : {params.g0_ase:.4e} W/Hz")
 print(f"phi (NLI coefficient) : {params.phi:.4e} Hz^2/W^2")
 print(f"rho * slot_width^2    : {params.rho * params.slot_width_hz**2:.4f}")
 print(f"launch power          : {params.tx_power_w * 1e3:.1f} mW per channel")

@@ -33,7 +33,6 @@ from .phy import (
     ase_psd,
     channel_for_block,
     db_to_linear,
-    g0_ase,
     inband_jamming_psd,
     jamming_psd,
     linear_to_db,
@@ -64,6 +63,6 @@ from .spectrum import (
     release,
     utilization,
 )
-from .topology import Link, Route, Topology, load_topology, load_topology_file, nsfnet, shortest_path
+from .topology import Link, Route, Topology, load_topology, load_topology_file, nsfnet
 
 __version__ = "0.1.0"

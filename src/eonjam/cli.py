@@ -382,20 +382,31 @@ def _ranking_cache_key(config: ScenarioConfig) -> str:
 
 
 def _cached_ranking(config: ScenarioConfig, outdir: Path):
-    """The ranking in ``outdir`` if its cache key matches ``config``, else None."""
+    """The ranking in ``outdir`` if it is ``config``'s, else None.
+
+    A cache counts only when its key matches ``config`` and it lists
+    every link of the topology exactly once with a finite value; the
+    caller recomputes and rewrites any other.
+    """
     cache = outdir / "link_ranking.csv"
     meta = outdir / "link_ranking.meta.json"
-    if cache.is_file() and meta.is_file():
-        try:
-            if json.loads(meta.read_text())["key"] == _ranking_cache_key(config):
-                ranking = []
-                for line in cache.read_text().splitlines()[1:]:
-                    rank, link_id, value = line.split(",")
-                    ranking.append((link_id, float(value)))
-                return ranking
-        except (KeyError, ValueError, json.JSONDecodeError):
-            pass
-    return None
+    if not (cache.is_file() and meta.is_file()):
+        return None
+    try:
+        if json.loads(meta.read_text())["key"] != _ranking_cache_key(config):
+            return None
+        ranking = []
+        for line in cache.read_text().splitlines()[1:]:
+            rank, link_id, value = line.split(",")
+            ranking.append((link_id, float(value)))
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError):
+        return None
+    link_ids = sorted(link.id for link in config.load_topology().links)
+    if sorted(link_id for link_id, _ in ranking) != link_ids:
+        return None
+    if not all(math.isfinite(value) for _, value in ranking):
+        return None
+    return ranking
 
 
 def _write_ranking(config: ScenarioConfig, outdir: Path, ranking) -> None:

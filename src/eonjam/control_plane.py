@@ -175,7 +175,8 @@ class NetworkState:
     """Slot grids and active circuits; the grids hold the forbidden blocks.
 
     ``grid_actives[hop]`` maps the id of each circuit on a directed hop
-    to its spectral record, ``phy.Channel.record``.  ``changes`` counts
+    to its spectral record, ``phy.Channel.record``, and is the only
+    record of which circuits hold a hop's slots.  ``changes`` counts
     establishments and departures, so a candidate's neighbour XCI can be
     checked to be priced on the current circuits.  ``last_refuser`` is
     the id of the last circuit that the neighbour check of
@@ -277,7 +278,7 @@ class NetworkState:
         grids = self.grids_for_route(lightpath.route)
         for grid in grids:
             grid.advance_time(now)
-        allocate(grids, lightpath.block, lightpath.id)
+        allocate(grids, lightpath.block)
         self.changes += 1
         for neighbour_id, delta in deltas.items():
             self.actives[neighbour_id].xci_psd += delta
@@ -295,7 +296,7 @@ class NetworkState:
         grids = self.grids_for_route(lightpath.route)
         for grid in grids:
             grid.advance_time(now)
-        release(grids, lightpath_id)
+        release(grids, lightpath.block)
         for neighbour_id, delta in _neighbour_deltas(self, lightpath).items():
             self.actives[neighbour_id].xci_psd -= delta
 
@@ -584,19 +585,20 @@ def verify_state_invariants(
     """Audit the live engine state against the declarative model.
 
     Recomputes every active circuit's SNR from scratch through the
-    physical-layer module and checks slot bookkeeping.  Raises
-    ``AssertionError`` on any violation; used by the test suite.
+    physical-layer module, and checks that each grid's used slots are
+    the union of the disjoint blocks of the circuits listed on its hop.
+    Raises ``AssertionError`` on any violation; used by the test suite.
     """
     params = state.params
+    actives = state.actives
     for hop, grid in state.grids.items():
         held = 0
-        for block in grid.blocks.values():
-            assert not held & block.mask, f"overlapping allocations on {hop}"
-            held |= block.mask
+        for lightpath_id in state.grid_actives[hop]:
+            assert lightpath_id in actives, f"inactive lightpath {lightpath_id} listed on {hop}"
+            mask = actives[lightpath_id].block.mask
+            assert not held & mask, f"overlapping allocations on {hop}"
+            held |= mask
         assert held == grid.used, f"used slots disagree with the held blocks on {hop}"
-        assert grid.blocks.keys() == state.grid_actives[hop].keys(), (
-            f"slot holders disagree with the active circuits on {hop}"
-        )
         barred = 0
         for block in grid.forbidden:
             barred |= block.mask
@@ -612,7 +614,7 @@ def verify_state_invariants(
                 assert block in ground_truth.jammed_ranges, "forbidden mark outside jammed ranges"
 
     eps = None if ground_truth is None else ground_truth.epsilon_w
-    for lightpath in state.actives.values():
+    for lightpath in actives.values():
         per_link_state = []
         for link, hop in zip(lightpath.route.links, lightpath.route.directed_hops):
             on_hop = state.grid_actives[hop]
@@ -620,7 +622,7 @@ def verify_state_invariants(
                 f"lightpath {lightpath.id} is listed on {hop} with another record"
             )
             channels = [
-                state.actives[other_id].channel for other_id in on_hop if other_id != lightpath.id
+                actives[other_id].channel for other_id in on_hop if other_id != lightpath.id
             ]
             if ground_truth is not None and link.id == ground_truth.link_id:
                 channels.extend(ground_truth.channels)
@@ -634,13 +636,9 @@ def verify_state_invariants(
         assert phy.linear_to_db(lightpath.snr) >= threshold - 1e-9, (
             f"active lightpath {lightpath.id} below threshold"
         )
-        for hop in lightpath.route.directed_hops:
-            grid = state.grids[hop]
-            slots = grid.lightpath_slots(lightpath.id)
-            assert len(slots) == lightpath.block.width, "allocation width mismatch"
-            assert slots[0] == lightpath.block.start, "allocation start mismatch"
-            if mode is ControlMode.AWARE:
-                for block in grid.forbidden:
+        if mode is ControlMode.AWARE:
+            for hop in lightpath.route.directed_hops:
+                for block in state.grids[hop].forbidden:
                     assert not block.overlaps(lightpath.block), (
                         "aware-mode circuit occupies a detected range"
                     )

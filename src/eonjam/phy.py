@@ -61,7 +61,6 @@ __all__ = [
     "linear_to_db",
     "slot_center_frequency",
     "channel_for_block",
-    "g0_ase",
     "ase_psd",
     "sci_psd",
     "xci_psd",
@@ -256,11 +255,6 @@ def channel_for_block(
         psd_w_per_hz=power_w / bandwidth,
         is_jammer=is_jammer,
     )
-
-
-def g0_ase(params: PhyParams) -> float:
-    """Per-span ASE noise PSD, (e^{alpha L} - 1) F h nu."""
-    return params.g0_ase
 
 
 def ase_psd(route, params: PhyParams) -> float:

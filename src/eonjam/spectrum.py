@@ -3,12 +3,14 @@
 Each directed link owns a :class:`SlotGrid` of 320 slots, kept as Python
 int bitmasks (bit ``i`` is slot ``i``): ``used`` holds the slots that
 circuits hold, ``forbidden_mask`` the slots of the blocks the
-jamming-aware control plane took out of use.  A forbidden slot an older
-circuit still holds is used until that circuit leaves; ``used |
-forbidden_mask`` is the blocked set either way, so release never has to
-restore forbidden blocks.  First Fit finds the lowest start index where
-a block fits on every grid of a route with a 2-slot guardband
-separating it from blocked spectrum, used and forbidden alike.
+jamming-aware control plane took out of use.  A grid holds no circuit
+ids; which circuit holds a block is the control plane's record.  A
+forbidden slot an older circuit still holds is used until that circuit
+leaves; ``used | forbidden_mask`` is the blocked set either way, so
+release never has to restore forbidden blocks.  First Fit finds the
+lowest start index where a block fits on every grid of a route with a
+2-slot guardband separating it from blocked spectrum, used and
+forbidden alike.
 
 Grids also integrate per-slot busy time so that utilization statistics
 come from exact event-time integration instead of sampling.  Each clock
@@ -31,7 +33,7 @@ __all__ = [
     "BUSY_TIME_BATCH",
     "SpectrumError",
     "AllocationCollisionError",
-    "UnknownLightpathError",
+    "UnheldBlockError",
     "SlotBlock",
     "SlotGrid",
     "first_fit",
@@ -54,8 +56,8 @@ class AllocationCollisionError(SpectrumError):
     """Allocation hit a used or forbidden slot: an RSA bookkeeping bug."""
 
 
-class UnknownLightpathError(SpectrumError):
-    """Release was asked for a lightpath that holds no slots here."""
+class UnheldBlockError(SpectrumError):
+    """Release hit a slot of the block that is not held: a double release or a wrong block."""
 
 
 @dataclass(frozen=True)
@@ -102,17 +104,16 @@ def _workspace(slot_count: int) -> np.ndarray:
 class SlotGrid:
     """Spectrum of one direction of one fibre link.
 
-    ``used`` is the bitmask of slots held by circuits and ``blocks``
-    maps each holding lightpath id to its :class:`SlotBlock`.
-    ``forbidden`` lists the blocks taken out of use and
-    ``forbidden_mask`` is their union.  Two busy-time integrals are
-    advanced by the simulation clock through :meth:`advance_time`:
-    ``used_seconds`` counts slots actually carrying a circuit, while
-    ``reserved_seconds`` additionally counts each circuit's guardband
-    shadow, the ``GUARDBAND_SLOTS`` slots above its block.  A shadow
-    slot cannot be allocated while the circuit lives, so it is reserved
-    spectrum rather than available capacity; attributing the shared
-    inter-circuit gap to the lower circuit keeps the count one-sided.
+    ``used`` is the bitmask of slots held by circuits.  ``forbidden``
+    lists the blocks taken out of use and ``forbidden_mask`` is their
+    union.  Two busy-time integrals are advanced by the simulation clock
+    through :meth:`advance_time`: ``used_seconds`` counts slots actually
+    carrying a circuit, while ``reserved_seconds`` additionally counts
+    each circuit's guardband shadow, the ``GUARDBAND_SLOTS`` slots above
+    its block.  A shadow slot cannot be allocated while the circuit
+    lives, so it is reserved spectrum rather than available capacity;
+    attributing the shared inter-circuit gap to the lower circuit keeps
+    the count one-sided.
 
     :meth:`advance_time` only records the step; the buffer is integrated
     when it is full or when either integral is read, with the same
@@ -124,7 +125,6 @@ class SlotGrid:
         "direction",
         "slot_count",
         "used",
-        "blocks",
         "forbidden",
         "forbidden_mask",
         "_seconds",
@@ -141,7 +141,6 @@ class SlotGrid:
         self.direction = direction
         self.slot_count = slot_count
         self.used = 0
-        self.blocks: dict[int, SlotBlock] = {}
         self.forbidden: list[SlotBlock] = []
         self.forbidden_mask = 0
         # Row 0 is the used-slot integral, row 1 the reserved one.
@@ -152,7 +151,7 @@ class SlotGrid:
         self._pending = 0
 
     def copy(self) -> "SlotGrid":
-        """An independent grid with the same slots, blocks and busy time.
+        """An independent grid with the same slots and busy time.
 
         The step buffer is copied unintegrated, so the copy adds its
         steps in the same order as this grid would.
@@ -162,7 +161,6 @@ class SlotGrid:
         twin.direction = self.direction
         twin.slot_count = self.slot_count
         twin.used = self.used
-        twin.blocks = dict(self.blocks)
         twin.forbidden = list(self.forbidden)
         twin.forbidden_mask = self.forbidden_mask
         twin._seconds = self._seconds.copy()
@@ -249,11 +247,6 @@ class SlotGrid:
         self.forbidden_mask |= block.mask
         return True
 
-    def lightpath_slots(self, lightpath_id: int) -> range:
-        """Slots ``lightpath_id`` holds here (empty if none)."""
-        block = self.blocks.get(lightpath_id)
-        return range(0) if block is None else block.slots()
-
 
 def first_fit(grids, width: int) -> SlotBlock | None:
     """Lowest-index block of ``width`` slots feasible on every grid.
@@ -296,8 +289,8 @@ def first_fit(grids, width: int) -> SlotBlock | None:
     return SlotBlock(start=(fits & -fits).bit_length() - 1, width=width)
 
 
-def allocate(grids, block: SlotBlock, lightpath_id: int) -> None:
-    """Mark ``block`` used by ``lightpath_id`` on every grid."""
+def allocate(grids, block: SlotBlock) -> None:
+    """Mark ``block`` used on every grid."""
     mask = block.mask
     for grid in grids:
         if block.end > grid.slot_count:
@@ -306,23 +299,22 @@ def allocate(grids, block: SlotBlock, lightpath_id: int) -> None:
             raise AllocationCollisionError(
                 f"block {block} not free on {grid.link_id}{grid.direction}"
             )
-        if lightpath_id in grid.blocks:
-            raise SpectrumError(f"lightpath {lightpath_id} already holds slots on {grid.link_id}")
     for grid in grids:
         grid.used |= mask
-        grid.blocks[lightpath_id] = block
 
 
-def release(grids, lightpath_id: int) -> None:
-    """Free every slot held by ``lightpath_id``; forbidden blocks stay forbidden."""
-    held_anywhere = False
+def release(grids, block: SlotBlock) -> None:
+    """Free ``block`` on every grid; forbidden blocks stay forbidden.
+
+    Raises :class:`UnheldBlockError`, before changing any grid, when a
+    slot of ``block`` is not held on one of the grids.
+    """
+    mask = block.mask
     for grid in grids:
-        block = grid.blocks.pop(lightpath_id, None)
-        if block is not None:
-            held_anywhere = True
-            grid.used &= ~block.mask
-    if not held_anywhere:
-        raise UnknownLightpathError(f"lightpath {lightpath_id} holds no slots on these grids")
+        if grid.used & mask != mask:
+            raise UnheldBlockError(f"block {block} is not held on {grid.link_id}{grid.direction}")
+    for grid in grids:
+        grid.used &= ~mask
 
 
 def utilization(grid: SlotGrid) -> float:

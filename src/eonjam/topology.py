@@ -38,7 +38,6 @@ __all__ = [
     "load_topology_file",
     "nsfnet",
     "nsfnet_text",
-    "shortest_path",
 ]
 
 DEFAULT_SPAN_LENGTH_KM = 100.0
@@ -286,8 +285,3 @@ def nsfnet_text() -> str:
 def nsfnet() -> Topology:
     """The bundled 14-node NSFNet with the widely used distance set."""
     return load_topology(nsfnet_text())
-
-
-def shortest_path(topology: Topology, source: str, destination: str) -> Route:
-    """Module-level convenience wrapper around :meth:`Topology.shortest_path`."""
-    return topology.shortest_path(source, destination)

@@ -22,7 +22,7 @@ from eonjam.metrics import (
     slot_histogram,
     utilization_ranking,
 )
-from eonjam.phy import PhyParams, channel_for_block, db_to_linear, g0_ase, snr
+from eonjam.phy import PhyParams, channel_for_block, db_to_linear, snr
 from eonjam.sim import TrafficModel, _run_jobs, run_replication
 from eonjam.spectrum import SlotBlock
 from eonjam.topology import load_topology, nsfnet
@@ -158,7 +158,7 @@ def test_c1_snr_oracle_equivalence():
         checked += 1
     assert checked == 1000
 
-    g0 = g0_ase(PARAMS)
+    g0 = PARAMS.g0_ase
     assert abs(g0 - ref.ref_g0_ase()) / ref.ref_g0_ase() < 1e-6
     assert g0 == pytest.approx(5.0402e-17, rel=1e-4)
     _report("C1", f"1000 randomized SNR configs within 1e-9 (worst {worst:.2e}); "

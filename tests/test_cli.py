@@ -114,7 +114,7 @@ def test_sweep_above_the_point_limit_is_refused_before_anything_runs(tmp_path, c
     )
     started = AssertionError("the refused sweep started work")
     with mock.patch.object(sim, "epsilon_sweep_values", side_effect=started), mock.patch.object(
-        sim, "run_replication", side_effect=started
+        sim, "_replicate", side_effect=started
     ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=started):
         code, out, err = _cli(command, str(config_path))
     assert (code, out) == (1, "")
@@ -139,7 +139,7 @@ def test_request_count_above_the_limit_is_refused_before_anything_runs(tmp_path,
     )
     started = AssertionError("the refused request count started work")
     with mock.patch.object(sim, "_request_stream", side_effect=started), mock.patch.object(
-        sim, "run_replication", side_effect=started
+        sim, "_replicate", side_effect=started
     ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=started):
         code, out, err = _cli(command, str(config_path))
     assert (code, out) == (1, "")
@@ -416,6 +416,50 @@ def test_selector_scenario_uses_ranking_cache(tmp_path):
     assert target == ranked_first
 
 
+def _damage_ranking(outdir, damage):
+    cache, meta = outdir / "link_ranking.csv", outdir / "link_ranking.meta.json"
+    header, *rows = cache.read_text().splitlines()
+    if damage == "truncated":
+        rows = rows[:2]
+    elif damage == "header-only":
+        rows = []
+    elif damage == "repeated-link":
+        rows[1] = rows[1].split(",")[0] + "," + rows[0].split(",", 1)[1]
+    elif damage == "non-finite":
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + ",nan"
+    else:
+        meta.write_text("[1]\n")
+    cache.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "header-only", "repeated-link", "non-finite", "meta-list"])
+@pytest.mark.parametrize("command", ["simulate", "rank-links"])
+def test_damaged_ranking_cache_is_recomputed(tmp_path, command, damage):
+    # A cache with the right key but not one finite value per link of the
+    # topology is rebuilt: a truncated one would aim least_used at the
+    # wrong link, a header-only one would leave nothing to select.
+    config = dict(TINY, output_dir=str(tmp_path / "out"))
+    config["jammer"] = {"target": "least_used"}
+    config["traffic"] = {"requests_per_replication": 50, "replications": 1}
+    config_path = write_config(tmp_path, config)
+    outdir = tmp_path / "out"
+    assert main(["rank-links", str(config_path)]) == 0
+    intact = {name: (outdir / name).read_bytes() for name in ("link_ranking.csv", "link_ranking.meta.json")}
+    _damage_ranking(outdir, damage)
+
+    code, out, err = _cli(command, str(config_path))
+    assert (code, err) == (0, "")
+    for name, content in intact.items():
+        assert (outdir / name).read_bytes() == content
+    least_used = intact["link_ranking.csv"].decode().splitlines()[-1].split(",")[1]
+    if command == "simulate":
+        blocking = (outdir / "blocking.csv").read_text().splitlines()
+        assert blocking[2].split(",")[1] == least_used
+    else:
+        assert len(out.splitlines()) == 21 + 1
+        assert out.splitlines()[-2].split()[1] == least_used
+
+
 def test_config_relative_topology_path(tmp_path):
     topo_file = tmp_path / "tiny.topo"
     topo_file.write_text("nodes: A B\nlink: A B 100\n")
@@ -566,7 +610,7 @@ def test_validate_judges_large_values_without_running_them(sizes):
         epsilon_sweep={"start": 0.0, "stop": 5.0, "step": sizes["step"]},
     )
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        sim, "run_replication", side_effect=AssertionError("validate ran a replication")
+        sim, "_replicate", side_effect=AssertionError("validate ran a replication")
     ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=AssertionError("validate started workers")):
         config_path = Path(tmp) / "scenario.yaml"
         config_path.write_text(yaml.safe_dump(scenario))

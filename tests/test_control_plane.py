@@ -102,8 +102,8 @@ def calls(monkeypatch):
 def fill_except(state, free_block):
     """Hold every slot of every grid outside ``free_block``."""
     grids = list(state.grids.values())
-    allocate(grids, SlotBlock(0, free_block.start), 998)
-    allocate(grids, SlotBlock(free_block.end, 320 - free_block.end), 999)
+    allocate(grids, SlotBlock(0, free_block.start))
+    allocate(grids, SlotBlock(free_block.end, 320 - free_block.end))
 
 
 def test_unreachable_route_probes_first_fit_once(params, calls):
@@ -116,7 +116,7 @@ def test_unreachable_route_probes_first_fit_once(params, calls):
     assert outcome == Blocked("qot-fail")
     assert calls == {"first_fit": 1, "evaluate_candidate": 0}
 
-    allocate(list(state.grids.values()), SlotBlock(0, 320), 999)
+    allocate(list(state.grids.values()), SlotBlock(0, 320))
     outcome = handle_request(request(2, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome == Blocked("no-spectrum")
     assert calls == {"first_fit": 2, "evaluate_candidate": 0}
@@ -153,7 +153,7 @@ def test_pruned_formats_are_skipped_but_keep_their_block_reason(params, calls):
 def test_full_grid_blocks_no_spectrum(params):
     topo = topo_single(100)
     state = NetworkState(topo, params)
-    allocate(list(state.grids.values()), SlotBlock(0, 320), 999)
+    allocate(list(state.grids.values()), SlotBlock(0, 320))
     state.grid_actives[("A", "B")][999] = None  # never inspected: no first fit succeeds
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert isinstance(outcome, Blocked)
@@ -321,20 +321,27 @@ def test_handle_request_termination_bound(params):
     assert calls <= len(MODULATIONS) * 320
 
 
+AB = ("A", "B")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda grid: setattr(grid, "used", grid.used | 1 << 300),
-        lambda grid: grid.blocks.clear(),
-        lambda grid: setattr(grid, "forbidden_mask", grid.forbidden_mask | 1 << 300),
+        lambda state: setattr(state.grids[AB], "used", state.grids[AB].used | 1 << 300),
+        lambda state: state.grid_actives[AB].clear(),
+        lambda state: setattr(state.grids[AB], "used", 0),
+        lambda state: state.actives.clear(),
+        lambda state: setattr(
+            state.grids[AB], "forbidden_mask", state.grids[AB].forbidden_mask | 1 << 300
+        ),
     ],
-    ids=["stray-used-slot", "lost-holder", "stray-forbidden-slot"],
+    ids=["stray-used-slot", "lost-holder", "lost-used-slots", "inactive-holder", "stray-forbidden-slot"],
 )
 def test_invariants_catch_slot_bookkeeping_drift(params, corrupt):
     state = NetworkState(topo_single(100), params)
     handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     verify_state_invariants(state, ControlMode.NO_JAMMING, None)
-    corrupt(state.grids[("A", "B")])
+    corrupt(state)
     with pytest.raises(AssertionError):
         verify_state_invariants(state, ControlMode.NO_JAMMING, None)
 
@@ -567,7 +574,6 @@ def _snapshot(state):
     grids = {
         hop: (
             grid.used,
-            dict(grid.blocks),
             list(grid.forbidden),
             grid.forbidden_mask,
             grid.used_seconds.tolist(),

@@ -12,7 +12,6 @@ from eonjam.phy import (
     ase_psd,
     channel_for_block,
     db_to_linear,
-    g0_ase,
     inband_jamming_psd,
     jamming_psd,
     linear_to_db,
@@ -83,23 +82,23 @@ def test_slot_center_frequency(params):
 
 
 def test_g0_ase_value(params):
-    assert g0_ase(params) == pytest.approx(ref.ref_g0_ase(), rel=1e-12)
-    assert g0_ase(params) == pytest.approx(5.0402e-17, rel=1e-4)
+    assert params.g0_ase == pytest.approx(ref.ref_g0_ase(), rel=1e-12)
+    assert params.g0_ase == pytest.approx(5.0402e-17, rel=1e-4)
 
 
 def test_g0_ase_limits():
-    assert g0_ase(PhyParams(span_length_km=1e-9)) == pytest.approx(0.0, abs=1e-25)
+    assert PhyParams(span_length_km=1e-9).g0_ase == pytest.approx(0.0, abs=1e-25)
     tiny_noise = PhyParams(noise_figure_db=1e-12)
     full_noise = PhyParams()
-    ratio = g0_ase(full_noise) / g0_ase(tiny_noise)
+    ratio = full_noise.g0_ase / tiny_noise.g0_ase
     assert ratio == pytest.approx(db_to_linear(6.0), rel=1e-9)
 
 
 def test_ase_accumulates_spans(params):
     one = route_of_spans(1)
-    assert ase_psd(one, params) == pytest.approx(g0_ase(params), rel=1e-12)
+    assert ase_psd(one, params) == pytest.approx(params.g0_ase, rel=1e-12)
     five = route_of_spans(3, 2)
-    assert ase_psd(five, params) == pytest.approx(5 * g0_ase(params), rel=1e-12)
+    assert ase_psd(five, params) == pytest.approx(5 * params.g0_ase, rel=1e-12)
 
 
 def test_ase_split_link_invariance(params):

@@ -10,7 +10,7 @@ from eonjam.spectrum import (
     SlotBlock,
     SlotGrid,
     SpectrumError,
-    UnknownLightpathError,
+    UnheldBlockError,
     allocate,
     first_fit,
     release,
@@ -22,8 +22,8 @@ def make_grids(count=1, slots=320):
     return [SlotGrid("L", ("a", "b"), slots) for _ in range(count)]
 
 
-def occupy(grid, start, end, lightpath_id):
-    allocate([grid], SlotBlock(start, end - start), lightpath_id)
+def occupy(grid, start, end):
+    allocate([grid], SlotBlock(start, end - start))
 
 
 class GridModel:
@@ -64,7 +64,7 @@ def test_first_fit_empty_grid():
 
 def test_first_fit_respects_guardband():
     (grid,) = make_grids()
-    occupy(grid, 0, 10, 1)
+    occupy(grid, 0, 10)
     assert first_fit([grid], 3) == SlotBlock(12, 3)
 
 
@@ -72,7 +72,7 @@ def test_first_fit_forbidden_with_guard():
     # 0-45 used, 50-59 forbidden: the search must keep a 2-slot
     # separation from the forbidden range as well, landing at 62.
     (grid,) = make_grids()
-    occupy(grid, 0, 46, 1)
+    occupy(grid, 0, 46)
     grid.forbid(SlotBlock(50, 10))
     assert first_fit([grid], 12) == SlotBlock(62, 12)
 
@@ -85,13 +85,13 @@ def test_first_fit_skips_forbidden_range():
 
 def test_first_fit_needs_all_grids_free():
     grids = make_grids(3)
-    occupy(grids[1], 0, 4, 7)
+    occupy(grids[1], 0, 4)
     assert first_fit(grids, 2) == SlotBlock(6, 2)
 
 
 def test_first_fit_none_when_full():
     (grid,) = make_grids()
-    occupy(grid, 0, 320, 1)
+    occupy(grid, 0, 320)
     assert first_fit([grid], 1) is None
 
 
@@ -104,71 +104,93 @@ def test_first_fit_grid_mismatch():
 def test_allocate_and_release_roundtrip():
     grids = make_grids(2)
     grids[0].forbid(SlotBlock(40, 5))
-    occupy(grids[1], 100, 104, 2)
-    before = [(g.used, g.forbidden_mask, dict(g.blocks)) for g in grids]
-    allocate(grids, SlotBlock(10, 4), 9)
-    for grid in grids:
-        assert list(grid.lightpath_slots(9)) == [10, 11, 12, 13]
-    release(grids, 9)
+    occupy(grids[1], 100, 104)
+    before = [(g.used, g.forbidden_mask) for g in grids]
+    allocate(grids, SlotBlock(10, 4))
+    for grid, (used, _) in zip(grids, before):
+        assert grid.used == used | 0b1111 << 10
+    release(grids, SlotBlock(10, 4))
     for grid, snapshot in zip(grids, before):
-        assert (grid.used, grid.forbidden_mask, grid.blocks) == snapshot
+        assert (grid.used, grid.forbidden_mask) == snapshot
 
 
 def test_allocate_collision_used():
     grids = make_grids()
-    allocate(grids, SlotBlock(5, 3), 1)
+    allocate(grids, SlotBlock(5, 3))
     with pytest.raises(AllocationCollisionError):
-        allocate(grids, SlotBlock(6, 2), 2)
+        allocate(grids, SlotBlock(6, 2))
 
 
 def test_allocate_collision_forbidden():
     (grid,) = make_grids()
     grid.forbid(SlotBlock(5, 5))
     with pytest.raises(AllocationCollisionError):
-        allocate([grid], SlotBlock(7, 2), 2)
+        allocate([grid], SlotBlock(7, 2))
 
 
-def test_release_unknown_lightpath():
-    grids = make_grids()
-    with pytest.raises(UnknownLightpathError):
-        release(grids, 42)
+@pytest.mark.parametrize(
+    "released, block",
+    [
+        ([], SlotBlock(30, 4)),
+        ([SlotBlock(10, 4)], SlotBlock(10, 4)),
+        ([], SlotBlock(12, 4)),
+        ([], SlotBlock(9, 2)),
+        ([], SlotBlock(20, 4)),
+        ([], SlotBlock(40, 4)),
+    ],
+    ids=["free", "double", "partly-free-above", "partly-free-below", "held-on-one-grid", "forbidden"],
+)
+def test_release_of_an_unheld_block_raises_and_changes_nothing(released, block):
+    # Both grids hold 10-13, only the first holds 20-23 and the second
+    # forbids 40-43: release must check every grid before freeing any.
+    grids = make_grids(2)
+    allocate(grids, SlotBlock(10, 4))
+    allocate(grids[:1], SlotBlock(20, 4))
+    grids[1].forbid(SlotBlock(40, 4))
+    for earlier in released:
+        release(grids, earlier)
+    before = [(g.used, g.forbidden_mask, list(g.forbidden)) for g in grids]
+    with pytest.raises(UnheldBlockError):
+        release(grids, block)
+    assert [(g.used, g.forbidden_mask, list(g.forbidden)) for g in grids] == before
+    assert issubclass(UnheldBlockError, SpectrumError)
 
 
 def test_release_keeps_forbidden_marks():
     (grid,) = make_grids()
     grid.forbid(SlotBlock(50, 10))
-    allocate([grid], SlotBlock(0, 4), 3)
-    release([grid], 3)
+    allocate([grid], SlotBlock(0, 4))
+    release([grid], SlotBlock(0, 4))
     assert grid.forbidden_count() == 10
     assert grid.used_count() == 0
 
 
 def test_forbid_over_held_slots_marks_them_on_release():
     (grid,) = make_grids()
-    allocate([grid], SlotBlock(5, 3), 1)
+    allocate([grid], SlotBlock(5, 3))
     assert grid.forbid(SlotBlock(6, 4)) is True
     # Slots 5-7 stay with the circuit; only 8-9 are forbidden so far.
-    assert list(grid.lightpath_slots(1)) == [5, 6, 7]
+    assert grid.used == 0b111 << 5
     assert grid.used_count() == 3
     assert grid.forbidden_count() == 2
     assert grid.forbid(SlotBlock(6, 4)) is False
     assert grid.forbidden == [SlotBlock(6, 4)]
-    release([grid], 1)
+    release([grid], SlotBlock(5, 3))
     # Once freed, 6-9 are all forbidden and slot 5 is free again.
     assert grid.forbidden_count() == 4
     assert grid.free_count() == 320 - 4
     with pytest.raises(AllocationCollisionError):
-        allocate([grid], SlotBlock(6, 1), 2)
-    allocate([grid], SlotBlock(5, 1), 2)
+        allocate([grid], SlotBlock(6, 1))
+    allocate([grid], SlotBlock(5, 1))
 
 
 def test_utilization_values():
     (grid,) = make_grids()
     assert utilization(grid) == 0.0
-    occupy(grid, 0, 320, 1)
+    occupy(grid, 0, 320)
     assert utilization(grid) == 1.0
-    release([grid], 1)
-    occupy(grid, 0, 80, 1)
+    release([grid], SlotBlock(0, 320))
+    occupy(grid, 0, 80)
     assert utilization(grid) == 0.25
 
 
@@ -181,15 +203,15 @@ def test_utilization_ignores_forbidden():
 def test_conservation():
     (grid,) = make_grids()
     grid.forbid(SlotBlock(50, 10))
-    allocate([grid], SlotBlock(0, 4), 1)
+    allocate([grid], SlotBlock(0, 4))
     assert grid.used_count() + grid.free_count() + grid.forbidden_count() == 320
 
 
 def test_time_integration_tracks_used_and_shadow():
     (grid,) = make_grids()
-    allocate([grid], SlotBlock(0, 2), 1)
+    allocate([grid], SlotBlock(0, 2))
     grid.advance_time(10.0)
-    release([grid], 1)
+    release([grid], SlotBlock(0, 2))
     grid.advance_time(25.0)
     assert grid.used_seconds[0] == 10.0
     assert grid.used_seconds[2] == 0.0
@@ -213,7 +235,7 @@ def build_grids(layouts, slots=320):
             block = SlotBlock(start, min(width, slots - start))
             if model.blocked[block.start:block.end].any():
                 continue
-            allocate([grid], block, next_id)
+            allocate([grid], block)
             model.holder[block.start:block.end] = next_id
             next_id += 1
         for start, width in forbidden:
@@ -278,7 +300,7 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
         if kind == "allocate":
             block = first_fit(grids, width)
             if block is not None:
-                allocate(grids, block, next_id)
+                allocate(grids, block)
                 for model in models:
                     assert not model.blocked[block.start:block.end].any()
                     model.holder[block.start:block.end] = next_id
@@ -291,7 +313,7 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
             models[which].forbidden[block.start:block.end] = True
         elif live:
             victim = sorted(live)[start % len(live)]
-            release(grids, victim)
+            release(grids, live[victim])
             for model in models:
                 model.holder[model.holder == victim] = 0
             del live[victim]
@@ -306,7 +328,8 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
             assert grid.forbidden_count() == (model.forbidden & ~held).sum()
             assert grid.free_count() == (~model.blocked).sum()
             for lightpath_id, block in live.items():
-                assert list(grid.lightpath_slots(lightpath_id)) == list(block.slots())
+                assert np.flatnonzero(model.holder == lightpath_id).tolist() == list(block.slots())
+                assert grid.used & block.mask == block.mask
         for probe in (1, 3, 7, 64):
             assert first_fit(grids, probe) == _first_fit_oracle(models, probe)
 
@@ -362,13 +385,14 @@ def test_batched_busy_time_equals_eager_integration(slots, steps):
         if kind == "allocate":
             block = first_fit([grid], width)
             if block is not None:
-                allocate([grid], block, lightpath_id)
+                allocate([grid], block)
                 held[block.start:block.end] = True
                 live[lightpath_id] = block
         elif kind == "release" and live:
             victim = sorted(live)[start % len(live)]
-            release([grid], victim)
-            held[live.pop(victim).slots()] = False
+            block = live.pop(victim)
+            release([grid], block)
+            held[block.slots()] = False
         elif kind == "forbid" and start < slots:
             grid.forbid(SlotBlock(start, min(width, slots - start)))
         now += step

@@ -11,7 +11,6 @@ from eonjam.topology import (
     TopologyError,
     load_topology,
     nsfnet,
-    shortest_path,
 )
 
 TRIANGLE = """
@@ -72,6 +71,7 @@ def test_triangle_routes_around():
     route = topo.shortest_path("A", "C")
     assert route.nodes == ("A", "B", "C")
     assert route.length_km == 200
+    assert topo.shortest_path("A", "B").nodes == ("A", "B")
 
 
 def test_single_link_route():
@@ -100,11 +100,6 @@ def test_unknown_node_rejected():
 def test_route_cache_returns_same_object():
     topo = load_topology(TRIANGLE)
     assert topo.shortest_path("A", "C") is topo.shortest_path("A", "C")
-
-
-def test_module_level_wrapper():
-    topo = load_topology(TRIANGLE)
-    assert shortest_path(topo, "A", "B").nodes == ("A", "B")
 
 
 def _brute_force_shortest(topo, source, destination):
