@@ -54,7 +54,13 @@ from pathlib import Path
 import yaml
 
 from . import metrics, sim
-from .control_plane import DEFAULT_DETECTION_TOLERANCE_DB, ControlMode
+from .control_plane import (
+    DEFAULT_DETECTION_TOLERANCE_DB,
+    REASON_JAMMED,
+    REASON_NO_SPECTRUM,
+    REASON_QOT,
+    ControlMode,
+)
 from .jammer import DEFAULT_JAMMED_RANGES, JammerConfig
 from .spectrum import SLOT_COUNT, SlotBlock
 from .topology import Topology, TopologyError, load_topology_file, nsfnet, nsfnet_text
@@ -385,8 +391,9 @@ def _cached_ranking(config: ScenarioConfig, outdir: Path):
     """The ranking in ``outdir`` if it is ``config``'s, else None.
 
     A cache counts only when its key matches ``config`` and it lists
-    every link of the topology exactly once with a finite value; the
-    caller recomputes and rewrites any other.
+    every link of the topology exactly once with a finite value, the
+    values not increasing down the file as ``metrics.utilization_ranking``
+    orders them; the caller recomputes and rewrites any other.
     """
     cache = outdir / "link_ranking.csv"
     meta = outdir / "link_ranking.meta.json"
@@ -405,6 +412,8 @@ def _cached_ranking(config: ScenarioConfig, outdir: Path):
     if sorted(link_id for link_id, _ in ranking) != link_ids:
         return None
     if not all(math.isfinite(value) for _, value in ranking):
+        return None
+    if any(above < below for (_, above), (_, below) in zip(ranking, ranking[1:])):
         return None
     return ranking
 
@@ -445,9 +454,9 @@ def _write_outputs(config: ScenarioConfig, result: sim.ScenarioResult, outdir: P
                         eps,
                         str(rep_index),
                         _fmt(metrics.blocking_probability(rep)),
-                        str(rep.blocked_by_reason.get("no-spectrum", 0)),
-                        str(rep.blocked_by_reason.get("qot-fail", 0)),
-                        str(rep.blocked_by_reason.get("jammed-no-alternative", 0)),
+                        str(rep.blocked_by_reason.get(REASON_NO_SPECTRUM, 0)),
+                        str(rep.blocked_by_reason.get(REASON_QOT, 0)),
+                        str(rep.blocked_by_reason.get(REASON_JAMMED, 0)),
                     )
                 )
             )
@@ -484,15 +493,15 @@ def _print_summary(result: sim.ScenarioResult) -> None:
     for point in _sorted_points(result):
         eps = _NA if point.epsilon_db is None else f"{point.epsilon_db:g} dB"
         target = point.target_link_id or _NA
-        reasons = {"no-spectrum": 0, "qot-fail": 0, "jammed-no-alternative": 0}
+        reasons = {REASON_NO_SPECTRUM: 0, REASON_QOT: 0, REASON_JAMMED: 0}
         for rep in point.results:
             for reason, count in rep.blocked_by_reason.items():
                 reasons[reason] = reasons.get(reason, 0) + count
         print(
             f"{point.mode.value:10s} target={target:5s} eps={eps:8s} "
             f"blocking={point.mean_blocking:.6f} "
-            f"(no-spectrum={reasons['no-spectrum']} qot={reasons['qot-fail']} "
-            f"jammed={reasons['jammed-no-alternative']})"
+            f"(no-spectrum={reasons[REASON_NO_SPECTRUM]} qot={reasons[REASON_QOT]} "
+            f"jammed={reasons[REASON_JAMMED]})"
         )
 
 

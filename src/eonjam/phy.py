@@ -271,20 +271,6 @@ def _overlap_error(spacing: float, half: float) -> PhyModelError:
     )
 
 
-def _interference_log(target: Channel, other: Channel) -> float:
-    """GN-model cross-channel term ln((f + B/2) / (f - B/2)).
-
-    ``f`` is the centre-frequency spacing and ``B`` the interferer's
-    bandwidth.  Requires the target centre to lie outside the
-    interferer's band, which holds for any non-overlapping layout.
-    """
-    spacing = abs(target.center_frequency_hz - other.center_frequency_hz)
-    half = other.bandwidth_hz / 2.0
-    if spacing - half <= 0.0:
-        raise _overlap_error(spacing, half)
-    return math.log((spacing + half) / (spacing - half))
-
-
 def sci_psd(target: Channel, span_count: int, params: PhyParams) -> float:
     """Self-channel NLI PSD of ``target`` accumulated over ``span_count`` spans."""
     return (
@@ -355,8 +341,8 @@ def jamming_psd(
 
     A jammed channel overlapping the target adds the in-band excess of
     :func:`inband_jamming_psd` once.  A disjoint one of bandwidth ``B``
-    contributes cross-channel NLI with ``(eps^2 + 2 eps P) / B^2`` in
-    place of the squared PSD of a legitimate channel, which is exactly
+    contributes the :func:`xci_onto` term with ``(eps^2 + 2 eps P) / B^2``
+    in place of the squared PSD of a legitimate channel, which is exactly
     the NLI of a channel at power ``P + eps`` minus the NLI of one at
     power ``P``.  Exactly 0.0 when ``epsilon_w`` is zero or
     ``jammers`` is empty.
@@ -369,13 +355,8 @@ def jamming_psd(
         if target.overlap_hz(jam) > 0.0:
             total += inband_jamming_psd(target, jam, epsilon_w)
         else:
-            total += (
-                span_count
-                * params.phi
-                * target.psd_w_per_hz
-                * (excess / jam.bandwidth_hz**2)
-                * _interference_log(target, jam)
-            )
+            record = jam.record[:3] + (excess / jam.bandwidth_hz**2,)
+            total = xci_onto(target.record, (record,), span_count, params, total)
     return total
 
 

@@ -13,11 +13,11 @@ amplifier spans of ``span_length_km``, rounded up so the whole length is
 covered.
 
 Routing is plain Dijkstra on link lengths.  Equal-length ties are broken
-by the lexicographically smallest canonical node sequence (the smaller
-of the sequence and its reverse), which makes the choice deterministic
-and direction-symmetric: the route from d to s is always the reverse of
-the route from s to d.  Routes are computed once per node pair and
-cached; the simulator never reroutes.
+by the smallest tied node sequence read from the smaller endpoint (the
+smaller of the sequence and its reverse), which makes the choice
+deterministic and direction-symmetric: the route from d to s is always
+the reverse of the route from s to d.  Routes are computed once per node
+pair and cached; the simulator never reroutes.
 """
 
 from __future__ import annotations
@@ -133,6 +133,7 @@ class Topology:
             raise TopologyError("duplicate node id")
         node_set = set(self.nodes)
         seen_pairs = set()
+        seen_ids = set()
         for link in self.links:
             if link.source not in node_set or link.destination not in node_set:
                 raise TopologyError(f"link {link.id} references an undeclared node")
@@ -144,18 +145,15 @@ class Topology:
             if pair in seen_pairs:
                 raise TopologyError(f"parallel link between {link.source} and {link.destination}")
             seen_pairs.add(pair)
+            if link.id in seen_ids:
+                raise TopologyError(f"duplicate link id {link.id!r}")
+            seen_ids.add(link.id)
 
     def link_by_id(self, link_id: str) -> Link:
         try:
             return self._by_id[link_id]
         except KeyError:
             raise TopologyError(f"unknown link id {link_id!r}") from None
-
-    def link_between(self, a: str, b: str) -> Link:
-        for link in self._adjacency[a]:
-            if link.other_end(a) == b:
-                return link
-        raise TopologyError(f"no link between {a!r} and {b!r}")
 
     def shortest_path(self, source: str, destination: str) -> Route:
         """Minimum-length route, deterministic under ties, cached."""
@@ -173,12 +171,37 @@ class Topology:
         if destination not in dist_s:
             raise RouteNotFoundError(f"no path from {source!r} to {destination!r}")
         dist_d = self._dijkstra_distances(destination)
-        best_nodes = self._best_tied_path(source, destination, dist_s, dist_d)
+        total = dist_s[destination]
+        forward = source < destination
 
-        links = tuple(
-            self.link_between(a, b) for a, b in zip(best_nodes[:-1], best_nodes[1:])
-        )
-        route = Route(links=links, source=source, destination=destination)
+        def tied_steps(node):
+            """Links of ``node`` on a shortest path, smaller neighbour first."""
+            steps = []
+            for link in self._adjacency[node]:
+                other = link.other_end(node)
+                x, y = (node, other) if forward else (other, node)
+                length = dist_s[x] + link.length_km + dist_d.get(y, math.inf)
+                if math.isclose(length, total, rel_tol=1e-12, abs_tol=1e-9):
+                    steps.append((other, link))
+            return iter(sorted(steps, key=lambda step: step[0]))
+
+        # The first tied path a smaller-neighbour-first depth-first walk
+        # from the smaller endpoint reaches is the smallest one.
+        start, end = (source, destination) if forward else (destination, source)
+        path, links, branches = [start], [], [tied_steps(start)]
+        while path[-1] != end:
+            other, link = next(branches[-1], (None, None))
+            if other is None:  # dead end: back up one hop
+                branches.pop()
+                path.pop()
+                links.pop()
+            elif other not in path:
+                path.append(other)
+                links.append(link)
+                branches.append(tied_steps(other))
+        if not forward:
+            links.reverse()
+        route = Route(links=tuple(links), source=source, destination=destination)
         _validate_route(route)
         self._route_cache[key] = route
         return route
@@ -197,35 +220,6 @@ class Topology:
                     dist[other] = nd
                     heapq.heappush(heap, (nd, other))
         return dist
-
-    def _best_tied_path(self, source, destination, dist_s, dist_d):
-        """Enumerate the shortest-path DAG, pick the canonical minimum.
-
-        The canonical key of a node sequence is the smaller of the
-        sequence and its reverse, so the winner for (d, s) is exactly the
-        reverse of the winner for (s, d).
-        """
-        total = dist_s[destination]
-        paths: list[tuple[str, ...]] = []
-        stack: list[tuple[str, tuple[str, ...]]] = [(source, (source,))]
-        while stack:
-            node, prefix = stack.pop()
-            if node == destination:
-                paths.append(prefix)
-                continue
-            for link in self._adjacency[node]:
-                other = link.other_end(node)
-                if other in prefix:
-                    continue
-                if not math.isclose(
-                    dist_s[node] + link.length_km + dist_d.get(other, math.inf),
-                    total,
-                    rel_tol=1e-12,
-                    abs_tol=1e-9,
-                ):
-                    continue
-                stack.append((other, prefix + (other,)))
-        return min(paths, key=lambda p: min(p, tuple(reversed(p))))
 
 
 def load_topology(document: str, span_length_km: float = DEFAULT_SPAN_LENGTH_KM) -> Topology:

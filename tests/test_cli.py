@@ -221,6 +221,19 @@ def test_broken_topology_is_a_config_error_for_selector_targets(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
+def test_duplicate_link_id_is_a_config_error(tmp_path, capsys, command):
+    # Link ids are min-max of the endpoint names: a-b/c and a/b-c are both a-b-c.
+    (tmp_path / "dup.topo").write_text("nodes: a-b c a b-c\nlink: a-b c 100\nlink: a b-c 100\nlink: c a 100\n")
+    config = dict(TINY, topology="dup.topo", output_dir=str(tmp_path / "out"))
+    config["jammer"] = {"target": "most_used"}
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: topology: duplicate link id 'a-b-c'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_cold_simulate_ranks_from_its_own_no_jamming_runs(tmp_path, monkeypatch):
     calls = []
     replicate = sim._replicate
@@ -427,17 +440,22 @@ def _damage_ranking(outdir, damage):
         rows[1] = rows[1].split(",")[0] + "," + rows[0].split(",", 1)[1]
     elif damage == "non-finite":
         rows[-1] = rows[-1].rsplit(",", 1)[0] + ",nan"
+    elif damage == "swapped-rows":
+        rows[0], rows[1] = rows[1], rows[0]
     else:
         meta.write_text("[1]\n")
     cache.write_text("\n".join([header, *rows]) + "\n")
 
 
-@pytest.mark.parametrize("damage", ["truncated", "header-only", "repeated-link", "non-finite", "meta-list"])
+@pytest.mark.parametrize(
+    "damage", ["truncated", "header-only", "repeated-link", "non-finite", "swapped-rows", "meta-list"]
+)
 @pytest.mark.parametrize("command", ["simulate", "rank-links"])
 def test_damaged_ranking_cache_is_recomputed(tmp_path, command, damage):
     # A cache with the right key but not one finite value per link of the
-    # topology is rebuilt: a truncated one would aim least_used at the
-    # wrong link, a header-only one would leave nothing to select.
+    # topology, in non-increasing order, is rebuilt: a truncated one would
+    # aim least_used at the wrong link, a header-only one would leave
+    # nothing to select, swapped rows would aim most_used at the wrong link.
     config = dict(TINY, output_dir=str(tmp_path / "out"))
     config["jammer"] = {"target": "least_used"}
     config["traffic"] = {"requests_per_replication": 50, "replications": 1}

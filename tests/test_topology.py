@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from eonjam.topology import (
     TopologyError,
     load_topology,
     nsfnet,
+    nsfnet_text,
 )
 
 TRIANGLE = """
@@ -59,6 +62,9 @@ def test_comments_and_blank_lines():
         ("nodes: A B C\nlink: A B 100\n", "not connected"),
         ("nodes: A B\nfoo: bar\n", "unrecognised"),
         ("nodes: A B\nlink: A B\n", "expected"),
+        # Ids are min-max of the endpoint names, so names holding '-' collide.
+        ("nodes: a-b c a b-c\nlink: a-b c 100\nlink: a b-c 100\nlink: c a 100\n",
+         "duplicate link id 'a-b-c'"),
     ],
 )
 def test_malformed_documents_rejected(document, message):
@@ -191,3 +197,101 @@ def test_route_not_found_reported_defensively():
     topo._route_cache.clear()
     with pytest.raises(RouteNotFoundError):
         topo.shortest_path("A", "B")
+
+
+METRO_TOPO = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads" / "metro.topo"
+
+
+def _enumerated_route(topo, source, destination):
+    """Oracle: every tied shortest path, then the smallest canonical key.
+
+    The canonical key of a node sequence is the smaller of the sequence
+    and its reverse.  Exponential in the number of ties; small graphs only.
+    """
+    dist_s = topo._dijkstra_distances(source)
+    dist_d = topo._dijkstra_distances(destination)
+    total = dist_s[destination]
+    paths = []
+    stack = [(source, (source,))]
+    while stack:
+        node, prefix = stack.pop()
+        if node == destination:
+            paths.append(prefix)
+            continue
+        for link in topo._adjacency[node]:
+            other = link.other_end(node)
+            if other in prefix:
+                continue
+            if not math.isclose(
+                dist_s[node] + link.length_km + dist_d.get(other, math.inf),
+                total,
+                rel_tol=1e-12,
+                abs_tol=1e-9,
+            ):
+                continue
+            stack.append((other, prefix + (other,)))
+    return min(paths, key=lambda p: min(p, tuple(reversed(p))))
+
+
+def _assert_routes_match_enumeration(topo):
+    ids = {frozenset((link.source, link.destination)): link.id for link in topo.links}
+    for source, destination in itertools.permutations(topo.nodes, 2):
+        route = topo.shortest_path(source, destination)
+        expected = _enumerated_route(topo, source, destination)
+        assert route.nodes == expected
+        assert route.link_ids == tuple(ids[frozenset(hop)] for hop in zip(expected, expected[1:]))
+
+
+@pytest.mark.parametrize("document", [nsfnet_text(), METRO_TOPO.read_text()], ids=["nsfnet", "metro"])
+def test_routes_match_enumeration_on_shipped_topologies(document):
+    _assert_routes_match_enumeration(load_topology(document))
+
+
+@st.composite
+def tied_graphs(draw):
+    """Connected graphs whose links are 10 or 20 km, so most routes tie.
+
+    Node names are shuffled against the build order, so sources above and
+    below their destinations both occur.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    nodes = draw(st.permutations([f"n{i}" for i in range(n)]))
+    edges = {}
+    lengths = st.sampled_from([10, 20])
+    for i in range(1, n):
+        edges[(draw(st.integers(min_value=0, max_value=i - 1)), i)] = draw(lengths)
+    extras = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    for a, b in extras:
+        if a != b:
+            edges.setdefault((min(a, b), max(a, b)), draw(lengths))
+    document = ["nodes: " + " ".join(nodes)]
+    document += [f"link: {nodes[a]} {nodes[b]} {length}" for (a, b), length in edges.items()]
+    return load_topology("\n".join(document))
+
+
+@given(tied_graphs())
+@settings(max_examples=150, deadline=None)
+def test_routes_match_enumeration_on_tied_graphs(topo):
+    _assert_routes_match_enumeration(topo)
+
+
+def test_corner_route_of_a_large_grid_is_fast():
+    # A 30x30 grid of equal links has C(58, 29), about 3e16, tied corner
+    # routes; the walk must not enumerate them.
+    size = 30
+    name = "r{:02d}c{:02d}".format
+    document = ["nodes: " + " ".join(name(i, j) for i in range(size) for j in range(size))]
+    for i in range(size):
+        for j in range(size):
+            if i + 1 < size:
+                document.append(f"link: {name(i, j)} {name(i + 1, j)} 10")
+            if j + 1 < size:
+                document.append(f"link: {name(i, j)} {name(i, j + 1)} 10")
+    topo = load_topology("\n".join(document))
+    started = time.perf_counter()
+    route = topo.shortest_path(name(size - 1, size - 1), name(0, 0))
+    assert time.perf_counter() - started < 0.5
+    # Read from r00c00, the smallest sequence runs along row 0, then down.
+    along_row = [name(0, j) for j in range(size)] + [name(i, size - 1) for i in range(1, size)]
+    assert route.nodes == tuple(reversed(along_row))
+    assert route.length_km == 10 * 2 * (size - 1)
