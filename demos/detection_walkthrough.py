@@ -65,4 +65,4 @@ outcome = handle_request(
 )
 print(f"with slots 0-47 busy, a real 40 Gbps request lands at slots "
       f"{outcome.block.start}-{outcome.block.end - 1} ({outcome.modulation.name})")
-print(f"and the grids now forbid: {state.forbidden_ranges}")
+print(f"and the control plane now forbids: {state.forbidden_ranges}")

@@ -14,9 +14,7 @@ from eonjam.spectrum import SlotBlock, SlotGrid, allocate, first_fit, release, u
 
 
 def show(grid, held, upto=40):
-    cells = ["."] * grid.slot_count
-    for block in grid.forbidden:
-        cells[block.start:block.end] = "x" * block.width
+    cells = ["x" if grid.forbidden_mask >> slot & 1 else "." for slot in range(grid.slot_count)]
     for lightpath_id, block in held.items():
         cells[block.start:block.end] = str(lightpath_id % 10) * block.width
     print("".join(cells[:upto]), f"  (used {grid.used_count()}, util {utilization(grid):.3f})")

@@ -33,7 +33,8 @@ from the directory of the config file, while a relative ``output_dir``
 is created under the working directory of the ``eonjam`` process.  The
 environment variable ``EONJAM_OUTPUT_DIR`` overrides ``output_dir``.
 An ``epsilon_sweep`` may hold at most :data:`MAX_SWEEP_POINTS` powers,
-and a replication at most :data:`MAX_REQUESTS_PER_REPLICATION` requests.
+none above ``jammer.MAX_EPSILON_DB``, and a replication at most
+:data:`MAX_REQUESTS_PER_REPLICATION` requests.
 A key the format does not define, at the top level or inside
 ``traffic``, ``jammer`` or ``epsilon_sweep``, is a configuration error.
 
@@ -61,7 +62,7 @@ from .control_plane import (
     REASON_QOT,
     ControlMode,
 )
-from .jammer import DEFAULT_JAMMED_RANGES, JammerConfig
+from .jammer import DEFAULT_JAMMED_RANGES, MAX_EPSILON_DB, JammerConfig
 from .spectrum import SLOT_COUNT, SlotBlock
 from .topology import Topology, TopologyError, load_topology_file, nsfnet, nsfnet_text
 
@@ -259,6 +260,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
                         violations.append(
                             f"epsilon_sweep: {points} powers, more than the {MAX_SWEEP_POINTS} allowed"
                         )
+                    elif sim.epsilon_sweep_values(*sweep)[-1] > MAX_EPSILON_DB:
+                        violations.append(f"epsilon_sweep: a power above the {MAX_EPSILON_DB} dB limit")
 
     traffic_raw = data.get("traffic", {})
     if isinstance(traffic_raw, dict):

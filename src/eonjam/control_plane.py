@@ -172,16 +172,19 @@ class Blocked:
 
 
 class NetworkState:
-    """Slot grids and active circuits; the grids hold the forbidden blocks.
+    """Slot grids, active circuits and the ranges detected as jammed.
 
-    ``grid_actives[hop]`` maps the id of each circuit on a directed hop
-    to its spectral record, ``phy.Channel.record``, and is the only
-    record of which circuits hold a hop's slots.  ``changes`` counts
-    establishments and departures, so a candidate's neighbour XCI can be
-    checked to be priced on the current circuits.  ``last_refuser`` is
-    the id of the last circuit that the neighbour check of
-    :func:`evaluate_candidate` found pushed below its threshold (None
-    before the first); it may have departed since.
+    ``forbidden_ranges[link_id]`` lists a link's detected ranges in
+    detection order and is the only record of them; only
+    :meth:`forbid_range` writes it.  ``grid_actives[hop]`` maps the id
+    of each circuit on a directed hop to its spectral record,
+    ``phy.Channel.record``, and is the only record of which circuits
+    hold a hop's slots.  ``changes`` counts establishments and
+    departures, so a candidate's neighbour XCI can be checked to be
+    priced on the current circuits.  ``last_refuser`` is the id of the
+    last circuit that the neighbour check of :func:`evaluate_candidate`
+    found pushed below its threshold (None before the first); it may
+    have departed since.
     """
 
     def __init__(self, topology: Topology, params: phy.PhyParams):
@@ -194,6 +197,7 @@ class NetworkState:
                 self.grids[direction] = SlotGrid(link.id, direction)
                 self.grid_actives[direction] = {}
         self.actives: dict[int, Lightpath] = {}
+        self.forbidden_ranges: dict[str, list[SlotBlock]] = {}
         self.changes = 0
         self.last_refuser: int | None = None
         self._demands = _demand_tables.setdefault(topology, {}).setdefault(params, {})
@@ -201,10 +205,10 @@ class NetworkState:
     def copy(self) -> "NetworkState":
         """An exact, independent :class:`NetworkState` of the same network.
 
-        The grids, the hop lists and every active :class:`Lightpath` are
-        copied (a circuit's ``xci_psd`` changes as neighbours come and
-        go); the topology, the physics, the shared demand table and the
-        immutable channels and records are shared.
+        The grids, the hop lists, the detected ranges and every active
+        :class:`Lightpath` are copied (a circuit's ``xci_psd`` changes as
+        neighbours come and go); the topology, the physics, the shared
+        demand table and the immutable channels and records are shared.
         """
         twin = NetworkState.__new__(NetworkState)
         twin.topology = self.topology
@@ -212,6 +216,7 @@ class NetworkState:
         twin.grids = {hop: grid.copy() for hop, grid in self.grids.items()}
         twin.grid_actives = {hop: dict(on_hop) for hop, on_hop in self.grid_actives.items()}
         twin.actives = {key: copy.copy(lightpath) for key, lightpath in self.actives.items()}
+        twin.forbidden_ranges = {key: list(value) for key, value in self.forbidden_ranges.items()}
         twin.changes = self.changes
         twin.last_refuser = self.last_refuser
         twin._demands = self._demands
@@ -238,27 +243,20 @@ class NetworkState:
         route, reach = demand
         return route, tuple(self.grids_for_route(route)), reach
 
-    @property
-    def forbidden_ranges(self) -> dict[str, list[SlotBlock]]:
-        """Forbidden blocks per link, read from the forward grids."""
-        ranges = {}
-        for link in self.topology.links:
-            forbidden = self.grids[(link.source, link.destination)].forbidden
-            if forbidden:
-                ranges[link.id] = list(forbidden)
-        return ranges
-
     def forbid_range(self, link_id: str, block: SlotBlock) -> bool:
-        """Forbid ``block`` on both directions of a link.
+        """Record ``block`` as detected on a link and forbid it both ways.
 
-        Returns False when the range was already forbidden.  Slots still
+        Returns False when the range was already recorded.  Slots still
         held by an active circuit are marked when that circuit releases
         them.
         """
         link = self.topology.link_by_id(link_id)
-        forward = self.grids[(link.source, link.destination)].forbid(block)
-        backward = self.grids[(link.destination, link.source)].forbid(block)
-        return forward and backward
+        if block in self.forbidden_ranges.get(link_id, ()):
+            return False
+        self.grids[(link.source, link.destination)].forbid(block)
+        self.grids[(link.destination, link.source)].forbid(block)
+        self.forbidden_ranges.setdefault(link_id, []).append(block)
+        return True
 
     def flush_time(self, now: float) -> None:
         for grid in self.grids.values():
@@ -586,7 +584,8 @@ def verify_state_invariants(
 
     Recomputes every active circuit's SNR from scratch through the
     physical-layer module, and checks that each grid's used slots are
-    the union of the disjoint blocks of the circuits listed on its hop.
+    the union of the disjoint blocks of the circuits listed on its hop
+    and its forbidden slots the union of its link's detected ranges.
     Raises ``AssertionError`` on any violation; used by the test suite.
     """
     params = state.params
@@ -600,12 +599,9 @@ def verify_state_invariants(
             held |= mask
         assert held == grid.used, f"used slots disagree with the held blocks on {hop}"
         barred = 0
-        for block in grid.forbidden:
+        for block in state.forbidden_ranges.get(grid.link_id, ()):
             barred |= block.mask
-        assert barred == grid.forbidden_mask, f"forbidden slots disagree with the blocks on {hop}"
-        assert grid.forbidden == state.grids[hop[::-1]].forbidden, (
-            f"directions of {grid.link_id} disagree on forbidden blocks"
-        )
+        assert barred == grid.forbidden_mask, f"forbidden slots disagree with the ranges on {hop}"
 
     for link_id, ranges in state.forbidden_ranges.items():
         if ground_truth is not None:
@@ -638,7 +634,6 @@ def verify_state_invariants(
         )
         if mode is ControlMode.AWARE:
             for hop in lightpath.route.directed_hops:
-                for block in state.grids[hop].forbidden:
-                    assert not block.overlaps(lightpath.block), (
-                        "aware-mode circuit occupies a detected range"
-                    )
+                assert not state.grids[hop].forbidden_mask & lightpath.block.mask, (
+                    "aware-mode circuit occupies a detected range"
+                )

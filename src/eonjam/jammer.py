@@ -13,8 +13,7 @@ the measured-SNR comparison in the detection step.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .phy import Channel, PhyParams, channel_for_block, db_to_linear
 from .spectrum import SLOT_COUNT, SlotBlock
@@ -23,6 +22,7 @@ __all__ = [
     "MOST_USED",
     "LEAST_USED",
     "DEFAULT_JAMMED_RANGES",
+    "MAX_EPSILON_DB",
     "JammerConfig",
     "GroundTruth",
     "resolve_target",
@@ -38,13 +38,18 @@ DEFAULT_JAMMED_RANGES: tuple[SlotBlock, ...] = (
     SlotBlock(230, 10),
 )
 
+#: Largest extra jamming power, in dB over the launch power: 10 MW at 0 dBm,
+#: far below the ~1,570 dB where the jamming noise terms overflow a float.
+MAX_EPSILON_DB = 100.0
+
 
 @dataclass(frozen=True)
 class JammerConfig:
     """Which link is attacked, where in the spectrum, and how hard.
 
     ``target`` is ``"most_used"``, ``"least_used"`` or an explicit link
-    id.  Ranges must be disjoint and inside the grid.
+    id.  Ranges must be disjoint and inside the grid, and ``epsilon_db``
+    lies between 0 and :data:`MAX_EPSILON_DB`.
     """
 
     target: str
@@ -52,8 +57,10 @@ class JammerConfig:
     epsilon_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon_db < math.inf:
-            raise ValueError(f"epsilon_db must be finite and >= 0, got {self.epsilon_db}")
+        if not 0.0 <= self.epsilon_db <= MAX_EPSILON_DB:
+            raise ValueError(
+                f"epsilon_db must be finite, >= 0 and <= {MAX_EPSILON_DB}, got {self.epsilon_db}"
+            )
         if not self.jammed_ranges:
             raise ValueError("at least one jammed range is required")
         ordered = sorted(self.jammed_ranges, key=lambda b: b.start)
@@ -76,7 +83,7 @@ class GroundTruth:
     link_id: str
     channels: tuple[Channel, ...]
     epsilon_w: float
-    jammed_ranges: tuple[SlotBlock, ...] = field(default=())
+    jammed_ranges: tuple[SlotBlock, ...]
 
     def ranges_overlapping(self, block: SlotBlock) -> tuple[SlotBlock, ...]:
         return tuple(r for r in self.jammed_ranges if r.overlaps(block))

@@ -18,7 +18,8 @@ coefficients
     rho = pi^2 * |beta2| / (2 * alpha)
 
 used by the nonlinear terms.  Only frequency differences matter for the
-interference integrals, so the grid origin is an arbitrary constant.
+interference integrals, so frequencies are counted from the lower edge
+of slot 0.
 
 The noise terms are written here only (:func:`ase_psd`, :func:`sci_psd`,
 the cross-channel kernels, :func:`jamming_psd`); :func:`snr` and the
@@ -50,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .spectrum import SlotBlock
+from .topology import SPAN_LENGTH_KM
 
 __all__ = [
     "PhyModelError",
@@ -108,19 +110,16 @@ class PhyParams:
     tx_power_dbm: float = 0.0
     slot_width_hz: float = 12.5e9
     attenuation_db_per_km: float = 0.2
-    span_length_km: float = 100.0
     gamma_nl_per_w_km: float = 1.22
     beta2_abs_ps2_per_km: float = 16.0
     light_frequency_hz: float = 1.93e14
     noise_figure_db: float = 6.0
     planck_js: float = 6.62607015e-34
-    base_frequency_hz: float = 0.0
 
     def __post_init__(self) -> None:
         positive = {
             "slot_width_hz": self.slot_width_hz,
             "attenuation_db_per_km": self.attenuation_db_per_km,
-            "span_length_km": self.span_length_km,
             "gamma_nl_per_w_km": self.gamma_nl_per_w_km,
             "beta2_abs_ps2_per_km": self.beta2_abs_ps2_per_km,
             "light_frequency_hz": self.light_frequency_hz,
@@ -160,8 +159,8 @@ class PhyParams:
 
     @cached_property
     def g0_ase(self) -> float:
-        """Per-span ASE noise PSD, (e^{alpha L} - 1) F h nu."""
-        gain = math.exp(self.alpha_per_m * 1e3 * self.span_length_km)
+        """ASE noise PSD of one span of ``SPAN_LENGTH_KM``, (e^{alpha L} - 1) F h nu."""
+        gain = math.exp(self.alpha_per_m * 1e3 * SPAN_LENGTH_KM)
         return (gain - 1.0) * db_to_linear(self.noise_figure_db) * self.planck_js * self.light_frequency_hz
 
 
@@ -231,8 +230,8 @@ MODULATIONS: tuple[Modulation, ...] = (
 
 
 def slot_center_frequency(block: SlotBlock, params: PhyParams) -> float:
-    """Centre frequency of a slot block relative to the grid origin."""
-    return params.base_frequency_hz + (block.start + block.width / 2.0) * params.slot_width_hz
+    """Centre frequency of a slot block above the lower edge of slot 0."""
+    return (block.start + block.width / 2.0) * params.slot_width_hz
 
 
 def channel_for_block(

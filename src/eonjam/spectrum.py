@@ -2,15 +2,15 @@
 
 Each directed link owns a :class:`SlotGrid` of 320 slots, kept as Python
 int bitmasks (bit ``i`` is slot ``i``): ``used`` holds the slots that
-circuits hold, ``forbidden_mask`` the slots of the blocks the
-jamming-aware control plane took out of use.  A grid holds no circuit
-ids; which circuit holds a block is the control plane's record.  A
-forbidden slot an older circuit still holds is used until that circuit
-leaves; ``used | forbidden_mask`` is the blocked set either way, so
-release never has to restore forbidden blocks.  First Fit finds the
-lowest start index where a block fits on every grid of a route with a
-2-slot guardband separating it from blocked spectrum, used and
-forbidden alike.
+circuits hold, ``forbidden_mask`` the slots the jamming-aware control
+plane took out of use.  A grid holds slot masks only: which circuit
+holds a block and which ranges were detected as jammed are the control
+plane's records.  A forbidden slot an older circuit still holds is used
+until that circuit leaves; ``used | forbidden_mask`` is the blocked set
+either way, so release never has to restore forbidden slots.  First
+Fit finds the lowest start index where a block fits on every grid of a
+route with a 2-slot guardband separating it from blocked spectrum, used
+and forbidden alike.
 
 Grids also integrate per-slot busy time so that utilization statistics
 come from exact event-time integration instead of sampling.  Each clock
@@ -104,10 +104,10 @@ def _workspace(slot_count: int) -> np.ndarray:
 class SlotGrid:
     """Spectrum of one direction of one fibre link.
 
-    ``used`` is the bitmask of slots held by circuits.  ``forbidden``
-    lists the blocks taken out of use and ``forbidden_mask`` is their
-    union.  Two busy-time integrals are advanced by the simulation clock
-    through :meth:`advance_time`: ``used_seconds`` counts slots actually
+    ``used`` is the bitmask of slots held by circuits and
+    ``forbidden_mask`` that of the slots taken out of use.  Two
+    busy-time integrals are advanced by the simulation clock through
+    :meth:`advance_time`: ``used_seconds`` counts slots actually
     carrying a circuit, while ``reserved_seconds`` additionally counts
     each circuit's guardband shadow, the ``GUARDBAND_SLOTS`` slots above
     its block.  A shadow slot cannot be allocated while the circuit
@@ -125,7 +125,6 @@ class SlotGrid:
         "direction",
         "slot_count",
         "used",
-        "forbidden",
         "forbidden_mask",
         "_seconds",
         "_clock",
@@ -141,7 +140,6 @@ class SlotGrid:
         self.direction = direction
         self.slot_count = slot_count
         self.used = 0
-        self.forbidden: list[SlotBlock] = []
         self.forbidden_mask = 0
         # Row 0 is the used-slot integral, row 1 the reserved one.
         self._seconds = np.zeros((2, slot_count), dtype=np.float64)
@@ -161,7 +159,6 @@ class SlotGrid:
         twin.direction = self.direction
         twin.slot_count = self.slot_count
         twin.used = self.used
-        twin.forbidden = list(self.forbidden)
         twin.forbidden_mask = self.forbidden_mask
         twin._seconds = self._seconds.copy()
         twin._clock = self._clock
@@ -237,15 +234,11 @@ class SlotGrid:
     def free_count(self) -> int:
         return self.slot_count - (self.used | self.forbidden_mask).bit_count()
 
-    def forbid(self, block: SlotBlock) -> bool:
-        """Record ``block`` as forbidden; False if already recorded."""
+    def forbid(self, block: SlotBlock) -> None:
+        """Take the slots of ``block`` out of use."""
         if block.end > self.slot_count:
             raise SpectrumError(f"block {block} exceeds grid of {self.slot_count} slots")
-        if block in self.forbidden:
-            return False
-        self.forbidden.append(block)
         self.forbidden_mask |= block.mask
-        return True
 
 
 def first_fit(grids, width: int) -> SlotBlock | None:

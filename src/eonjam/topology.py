@@ -8,9 +8,9 @@ Topologies are loaded from a small line-oriented text format::
     link: B C 250
 
 Links are undirected fibres whose spectrum is managed per direction by
-the control plane; lengths are symmetric.  Every link is divided into
-amplifier spans of ``span_length_km``, rounded up so the whole length is
-covered.
+the control plane; lengths are symmetric, finite and positive.  Every
+link is divided into amplifier spans of :data:`SPAN_LENGTH_KM`, rounded
+up so the whole length is covered, the span whose ASE ``phy`` prices.
 
 Routing is plain Dijkstra on link lengths.  Equal-length ties are broken
 by the smallest tied node sequence read from the smaller endpoint (the
@@ -29,6 +29,7 @@ from functools import cached_property
 from importlib import resources
 
 __all__ = [
+    "SPAN_LENGTH_KM",
     "TopologyError",
     "RouteNotFoundError",
     "Link",
@@ -40,7 +41,8 @@ __all__ = [
     "nsfnet_text",
 ]
 
-DEFAULT_SPAN_LENGTH_KM = 100.0
+#: Links are cut into amplifier spans of this length; ``PhyParams.g0_ase`` prices one.
+SPAN_LENGTH_KM = 100.0
 
 
 class TopologyError(ValueError):
@@ -114,10 +116,9 @@ def _validate_route(route: Route) -> None:
 class Topology:
     """Immutable graph of nodes and fibre links with cached routing."""
 
-    def __init__(self, nodes, links, span_length_km: float = DEFAULT_SPAN_LENGTH_KM):
+    def __init__(self, nodes, links):
         self.nodes: tuple[str, ...] = tuple(nodes)
         self.links: tuple[Link, ...] = tuple(links)
-        self.span_length_km = span_length_km
         self._validate()
         self._adjacency: dict[str, list[Link]] = {n: [] for n in self.nodes}
         for link in self.links:
@@ -139,8 +140,8 @@ class Topology:
                 raise TopologyError(f"link {link.id} references an undeclared node")
             if link.source == link.destination:
                 raise TopologyError(f"link {link.id} is a self-loop")
-            if link.length_km <= 0:
-                raise TopologyError(f"link {link.id} has non-positive length")
+            if not 0.0 < link.length_km < math.inf:
+                raise TopologyError(f"link {link.id} has non-positive or non-finite length")
             pair = frozenset((link.source, link.destination))
             if pair in seen_pairs:
                 raise TopologyError(f"parallel link between {link.source} and {link.destination}")
@@ -222,7 +223,7 @@ class Topology:
         return dist
 
 
-def load_topology(document: str, span_length_km: float = DEFAULT_SPAN_LENGTH_KM) -> Topology:
+def load_topology(document: str) -> Topology:
     """Parse the line-oriented topology format into a validated graph."""
     nodes: list[str] = []
     links: list[Link] = []
@@ -247,8 +248,8 @@ def load_topology(document: str, span_length_km: float = DEFAULT_SPAN_LENGTH_KM)
                 length = float(length_text)
             except ValueError:
                 raise TopologyError(f"line {lineno}: bad length {length_text!r}") from None
-            if length <= 0:
-                raise TopologyError(f"line {lineno}: non-positive length {length}")
+            if not 0.0 < length < math.inf:
+                raise TopologyError(f"line {lineno}: non-positive or non-finite length {length}")
             link_id = f"{src}-{dst}" if src < dst else f"{dst}-{src}"
             links.append(
                 Link(
@@ -256,19 +257,19 @@ def load_topology(document: str, span_length_km: float = DEFAULT_SPAN_LENGTH_KM)
                     source=src,
                     destination=dst,
                     length_km=length,
-                    span_count=max(1, math.ceil(length / span_length_km)),
+                    span_count=max(1, math.ceil(length / SPAN_LENGTH_KM)),
                 )
             )
         else:
             raise TopologyError(f"line {lineno}: unrecognised directive {line!r}")
     if not saw_nodes:
         raise TopologyError("missing 'nodes:' header")
-    return Topology(nodes=nodes, links=links, span_length_km=span_length_km)
+    return Topology(nodes=nodes, links=links)
 
 
-def load_topology_file(path, span_length_km: float = DEFAULT_SPAN_LENGTH_KM) -> Topology:
+def load_topology_file(path) -> Topology:
     with open(path, "r", encoding="ascii") as handle:
-        return load_topology(handle.read(), span_length_km=span_length_km)
+        return load_topology(handle.read())
 
 
 def nsfnet_text() -> str:

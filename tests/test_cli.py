@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonjam import sim
@@ -209,14 +209,50 @@ def test_run_scenario_refuses_a_repeated_mode(tmp_path):
         sim.run_scenario(repeated)
 
 
-@pytest.mark.parametrize("command", ["validate", "simulate"])
-def test_broken_topology_is_a_config_error_for_selector_targets(tmp_path, capsys, command):
-    (tmp_path / "broken.topo").write_text("nodes: A B\nlink: A C 100\n")
+@pytest.mark.parametrize(
+    "command, link, message",
+    [
+        pytest.param(command, "A C 100", "link A-C references an undeclared node", id=command)
+        for command in ("validate", "simulate")
+    ]
+    + [
+        pytest.param(
+            command, f"A B {length}", f"line 2: non-positive or non-finite length {length}",
+            id=f"{command}-{length}",
+        )
+        for command in ("validate", "simulate", "rank-links")
+        for length in ("inf", "nan")
+    ],
+)
+def test_broken_topology_is_a_config_error_for_selector_targets(
+    tmp_path, capsys, command, link, message
+):
+    (tmp_path / "broken.topo").write_text(f"nodes: A B\nlink: {link}\n")
     config = dict(TINY, topology="broken.topo", output_dir=str(tmp_path / "out"))
     config["jammer"] = {"target": "most_used"}
     assert main([command, str(write_config(tmp_path, config))]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "config error: topology: link A-C references an undeclared node\n"
+    assert captured.err == f"config error: topology: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"start": 1700, "stop": 1700, "step": 1},
+        {"start": 3100, "stop": 3100, "step": 1},
+        # The stop is at the bound, but the last power, 100.0000000002, is above it.
+        {"start": 0, "stop": 100, "step": 33.3333333334},
+    ],
+    ids=["1700-dB", "3100-dB", "rounded-past-the-bound"],
+)
+def test_a_jamming_power_above_the_bound_is_a_config_error(tmp_path, capsys, command, sweep):
+    config = dict(TINY, modes=["unaware", "aware"], epsilon_sweep=sweep, output_dir=str(tmp_path / "out"))
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: epsilon_sweep: a power above the 100.0 dB limit\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -536,7 +572,17 @@ _ODD_VALUES = {
     ("jammer", "jammed_ranges"): st.sampled_from(
         [[[0, 10], [5, 10]], [[315, 10]], [[1]], [["a", 2]], [[1.5, 2]], [[-1, 2]], [], 7, None]
     ),
-    ("epsilon_sweep",): st.sampled_from([None, 5, "x", {}]),
+    ("epsilon_sweep",): st.sampled_from(
+        [
+            None,
+            5,
+            "x",
+            {},
+            # Past the jamming-power bound, near where floats overflow.
+            {"start": 1700, "stop": 1700, "step": 1},
+            {"start": 3100, "stop": 3100, "step": 1},
+        ]
+    ),
     ("epsilon_sweep", "start"): st.sampled_from(_JUNK_NUMBERS),
     ("epsilon_sweep", "stop"): st.sampled_from(_JUNK_NUMBERS),
     ("epsilon_sweep", "step"): st.sampled_from(_JUNK_NUMBERS),
@@ -588,7 +634,19 @@ def _validate(config_path):
     return code
 
 
+def _attack_at(power):
+    """A scenario that attacks link 8-9 at one jamming power, in dB."""
+    return {
+        "modes": ["unaware", "aware"],
+        "jammer": {"target": "8-9"},
+        "epsilon_sweep": {"start": power, "stop": power, "step": 1},
+        "traffic": {"requests_per_replication": 20, "replications": 1},
+    }
+
+
 @given(scenarios())
+@example(_attack_at(1700))  # the squared PSD of a jammer channel overflows
+@example(_attack_at(3100))  # the dB-to-linear conversion overflows
 @settings(max_examples=150, deadline=None)
 def test_simulate_runs_what_validate_accepts(scenario):
     with tempfile.TemporaryDirectory() as tmp:

@@ -26,7 +26,7 @@ from eonjam.jammer import JammerConfig, ground_truth_channels
 from eonjam.phy import MODULATIONS, PhyParams, channel_for_block, db_to_linear, linear_to_db
 from eonjam.metrics import results_equal
 from eonjam.sim import Request, TrafficModel, generate_request, run_replication
-from eonjam.spectrum import SlotBlock, allocate, first_fit
+from eonjam.spectrum import SlotBlock, SpectrumError, allocate, first_fit
 from eonjam.topology import load_topology, nsfnet
 
 import reference_model as ref
@@ -322,6 +322,7 @@ def test_handle_request_termination_bound(params):
 
 
 AB = ("A", "B")
+BA = ("B", "A")
 
 
 @pytest.mark.parametrize(
@@ -344,6 +345,65 @@ def test_invariants_catch_slot_bookkeeping_drift(params, corrupt):
     corrupt(state)
     with pytest.raises(AssertionError):
         verify_state_invariants(state, ControlMode.NO_JAMMING, None)
+
+
+def test_forbid_range_records_a_range_once_and_marks_both_directions(params):
+    state = NetworkState(topo_single(100), params)
+    block, later = SlotBlock(40, 4), SlotBlock(60, 2)
+    assert state.forbid_range("A-B", block) is True
+    assert state.forbid_range("A-B", block) is False  # a repeat records nothing
+    assert state.forbidden_ranges == {"A-B": [block]}
+    for hop in (AB, BA):
+        assert state.grids[hop].forbidden_mask == block.mask
+    with pytest.raises(SpectrumError):
+        state.forbid_range("A-B", SlotBlock(318, 4))
+    assert state.forbidden_ranges == {"A-B": [block]}
+
+    twin = state.copy()
+    assert twin.forbid_range("A-B", later) is True
+    assert twin.forbidden_ranges == {"A-B": [block, later]}
+    assert state.forbidden_ranges == {"A-B": [block]}
+    for hop in (AB, BA):
+        assert twin.grids[hop].forbidden_mask == block.mask | later.mask
+        assert state.grids[hop].forbidden_mask == block.mask
+    verify_state_invariants(state, ControlMode.AWARE, None)
+    verify_state_invariants(twin, ControlMode.AWARE, None)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda state: setattr(state.grids[AB], "forbidden_mask", 0), r"ranges on \('A', 'B'\)"),
+        (lambda state: setattr(state.grids[BA], "forbidden_mask", 0), r"ranges on \('B', 'A'\)"),
+        (lambda state: state.forbidden_ranges["A-B"].append(SlotBlock(200, 10)), "disagree with the ranges"),
+        (lambda state: state.forbid_range("B-C", SlotBlock(100, 10)), "off the attacked link"),
+        (lambda state: state.forbid_range("A-B", SlotBlock(200, 10)), "outside jammed ranges"),
+        (lambda state: state.forbid_range("A-B", SlotBlock(0, 10)), "occupies a detected range"),
+    ],
+    ids=[
+        "forward-mask",
+        "backward-mask",
+        "unmarked-range",
+        "off-the-attacked-link",
+        "outside-the-jammed-ranges",
+        "aware-circuit-on-a-forbidden-slot",
+    ],
+)
+def test_invariants_catch_detection_bookkeeping_faults(params, corrupt, message):
+    # A weak attack lets the first circuit sit on slot 0 of the jammed
+    # range 0-9; the range at 100-109 is then recorded as a detection would.
+    topo = load_topology("nodes: A B C\nlink: A B 100\nlink: B C 100\n")
+    state = NetworkState(topo, params)
+    config = JammerConfig(
+        target="A-B", jammed_ranges=(SlotBlock(0, 10), SlotBlock(100, 10)), epsilon_db=0.002
+    )
+    gt = ground_truth_channels(config, params)
+    assert handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt).block.start == 0
+    assert state.forbid_range("A-B", SlotBlock(100, 10))
+    verify_state_invariants(state, ControlMode.AWARE, gt)
+    corrupt(state)
+    with pytest.raises(AssertionError, match=message):
+        verify_state_invariants(state, ControlMode.AWARE, gt)
 
 
 def test_establish_applies_the_evaluated_deltas_once(params):
@@ -574,7 +634,6 @@ def _snapshot(state):
     grids = {
         hop: (
             grid.used,
-            list(grid.forbidden),
             grid.forbidden_mask,
             grid.used_seconds.tolist(),
             grid.reserved_seconds.tolist(),
@@ -583,7 +642,8 @@ def _snapshot(state):
     }
     xci = {key: lightpath.xci_psd for key, lightpath in state.actives.items()}
     hops = {hop: dict(on_hop) for hop, on_hop in state.grid_actives.items()}
-    return grids, xci, hops, state.changes, state.last_refuser
+    ranges = {link_id: list(blocks) for link_id, blocks in state.forbidden_ranges.items()}
+    return grids, xci, hops, ranges, state.changes, state.last_refuser
 
 
 def test_departing_or_forbidding_on_a_copy_leaves_the_original_untouched(nsf, params):

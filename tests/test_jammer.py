@@ -1,13 +1,16 @@
+import math
+
 import pytest
 
 from eonjam.jammer import (
     DEFAULT_JAMMED_RANGES,
+    MAX_EPSILON_DB,
     GroundTruth,
     JammerConfig,
     ground_truth_channels,
     resolve_target,
 )
-from eonjam.phy import db_to_linear
+from eonjam.phy import channel_for_block, db_to_linear, jamming_psd
 from eonjam.spectrum import SlotBlock
 
 
@@ -34,6 +37,24 @@ def test_config_validation():
 def test_config_rejects_non_finite_epsilon(epsilon_db):
     with pytest.raises(ValueError, match="finite"):
         JammerConfig(target="L1", epsilon_db=epsilon_db)
+
+
+def test_config_bounds_epsilon_far_below_float_overflow(params):
+    with pytest.raises(ValueError, match="<= 100.0"):
+        JammerConfig(target="L1", epsilon_db=1700.0)
+    with pytest.raises(ValueError, match="<= 100.0"):
+        JammerConfig(target="L1", epsilon_db=MAX_EPSILON_DB + 1e-9)
+    # At the bound every jamming term is still a finite float.
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=MAX_EPSILON_DB), params)
+    assert all(math.isfinite(value) for channel in gt.channels for value in channel.record)
+    for block in (SlotBlock(0, 4), SlotBlock(52, 4)):  # beside and inside a jammed range
+        noise = jamming_psd(channel_for_block(block, params), 10, gt.channels, gt.epsilon_w, params)
+        assert 0.0 < noise < math.inf
+
+
+def test_ground_truth_needs_its_jammed_ranges():
+    with pytest.raises(TypeError):
+        GroundTruth(link_id="L1", channels=(), epsilon_w=0.0)
 
 
 def test_resolve_explicit():

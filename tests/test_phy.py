@@ -87,7 +87,8 @@ def test_g0_ase_value(params):
 
 
 def test_g0_ase_limits():
-    assert PhyParams(span_length_km=1e-9).g0_ase == pytest.approx(0.0, abs=1e-25)
+    # A lossless span needs no gain, so its amplifier adds no noise.
+    assert PhyParams(attenuation_db_per_km=1e-12).g0_ase == pytest.approx(0.0, abs=1e-25)
     tiny_noise = PhyParams(noise_figure_db=1e-12)
     full_noise = PhyParams()
     ratio = full_noise.g0_ase / tiny_noise.g0_ase

@@ -149,10 +149,10 @@ def test_release_of_an_unheld_block_raises_and_changes_nothing(released, block):
     grids[1].forbid(SlotBlock(40, 4))
     for earlier in released:
         release(grids, earlier)
-    before = [(g.used, g.forbidden_mask, list(g.forbidden)) for g in grids]
+    before = [(g.used, g.forbidden_mask) for g in grids]
     with pytest.raises(UnheldBlockError):
         release(grids, block)
-    assert [(g.used, g.forbidden_mask, list(g.forbidden)) for g in grids] == before
+    assert [(g.used, g.forbidden_mask) for g in grids] == before
     assert issubclass(UnheldBlockError, SpectrumError)
 
 
@@ -168,13 +168,14 @@ def test_release_keeps_forbidden_marks():
 def test_forbid_over_held_slots_marks_them_on_release():
     (grid,) = make_grids()
     allocate([grid], SlotBlock(5, 3))
-    assert grid.forbid(SlotBlock(6, 4)) is True
+    grid.forbid(SlotBlock(6, 4))
     # Slots 5-7 stay with the circuit; only 8-9 are forbidden so far.
     assert grid.used == 0b111 << 5
+    assert grid.forbidden_mask == 0b1111 << 6
     assert grid.used_count() == 3
     assert grid.forbidden_count() == 2
-    assert grid.forbid(SlotBlock(6, 4)) is False
-    assert grid.forbidden == [SlotBlock(6, 4)]
+    grid.forbid(SlotBlock(6, 4))  # forbidding again changes nothing
+    assert (grid.used, grid.forbidden_mask) == (0b111 << 5, 0b1111 << 6)
     release([grid], SlotBlock(5, 3))
     # Once freed, 6-9 are all forbidden and slot 5 is free again.
     assert grid.forbidden_count() == 4
@@ -308,8 +309,7 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
                 next_id += 1
         elif kind == "forbid":
             block = SlotBlock(start, min(width, 64 - start))
-            recorded = block in grids[which].forbidden
-            assert grids[which].forbid(block) is not recorded
+            grids[which].forbid(block)
             models[which].forbidden[block.start:block.end] = True
         elif live:
             victim = sorted(live)[start % len(live)]

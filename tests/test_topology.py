@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eonjam.topology import (
+    SPAN_LENGTH_KM,
+    Link,
     RouteNotFoundError,
     Topology,
     TopologyError,
@@ -25,20 +27,20 @@ link: A C 250
 
 
 def test_span_count_single_span():
-    topo = load_topology("nodes: A B\nlink: A B 100\n")
+    topo = load_topology(f"nodes: A B\nlink: A B {SPAN_LENGTH_KM}\n")
     assert topo.links[0].span_count == 1
 
 
 def test_span_count_rounds_up():
-    topo = load_topology("nodes: A B\nlink: A B 250\n")
+    topo = load_topology(f"nodes: A B\nlink: A B {2.5 * SPAN_LENGTH_KM}\n")
     assert topo.links[0].span_count == 3
 
 
 def test_span_count_bounds_length():
     topo = nsfnet()
     for link in topo.links:
-        assert link.span_count * topo.span_length_km >= link.length_km
-        assert (link.span_count - 1) * topo.span_length_km < link.length_km
+        assert link.span_count * SPAN_LENGTH_KM >= link.length_km
+        assert (link.span_count - 1) * SPAN_LENGTH_KM < link.length_km
 
 
 def test_nsfnet_shape():
@@ -58,6 +60,8 @@ def test_comments_and_blank_lines():
         ("link: A B 100\n", "nodes"),
         ("nodes: A B\nlink: A C 100\n", "undeclared"),
         ("nodes: A B\nlink: A B -5\n", "non-positive"),
+        ("nodes: A B\nlink: A B inf\n", "line 2: non-positive or non-finite length inf"),
+        ("nodes: A B\nlink: A B nan\n", "line 2: non-positive or non-finite length nan"),
         ("nodes: A B\nlink: A B x\n", "bad length"),
         ("nodes: A B C\nlink: A B 100\n", "not connected"),
         ("nodes: A B\nfoo: bar\n", "unrecognised"),
@@ -70,6 +74,13 @@ def test_comments_and_blank_lines():
 def test_malformed_documents_rejected(document, message):
     with pytest.raises(TopologyError, match=message):
         load_topology(document)
+
+
+@pytest.mark.parametrize("length_km", [0.0, -5.0, math.inf, math.nan])
+def test_topology_refuses_a_length_that_is_not_finite_and_positive(length_km):
+    link = Link(id="A-B", source="A", destination="B", length_km=length_km, span_count=1)
+    with pytest.raises(TopologyError, match="link A-B has non-positive or non-finite length"):
+        Topology(nodes=("A", "B"), links=(link,))
 
 
 def test_triangle_routes_around():
