@@ -18,7 +18,7 @@ from eonjam.control_plane import (
     handle_request,
 )
 from eonjam.jammer import JammerConfig, ground_truth_channels
-from eonjam.phy import MODULATIONS, PhyParams, channel_for_block, linear_to_db
+from eonjam.phy import MODULATIONS, PhyParams, ase_psd, channel_for_block, linear_to_db, sci_psd
 from eonjam.sim import Request
 from eonjam.spectrum import SlotBlock, allocate
 from eonjam.topology import load_topology
@@ -42,8 +42,9 @@ for label, block in (
     ("inside the range    ", SlotBlock(54, 2)),
 ):
     channel = channel_for_block(block, params)
+    ase, sci = ase_psd(route, params), sci_psd(channel, route.total_spans, params)
     candidate = _build_candidate(
-        1, route, block, channel, QPSK, 40.0, 0.0, 600.0, state, ground_truth
+        1, route, block, channel, QPSK, 40.0, 0.0, 600.0, state, ground_truth, ase, sci
     )
     measured = linear_to_db(candidate.snr)
     estimated = linear_to_db(candidate.snr_estimated)

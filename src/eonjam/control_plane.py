@@ -42,8 +42,9 @@ from the :mod:`eonjam.phy` kernels that the audit's ``phy.snr`` uses:
 ``phy.xci_onto`` sums a candidate's own XCI hop by hop, and
 ``phy.xci_from`` prices what a circuit adds to its neighbours, one call
 per hop of its route.  ``NetworkState.grid_actives`` maps each directed
-hop to the spectral records (``phy.Channel.record``) of the circuits on
-it, which is all both kernels read.
+hop to the spectral records (``phy.Channel.record``: centre and
+half-width in half-slots, PSD and its square) of the circuits on it,
+which is all both kernels read.
 
 A neighbour that refuses one candidate tends to refuse the next: it is
 the circuit with the least margin near the free spectrum.  So
@@ -58,7 +59,9 @@ What a request's endpoints and bandwidth fix is computed once:
 :func:`static_reach` under ``(source, destination, bandwidth_gbps)``.
 They depend only on the topology and the physics, so every state of one
 topology and physics shares them (``_demand_tables``); each request
-reads its route's slot grids from its own state.
+reads its route's slot grids from its own state.  The reach also keeps
+the route's ASE and each kept format's self-channel NLI, which depend
+only on the route and the block width, and every candidate reuses them.
 """
 
 from __future__ import annotations
@@ -322,10 +325,15 @@ class StaticReach:
     ``formats`` holds ``(modulation, width)`` pairs in trial order, most
     spectrally efficient first; ``narrowest_pruned_width`` is the
     smallest width among the formats left out (None when none is).
+    ``ase_psd`` is the route's ASE and ``sci_psds`` the self-channel NLI
+    of each kept format, aligned with ``formats``: constants of the route
+    and the block width that every candidate on the route reuses.
     """
 
     formats: tuple[tuple[phy.Modulation, int], ...]
     narrowest_pruned_width: int | None
+    ase_psd: float
+    sci_psds: tuple[float, ...]
 
 
 @functools.cache
@@ -337,10 +345,12 @@ def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> 
     A live candidate's noise adds non-negative terms to the same sum,
     and rounding never lowers a sum, so a format left out here fails
     its own QoT check wherever First Fit places it.  The SNR does not
-    depend on the block's position, only on its width.  ``Route`` and
-    ``PhyParams`` are frozen, so a cached entry never goes stale.
+    depend on the block's position, only on its width, and neither do
+    the ASE and self-channel terms kept for the candidates.  ``Route``
+    and ``PhyParams`` are frozen, so a cached entry never goes stale.
     """
     formats = []
+    sci_psds = []
     pruned_widths = []
     ase = phy.ase_psd(route, params)
     for modulation in reversed(phy.MODULATIONS):
@@ -361,9 +371,10 @@ def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> 
         )
         if lone.meets_threshold():
             formats.append((modulation, width))
+            sci_psds.append(lone.sci_psd)
         else:
             pruned_widths.append(width)
-    return StaticReach(tuple(formats), min(pruned_widths, default=None))
+    return StaticReach(tuple(formats), min(pruned_widths, default=None), ase, tuple(sci_psds))
 
 
 def _neighbour_deltas(state: NetworkState, lightpath: Lightpath) -> dict[int, float]:
@@ -422,11 +433,15 @@ def _build_candidate(
     holding_s: float,
     state: NetworkState,
     ground_truth: GroundTruth | None,
+    ase_psd: float,
+    sci_psd: float,
 ) -> Lightpath:
     """Assemble a candidate circuit on ``block`` with its noise terms evaluated.
 
-    ``channel`` is ``phy.channel_for_block(block, state.params)``.  The
-    XCI is one running total over the route's hops, in order.
+    ``channel`` is ``phy.channel_for_block(block, state.params)``, and
+    ``ase_psd`` and ``sci_psd`` are its route's and width's constant
+    terms (:class:`StaticReach` keeps them).  The XCI is one running
+    total over the route's hops, in order.
     """
     params = state.params
     record = channel.record
@@ -447,8 +462,8 @@ def _build_candidate(
         bandwidth_gbps=bandwidth_gbps,
         departs_at=arrival_time + holding_s,
         channel=channel,
-        ase_psd=phy.ase_psd(route, params),
-        sci_psd=phy.sci_psd(channel, route.total_spans, params),
+        ase_psd=ase_psd,
+        sci_psd=sci_psd,
         jam_psd=jam,
         xci_psd=xci,
     )
@@ -527,7 +542,7 @@ def handle_request(
     saw_qot = False
     saw_jammed = False
 
-    for modulation, width in reach.formats:
+    for (modulation, width), sci in zip(reach.formats, reach.sci_psds):
         while True:
             block = first_fit(grids, width)
             if block is None:
@@ -547,6 +562,8 @@ def handle_request(
                 request.holding_s,
                 state,
                 ground_truth,
+                reach.ase_psd,
+                sci,
             )
             verdict = evaluate_candidate(candidate, state, mode, ground_truth, tolerance_db)
             if verdict is Verdict.ACCEPT:

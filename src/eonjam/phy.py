@@ -29,13 +29,21 @@ The cross-channel (XCI) term has two kernels, one per direction of a
 neighbour pair on one link.  :func:`xci_onto` sums what many channels
 put on one target (a candidate's own noise); :func:`xci_from` spreads
 what one source puts on many channels (the noise a circuit adds to its
-neighbours).  Both read spectral records, ``(center_hz, bandwidth_hz /
-2.0, psd, psd**2)`` tuples that each :class:`Channel` computes once as
-:attr:`Channel.record`, so their per-pair loops make no attribute
-lookup, division or power.  Each computes the factor fixed across its
-loop once, as the same left-to-right prefix of the product that
-:func:`xci_psd` evaluates, so every term keeps its bits.
-:func:`xci_psd` is the one-pair case of :func:`xci_onto`.
+neighbours).  Both read spectral records, ``(2 * start + width, width,
+psd, psd**2)`` tuples that each :class:`Channel` computes once as
+:attr:`Channel.record`: the centre and the half-bandwidth in half-slots,
+then the PSD and its square.  The pair logarithm ``ln((f + B/2) / (f -
+B/2))`` depends only on the centre spacing ``d`` and the half-width
+``w`` in half-slots, as ``ln((d + w) / (d - w))``; it is read from a
+table per width, built with the first channel of that width
+(:data:`_LOG_RATIOS`), so the per-pair loops make no attribute lookup,
+division, power or logarithm.  With slots a whole number of hertz wide,
+as the default 12.5 GHz, the centres and half-widths in Hz are exact
+floats far below 2**53, so the ratio in Hz rounds to the same float as
+the ratio in half-slots.  Each kernel computes the factor fixed across its loop once,
+as the same left-to-right prefix of the product that :func:`xci_psd`
+evaluates, so every term keeps its bits.  :func:`xci_psd` is the
+one-pair case of :func:`xci_onto`.
 
 :func:`qot_verdict` judges a linear SNR against the format threshold in
 dB.  Outside a band of relative half-width :data:`QOT_BAND` around the
@@ -164,22 +172,53 @@ class PhyParams:
         return (gain - 1.0) * db_to_linear(self.noise_figure_db) * self.planck_js * self.light_frequency_hz
 
 
+#: ``_LOG_RATIOS[w][d]`` is ``ln((d + w) / (d - w))``, the XCI logarithm of
+#: a channel of half-width ``w`` at centre spacing ``d``, both in half-slots
+#: (None for ``d <= w``, where the spectra overlap).  Every :class:`Channel`
+#: sees to it when it is built that its width has a table and that all the
+#: tables reach past its centre, so the kernels find the entry of any pair
+#: of channels.  All tables have one length.
+_LOG_RATIOS: dict[int, list[float | None]] = {}
+
+
+def _cover(center: int, width: int) -> None:
+    """Give ``width`` a table and extend every table past ``center``."""
+    tables = _LOG_RATIOS
+    size = max(center + 1, len(next(iter(tables.values()), ())))
+    tables.setdefault(width, [])
+    for w, table in tables.items():
+        table.extend(
+            math.log((d + w) / (d - w)) if d > w else None for d in range(len(table), size)
+        )
+
+
 @dataclass(frozen=True)
 class Channel:
-    """A spectral occupant: centre frequency, bandwidth and launch PSD."""
+    """A spectral occupant: slot block, centre frequency, bandwidth and launch PSD.
 
+    Built by :func:`channel_for_block`, which derives the frequencies
+    from the block.
+    """
+
+    block: SlotBlock
     center_frequency_hz: float
     bandwidth_hz: float
     psd_w_per_hz: float
     is_jammer: bool = False
-    #: ``(center_frequency_hz, bandwidth_hz / 2.0, psd_w_per_hz,
-    #: psd_w_per_hz**2)``: everything the XCI kernels read of a channel.
-    record: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    #: ``(2 * block.start + block.width, block.width, psd_w_per_hz,
+    #: psd_w_per_hz**2)``: the centre and the half-bandwidth in half-slots,
+    #: then the PSD and its square; everything the XCI kernels read of a
+    #: channel.
+    record: tuple[int, int, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         psd = self.psd_w_per_hz
-        record = (self.center_frequency_hz, self.bandwidth_hz / 2.0, psd, psd**2)
-        object.__setattr__(self, "record", record)
+        width = self.block.width
+        center = 2 * self.block.start + width
+        object.__setattr__(self, "record", (center, width, psd, psd**2))
+        table = _LOG_RATIOS.get(width)
+        if table is None or center >= len(table):
+            _cover(center, width)
 
     def overlap_hz(self, other: "Channel") -> float:
         """Width of the spectral intersection with ``other`` (0 if disjoint)."""
@@ -249,6 +288,7 @@ def channel_for_block(
     if power_w is None:
         power_w = params.tx_power_w
     return Channel(
+        block=block,
         center_frequency_hz=slot_center_frequency(block, params),
         bandwidth_hz=bandwidth,
         psd_w_per_hz=power_w / bandwidth,
@@ -263,10 +303,10 @@ def ase_psd(route, params: PhyParams) -> float:
     return route.total_spans * params.g0_ase
 
 
-def _overlap_error(spacing: float, half: float) -> PhyModelError:
+def _overlap_error(spacing: int, half: int) -> PhyModelError:
     return PhyModelError(
         "co-channel spectra overlap the interference integral "
-        f"(spacing {spacing:.3e} Hz, half-bandwidth {half:.3e} Hz)"
+        f"(spacing {spacing} half-slots, half-bandwidth {half} half-slots)"
     )
 
 
@@ -291,19 +331,18 @@ def xci_onto(target, records, span_count: int, params: PhyParams, total: float) 
     ``target`` and each of ``records`` are :attr:`Channel.record` tuples.
     The terms are added in the order of ``records``.  Each is
     ``span_count * phi * G_target * G_other^2 * ln((f + B/2) / (f - B/2))``
-    evaluated left to right, with the target's prefix computed once.
-    Raises :class:`PhyModelError` when a channel overlaps the target's
-    centre.
+    evaluated left to right, with the target's prefix computed once and
+    the logarithm read from :data:`_LOG_RATIOS`.  Raises
+    :class:`PhyModelError` when a channel overlaps the target's centre.
     """
     center, _, psd, _ = target
     scale = span_count * params.phi * psd
-    log = math.log
+    tables = _LOG_RATIOS
     for other_center, half, _, power in records:
         spacing = abs(center - other_center)
-        low = spacing - half
-        if low <= 0.0:
+        if spacing <= half:
             raise _overlap_error(spacing, half)
-        total += scale * power * log((spacing + half) / low)
+        total += scale * power * tables[half][spacing]
     return total
 
 
@@ -313,20 +352,20 @@ def xci_from(source, items, span_count: int, params: PhyParams, deltas: dict) ->
     ``source`` is a :attr:`Channel.record` and ``items`` yields ``(id,
     record)`` pairs; ``deltas[id]`` grows by the term :func:`xci_psd`
     gives for that channel as target and ``source`` as interferer, from
-    the prefix ``span_count * phi`` and the source's squared PSD.
-    Raises :class:`PhyModelError` when the source overlaps a channel's
-    centre.
+    the prefix ``span_count * phi`` and the source's squared PSD, with
+    the logarithm read from the source width's table in
+    :data:`_LOG_RATIOS`.  Raises :class:`PhyModelError` when the source
+    overlaps a channel's centre.
     """
     center, half, _, power = source
     scale = span_count * params.phi
-    log = math.log
+    table = _LOG_RATIOS[half]
     get = deltas.get
     for key, (other_center, _, psd, _) in items:
         spacing = abs(other_center - center)
-        low = spacing - half
-        if low <= 0.0:
+        if spacing <= half:
             raise _overlap_error(spacing, half)
-        deltas[key] = get(key, 0.0) + scale * psd * power * log((spacing + half) / low)
+        deltas[key] = get(key, 0.0) + scale * psd * power * table[spacing]
 
 
 def jamming_psd(

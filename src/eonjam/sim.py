@@ -25,6 +25,12 @@ so that each plane goes on with a state of its own (:func:`_replay`).
 A pair that never detects gives one result for both planes.  A lone
 plane and a pair run through the same job function, :func:`_replicate`.
 
+A 0 dB attack adds no power (``epsilon_w = P * (10**0 - 1) = 0.0``), so
+every jamming term is exactly 0.0, nothing is detected, and both planes
+give the no-jamming result of their seed.  :func:`run_scenario` hands
+that result to its 0 dB points whenever it runs the no-jamming
+replications anyway, and runs no job for them.
+
 The arrivals are already in time order, so the engine walks them in
 order and keeps only departures on a heap of ``(departs_at,
 lightpath_id)`` pairs.  Before each arrival it releases every circuit
@@ -508,8 +514,11 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     :func:`run_replication` calls.  Pairs are formed only when the pool
     still gets a job per worker, that is when the jobs left after
     pairing are at least ``min(workers, os.cpu_count())``; one worker
-    always pairs.  The cache is emptied on return, so every call draws
-    its streams afresh.
+    always pairs.  The unaware and aware points at exactly 0 dB get no
+    job when the no-jamming replications of the seeds run anyway (the
+    ranking pre-run, or a no-jamming point): they are given those
+    results, which equal theirs bit for bit.  The cache is emptied on
+    return, so every call draws its streams afresh.
     """
     if len(set(config.modes)) != len(config.modes):
         raise ValueError("a mode may be listed only once")
@@ -549,6 +558,7 @@ def _run_scenario(config, ranking) -> ScenarioResult:
     pending = list(order)
     needs_jammer = any(m is not ControlMode.NO_JAMMING for m in config.modes)
     target_link_id = None
+    baseline = None
     if needs_jammer:
         if config.jammer is None:
             raise ValueError("jamming modes require a jammer section")
@@ -560,6 +570,14 @@ def _run_scenario(config, ranking) -> ScenarioResult:
                 grouped[(ControlMode.NO_JAMMING, None)] = baseline
         target_link_id = resolve_target(config.jammer, ranking)
         topology.link_by_id(target_link_id)
+
+    # At 0 dB the jammer adds no power, so every jamming term is 0.0 and
+    # nothing is detected: both planes give the no-jamming results.  Run
+    # no job for them where those results are already in the plan.
+    at_zero = []
+    if baseline is not None or ControlMode.NO_JAMMING in config.modes:
+        at_zero = [(mode, eps) for mode, eps in pending if eps == 0.0]
+        pending = [key for key in pending if key not in at_zero]
 
     # A pair job serves a power's unaware and aware keys together; pair
     # only when the pool still gets at least one job per worker.
@@ -581,6 +599,8 @@ def _run_scenario(config, ranking) -> ScenarioResult:
     for (modes, eps), results in zip(keys, _run_jobs(jobs, config.workers), strict=True):
         for mode, result in zip(modes, results, strict=True):
             grouped.setdefault((mode, eps), []).append(result)
+    for key in at_zero:
+        grouped[key] = grouped.get((ControlMode.NO_JAMMING, None), baseline)
     points = tuple(
         ScenarioPoint(
             mode=mode,

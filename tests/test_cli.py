@@ -283,8 +283,9 @@ def test_cold_simulate_ranks_from_its_own_no_jamming_runs(tmp_path, monkeypatch)
     config["jammer"] = {"target": "most_used"}
     config["traffic"] = {"requests_per_replication": 150, "replications": 2}
     assert main(["simulate", str(write_config(tmp_path, config, "sim.yaml"))]) == 0
-    # One call per main job: 2 no_jamming + 3 powers x 2 unaware, no pre-run.
-    assert len(calls) == 2 + 3 * 2
+    # One call per main job: 2 no_jamming + 2 nonzero powers x 2 unaware, no
+    # pre-run; the 0 dB point reuses the no_jamming runs.
+    assert len(calls) == 2 + 2 * 2
     assert calls.count((ControlMode.NO_JAMMING,)) == 2
 
     config["output_dir"] = str(tmp_path / "rank")

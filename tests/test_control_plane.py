@@ -43,9 +43,11 @@ def request(rid, src, dst, gbps, at=0.0, hold=600.0):
 
 
 def candidate_on(rid, route, block, modulation, gbps, state, ground_truth):
-    channel = channel_for_block(block, state.params)
+    params = state.params
+    channel = channel_for_block(block, params)
+    ase, sci = phy.ase_psd(route, params), phy.sci_psd(channel, route.total_spans, params)
     return _build_candidate(
-        rid, route, block, channel, modulation, gbps, 0.0, 600.0, state, ground_truth
+        rid, route, block, channel, modulation, gbps, 0.0, 600.0, state, ground_truth, ase, sci
     )
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eonjam.phy import (
+    _LOG_RATIOS,
     MODULATIONS,
     Channel,
     PhyModelError,
@@ -208,6 +209,28 @@ def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
         xci_onto(own.record, [c.record for c in channels[:focus] + [overlapping]], span_count, params, 0.0)
     with pytest.raises(PhyModelError):
         xci_from(overlapping.record, [(focus, own.record)], span_count, params, {})
+
+
+def test_log_ratio_tables_equal_the_ratio_in_hertz_on_the_whole_grid(params):
+    # Every width 1-32 against a one- or two-slot channel at every centre
+    # spacing the 320-slot grid allows; both kernels read the table.
+    for width in range(1, 33):
+        source = channel_for_block(SlotBlock(0, width), params)
+        half_hz = source.bandwidth_hz / 2.0
+        for spacing in range(0, 640 - width):
+            center = width + spacing  # in half-slots
+            target_width = 1 if center % 2 else 2
+            target = channel_for_block(SlotBlock((center - target_width) // 2, target_width), params)
+            assert abs(target.record[0] - source.record[0]) == spacing
+            if spacing <= width:
+                with pytest.raises(PhyModelError):
+                    xci_onto(target.record, [source.record], 1, params, 0.0)
+                with pytest.raises(PhyModelError):
+                    xci_from(source.record, [(0, target.record)], 1, params, {})
+                continue
+            spacing_hz = abs(target.center_frequency_hz - source.center_frequency_hz)
+            expected = math.log((spacing_hz + half_hz) / (spacing_hz - half_hz))
+            assert _LOG_RATIOS[width][spacing] == expected
 
 
 def _jammer(block, eps, params):

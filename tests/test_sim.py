@@ -1,4 +1,7 @@
 import functools
+import math
+import operator
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -10,9 +13,9 @@ from hypothesis import strategies as st
 from eonjam import control_plane, sim
 from eonjam.cli import ScenarioConfig
 from eonjam.control_plane import ControlMode, verify_state_invariants
-from eonjam.jammer import JammerConfig
+from eonjam.jammer import JammerConfig, ground_truth_channels
 from eonjam.metrics import blocking_probability, results_equal
-from eonjam.phy import PhyParams
+from eonjam.phy import PhyParams, channel_for_block, jamming_psd
 from eonjam.sim import (
     ARRIVAL,
     DEPARTURE,
@@ -450,6 +453,83 @@ def _spied_scenario(config):
     return result, pairs, splits.call_count
 
 
+def _planned_jobs(config, ranking=None):
+    """``run_scenario``'s result and a count of its jobs by modes and power."""
+    with mock.patch.object(sim, "_replicate", wraps=sim._replicate) as jobs:
+        result = run_scenario(config, ranking)
+    planned = Counter(
+        (call.args[3], None if call.args[4] is None else call.args[4].epsilon_db)
+        for call in jobs.call_args_list
+    )
+    return result, planned
+
+
+@pytest.mark.parametrize("case", ["cold selector", "warm ranking", "explicit target", "no baseline"])
+def test_zero_db_points_reuse_the_planned_no_jamming_runs(case):
+    # Two seeds, 0 and 1 dB.  Every case but the last plans the seeds'
+    # no_jamming runs (the ranking pre-run or the no_jamming point), and
+    # the 0 dB points reuse them instead of running jobs of their own.
+    modes = (ControlMode.NO_JAMMING, ControlMode.UNAWARE, ControlMode.AWARE)
+    ranking = None
+    if case == "cold selector":
+        target = "most_used"
+    elif case == "warm ranking":
+        target = "most_used"
+        ranking = [("8-9", 1.0), ("1-8", 0.5), ("11-14", 0.0)]
+    else:
+        target = "8-9"
+    if case == "no baseline":
+        modes = modes[1:]
+    config = ScenarioConfig(
+        topology="nsfnet",
+        modes=modes,
+        jammer=JammerConfig(target=target),
+        epsilon_sweep=(0.0, 1.0, 1.0),
+        traffic=TrafficModel(requests_per_replication=200, replications=2),
+        base_seed=5,
+        output_dir="unused",
+    )
+    result, planned = _planned_jobs(config, ranking)
+    no_jamming, pair = (ControlMode.NO_JAMMING,), sim._PAIR
+    if case == "no baseline":
+        assert planned == {(pair, 0.0): 2, (pair, 1.0): 2}
+    else:
+        assert planned == {(no_jamming, None): 2, (pair, 1.0): 2}
+        baseline = result.points[0].results
+        for point in result.points[1:]:
+            reused = all(map(operator.is_, point.results, baseline))
+            assert reused == (point.epsilon_db == 0.0)
+
+    topology = config.load_topology()
+    zero_db = [point for point in result.points if point.epsilon_db == 0.0]
+    assert [point.mode for point in zero_db] == [ControlMode.UNAWARE, ControlMode.AWARE]
+    for point in zero_db:
+        jam = JammerConfig(target=point.target_link_id, epsilon_db=0.0)
+        for seed, got in enumerate(point.results, start=config.base_seed):
+            assert results_equal(got, run_replication(seed, topology, config.traffic, point.mode, jam))
+    sim._request_stream.cache_clear()
+
+
+@pytest.mark.parametrize("link_id", ["8-9", "1-8"])
+def test_a_zero_db_attack_is_the_no_jamming_run(nsf, params, link_id):
+    # At 0 dB the jammer adds no power: every jamming term is exactly 0.0,
+    # so both planes serve every request as the jammer-free network does.
+    jam = JammerConfig(target=link_id, epsilon_db=0.0)
+    ground_truth = ground_truth_channels(jam, params)
+    assert ground_truth.epsilon_w == 0.0
+    span_count = nsf.link_by_id(link_id).span_count
+    for block in (SlotBlock(52, 2), SlotBlock(48, 4), SlotBlock(30, 2), SlotBlock(0, 16)):
+        channel = channel_for_block(block, params)
+        psd = jamming_psd(channel, span_count, ground_truth.channels, ground_truth.epsilon_w, params)
+        assert psd == 0.0 and math.copysign(1.0, psd) == 1.0
+
+    traffic = small_traffic(requests=300)
+    for seed in (1, 2):
+        baseline = run_replication(seed, nsf, traffic, ControlMode.NO_JAMMING)
+        for mode in (ControlMode.UNAWARE, ControlMode.AWARE):
+            assert results_equal(run_replication(seed, nsf, traffic, mode, jam), baseline)
+
+
 @pytest.mark.parametrize("load", [200.0, 800.0])
 def test_paired_planes_equal_separate_replications(load):
     # On NSFNet the aware plane detects the most-used-link attack at some
@@ -476,8 +556,9 @@ def test_paired_planes_equal_separate_replications(load):
     pairs = splits = 0
     for config in (nsfnet_sweep, metro):
         result, config_pairs, config_splits = _spied_scenario(config)
-        powers = len(epsilon_sweep_values(*config.epsilon_sweep))
-        assert config_pairs == config.traffic.replications * powers
+        powers = epsilon_sweep_values(*config.epsilon_sweep)
+        # The NSFNet sweep's 0 dB point reuses its ranking pre-run.
+        assert config_pairs == config.traffic.replications * (len(powers) - (0.0 in powers))
         assert _separate_runs_equal(result, config)
         pairs += config_pairs
         splits += config_splits
