@@ -261,10 +261,6 @@ class NetworkState:
         self.forbidden_ranges.setdefault(link_id, []).append(block)
         return True
 
-    def flush_time(self, now: float) -> None:
-        for grid in self.grids.values():
-            grid.advance_time(now)
-
     def establish(self, lightpath: Lightpath, now: float) -> None:
         """Allocate spectrum and fold the circuit's NLI onto its neighbours.
 

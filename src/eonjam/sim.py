@@ -314,8 +314,9 @@ def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.Replicati
     state = branch.state
     if state.actives:
         raise RuntimeError("drain left active circuits behind")
+    # Every slot is idle from the last departure on, so the busy-time
+    # integrals already run to the horizon.
     horizon = requests[-1].arrival_time if requests else 0.0
-    state.flush_time(horizon)
 
     slot_count = next(iter(state.grids.values())).slot_count if state.grids else 0
     by_link: dict[str, np.ndarray] = {}

@@ -15,7 +15,8 @@ and forbidden alike.
 Grids also integrate per-slot busy time so that utilization statistics
 come from exact event-time integration instead of sampling.  Each clock
 step is buffered as ``(used, dt)`` and integrated in batches of
-``BUSY_TIME_BATCH`` with one ``np.cumsum``, which makes the same
+``BUSY_TIME_BATCH`` with one ``np.add.reduce`` over the step axis, up to
+the highest slot the batch held or shadowed.  That makes the same
 left-to-right ``+= dt`` additions as integrating every step on its own,
 so the totals are equal to the bit.
 """
@@ -92,13 +93,15 @@ class SlotBlock:
 
 @functools.cache
 def _workspace(slot_count: int) -> np.ndarray:
-    """Scratch rows for :meth:`SlotGrid._integrate`, shared by all grids of a size.
+    """Scratch steps for :meth:`SlotGrid._integrate`, shared by all grids of a size.
 
-    Nothing in it outlives one call.  A fresh array per batch would be
-    mapped and page-faulted anew each time, which costs more than the
-    additions themselves.
+    Flat, so that a batch of ``count`` steps over the lowest ``top``
+    slots views its first ``(count + 1) * 2 * top`` values as one
+    C-contiguous ``(count + 1, 2, top)`` array.  Nothing in it outlives
+    one call.  A fresh array per batch would be mapped and page-faulted
+    anew each time, which costs more than the additions themselves.
     """
-    return np.empty((slot_count, BUSY_TIME_BATCH + 1), dtype=np.float64)
+    return np.empty((BUSY_TIME_BATCH + 1) * 2 * slot_count, dtype=np.float64)
 
 
 class SlotGrid:
@@ -118,6 +121,8 @@ class SlotGrid:
     :meth:`advance_time` only records the step; the buffer is integrated
     when it is full or when either integral is read, with the same
     additions, in the same order, as integrating each step at once.
+    Slots above the highest one a batch held or shadowed are left as
+    they are: every step would have added 0.0 to them.
     """
 
     __slots__ = (
@@ -187,30 +192,41 @@ class SlotGrid:
     def _integrate(self) -> None:
         """Add the buffered steps to the busy-time integrals.
 
-        Row ``s`` of ``steps`` is slot ``s``'s running total followed by
-        each step's ``dt`` where the slot was busy and 0.0 where it was
-        idle.  ``np.cumsum`` adds them left to right, so a total takes
-        the same ``+= dt`` additions as stepwise integration, and adding
-        0.0 to it changes nothing.
+        Only slots below ``top``, one past the highest slot any buffered
+        step held or shadowed, are touched: the slots above it were idle
+        in every step, and adding 0.0 changes nothing.  ``steps[0]``
+        holds the running totals and ``steps[e + 1]`` step ``e``'s
+        ``dt`` where a slot was busy and 0.0 where it was idle, held
+        slots in row 0 and covered slots in row 1.  ``np.add.reduce``
+        over the outer, step axis is a left fold per slot, so a total
+        takes the same ``+= dt`` additions, in the same order, as
+        stepwise integration.  A reduce along the contiguous axis would
+        sum pairwise and differ.
         """
         count, self._pending = self._pending, 0
         if not count:
             return
-        nbytes = (self.slot_count + 7) // 8
-        packed = b"".join(mask.to_bytes(nbytes, "little") for mask in self._masks[:count])
+        masks = self._masks[:count]
+        reach = 0
+        for mask in masks:
+            reach |= mask
+        top = min(self.slot_count, reach.bit_length() + GUARDBAND_SLOTS)
+        nbytes = (top + 7) // 8
+        packed = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
         raw = np.frombuffer(packed, dtype=np.uint8).reshape(count, nbytes)
-        # held[s, e]: slot s was held during step e; covered adds the
+        # held[e, s]: slot s was held during step e; covered adds the
         # guardband shadow above each block.
-        held = np.unpackbits(raw.T, axis=0, count=self.slot_count, bitorder="little").view(bool)
+        held = np.unpackbits(raw, axis=1, count=top, bitorder="little").view(bool)
         covered = held.copy()
         for k in range(1, GUARDBAND_SLOTS + 1):
-            covered[k:] |= held[:-k]
-        steps = _workspace(self.slot_count)[:, : count + 1]
-        for seconds, busy in zip(self._seconds, (held, covered)):
-            steps[:, 0] = seconds
-            np.multiply(busy, self._dts[:count], out=steps[:, 1:])
-            np.cumsum(steps, axis=1, out=steps)
-            seconds[...] = steps[:, -1]
+            covered[:, k:] |= held[:, :-k]
+        steps = _workspace(self.slot_count)[: (count + 1) * 2 * top].reshape(count + 1, 2, top)
+        totals = self._seconds[:, :top]
+        steps[0] = totals
+        dts = np.array(self._dts[:count])[:, None]
+        np.multiply(held, dts, out=steps[1:, 0])
+        np.multiply(covered, dts, out=steps[1:, 1])
+        np.add.reduce(steps, axis=0, out=totals)
 
     @property
     def used_seconds(self) -> np.ndarray:

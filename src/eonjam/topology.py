@@ -16,8 +16,9 @@ Routing is plain Dijkstra on link lengths.  Equal-length ties are broken
 by the smallest tied node sequence read from the smaller endpoint (the
 smaller of the sequence and its reverse), which makes the choice
 deterministic and direction-symmetric: the route from d to s is always
-the reverse of the route from s to d.  Routes are computed once per node
-pair and cached; the simulator never reroutes.
+the reverse of the route from s to d.  Distances are computed once per
+origin and routes once per node pair, and both are cached; the
+simulator never reroutes.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ class Topology:
         for link in self.links:
             self._adjacency[link.source].append(link)
             self._adjacency[link.destination].append(link)
+        self._distances: dict[str, dict[str, float]] = {}
         if len(self.nodes) > 1 and len(self._dijkstra_distances(self.nodes[0])) < len(self.nodes):
             raise TopologyError("graph is not connected")
         self._by_id = {link.id: link for link in self.links}
@@ -208,6 +210,10 @@ class Topology:
         return route
 
     def _dijkstra_distances(self, origin: str) -> dict[str, float]:
+        """Shortest distance from ``origin`` to every node it reaches, cached."""
+        cached = self._distances.get(origin)
+        if cached is not None:
+            return cached
         dist = {origin: 0.0}
         heap = [(0.0, origin)]
         while heap:
@@ -220,6 +226,7 @@ class Topology:
                 if nd < dist.get(other, math.inf):
                     dist[other] = nd
                     heapq.heappush(heap, (nd, other))
+        self._distances[origin] = dist
         return dist
 
 

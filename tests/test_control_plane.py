@@ -614,8 +614,8 @@ def test_a_copied_state_serves_a_stream_exactly_like_the_original(nsf, params, m
     assert len(state.actives) > 100
     assert _serve(state, rest, mode, ground_truth) == _serve(twin, rest, mode, ground_truth)
     horizon = rest[-1].arrival_time
-    state.flush_time(horizon)
-    twin.flush_time(horizon)
+    for grid in [*state.grids.values(), *twin.grids.values()]:
+        grid.advance_time(horizon)
 
     assert twin.actives.keys() == state.actives.keys()
     for key, lightpath in state.actives.items():

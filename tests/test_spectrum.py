@@ -403,3 +403,48 @@ def test_batched_busy_time_equals_eager_integration(slots, steps):
             assert np.array_equal(grid.reserved_seconds, model.reserved_seconds)
     assert np.array_equal(grid.used_seconds, model.used_seconds)
     assert np.array_equal(grid.reserved_seconds, model.reserved_seconds)
+
+
+@pytest.mark.parametrize("count", [1, BUSY_TIME_BATCH, BUSY_TIME_BATCH + 1])
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(0, 1)],
+        [(300, 20)],
+        [(300, 19)],
+        [(0, 3), (6, 1), (20, 40), (97, 1), (150, 64), (260, 57)],
+    ],
+    ids=["slot-0-alone", "ends-at-last-slot", "ends-one-before", "full-width-mix"],
+)
+def test_busy_time_kernel_is_bitwise_on_edge_layouts(blocks, count):
+    # The first block is held through every step; the others come and
+    # go, so each step holds its own mask.  Steps from 1e-9 s to 1e9 s
+    # make any other order of additions (a pairwise sum along the
+    # slots, say) round differently, and a block at the top of the grid
+    # clips its guardband shadow.
+    (grid,) = make_grids()
+    model = BusyTimeModel(320)
+    held = np.zeros(320, dtype=bool)
+    blocks = [SlotBlock(start, width) for start, width in blocks]
+    live = set()
+    dts = 10.0 ** np.random.default_rng(count).uniform(-9.0, 9.0, count)
+    now = 0.0
+    for step, dt in enumerate(dts):
+        for index, block in enumerate(blocks):
+            wanted = index == 0 or (step + index) % 3 != 0
+            if wanted and block not in live:
+                allocate([grid], block)
+                live.add(block)
+            elif not wanted and block in live:
+                release([grid], block)
+                live.discard(block)
+            held[block.start:block.end] = wanted
+        now += float(dt)
+        grid.advance_time(now)
+        model.advance(now, held)
+    assert grid.used_seconds.tobytes() == model.used_seconds.tobytes()
+    assert grid.reserved_seconds.tobytes() == model.reserved_seconds.tobytes()
+    # The highest shadow slot (or the grid's last) was busy, so a kernel
+    # that stopped one slot short would show above.
+    top = max(block.end for block in blocks) + GUARDBAND_SLOTS
+    assert model.reserved_seconds[min(top, 320) - 1] > 0.0

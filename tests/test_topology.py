@@ -206,6 +206,7 @@ def test_route_not_found_reported_defensively():
     object.__setattr__  # silence linters; we poke internals deliberately
     topo._adjacency["A"] = []
     topo._route_cache.clear()
+    topo._distances.clear()
     with pytest.raises(RouteNotFoundError):
         topo.shortest_path("A", "B")
 
