@@ -49,7 +49,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -105,9 +105,15 @@ class ScenarioConfig:
     output_dir: str
     detection_tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB
     workers: int = 1
+    #: The loaded topology: the one the config check built, or the first
+    #: load.  Not a config key.
+    _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
 
     def load_topology(self) -> Topology:
-        return _load_topology(self.topology)
+        """The scenario's topology, parsed and checked once per config."""
+        if self._topology is None:
+            object.__setattr__(self, "_topology", _load_topology(self.topology))
+        return self._topology
 
 
 def _load_topology(topology: str) -> Topology:
@@ -142,7 +148,7 @@ _TRAFFIC_FIELDS = {
 }
 
 
-_CONFIG_FIELDS = tuple(field.name for field in fields(ScenarioConfig))
+_CONFIG_FIELDS = tuple(entry.name for entry in fields(ScenarioConfig) if entry.init)
 _JAMMER_FIELDS = ("target", "jammed_ranges")
 _SWEEP_FIELDS = ("start", "stop", "step")
 
@@ -325,20 +331,19 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
 
     if violations:
         return None, violations
-    return (
-        ScenarioConfig(
-            topology=topology,
-            modes=tuple(modes),
-            jammer=jammer,
-            epsilon_sweep=sweep,
-            traffic=traffic,
-            base_seed=base_seed,
-            output_dir=output_dir,
-            detection_tolerance_db=tolerance,
-            workers=workers,
-        ),
-        [],
+    config = ScenarioConfig(
+        topology=topology,
+        modes=tuple(modes),
+        jammer=jammer,
+        epsilon_sweep=sweep,
+        traffic=traffic,
+        base_seed=base_seed,
+        output_dir=output_dir,
+        detection_tolerance_db=tolerance,
+        workers=workers,
     )
+    object.__setattr__(config, "_topology", loaded)
+    return config, []
 
 
 def load_config(path) -> tuple[ScenarioConfig | None, list[str]]:

@@ -58,10 +58,12 @@ What a request's endpoints and bandwidth fix is computed once:
 :meth:`NetworkState.admission` keeps the route and its
 :func:`static_reach` under ``(source, destination, bandwidth_gbps)``.
 They depend only on the topology and the physics, so every state of one
-topology and physics shares them (``_demand_tables``); each request
-reads its route's slot grids from its own state.  The reach also keeps
-the route's ASE and each kept format's self-channel NLI, which depend
-only on the route and the block width, and every candidate reuses them.
+topology and physics shares them (``_demand_tables``), together with
+the launch-power ``phy.Channel`` of each block First Fit has answered.
+Each state keeps one tuple of slot grids per route, built on the first
+request that reads it.  The reach also keeps the route's ASE and each
+kept format's self-channel NLI, which depend only on the route and the
+block width, and every candidate reuses them.
 """
 
 from __future__ import annotations
@@ -187,13 +189,17 @@ class NetworkState:
     priced on the current circuits.  ``last_refuser`` is the id of the
     last circuit that the neighbour check of :func:`evaluate_candidate`
     found pushed below its threshold (None before the first); it may
-    have departed since.
+    have departed since.  The routes, reaches and channels that depend
+    only on the topology and the physics are read from their
+    :class:`_SharedTables`; the grid tuple of each route
+    (:meth:`grids_for_route`) is this state's own.
     """
 
     def __init__(self, topology: Topology, params: phy.PhyParams):
         self.topology = topology
         self.params = params
         self.grids: dict[tuple[str, str], SlotGrid] = {}
+        self._route_grids: dict[tuple[tuple[str, str], ...], tuple[SlotGrid, ...]] = {}
         self.grid_actives: dict[tuple[str, str], dict[int, tuple]] = {}
         for link in topology.links:
             for direction in ((link.source, link.destination), (link.destination, link.source)):
@@ -203,7 +209,7 @@ class NetworkState:
         self.forbidden_ranges: dict[str, list[SlotBlock]] = {}
         self.changes = 0
         self.last_refuser: int | None = None
-        self._demands = _demand_tables.setdefault(topology, {}).setdefault(params, {})
+        self._shared = _demand_tables.setdefault(topology, {}).setdefault(params, _SharedTables())
 
     def copy(self) -> "NetworkState":
         """An exact, independent :class:`NetworkState` of the same network.
@@ -211,22 +217,34 @@ class NetworkState:
         The grids, the hop lists, the detected ranges and every active
         :class:`Lightpath` are copied (a circuit's ``xci_psd`` changes as
         neighbours come and go); the topology, the physics, the shared
-        demand table and the immutable channels and records are shared.
+        tables and the immutable channels and records are shared.  The
+        copy starts with no route grid tuples: it builds its own, of its
+        own grids.
         """
         twin = NetworkState.__new__(NetworkState)
         twin.topology = self.topology
         twin.params = self.params
         twin.grids = {hop: grid.copy() for hop, grid in self.grids.items()}
+        twin._route_grids = {}
         twin.grid_actives = {hop: dict(on_hop) for hop, on_hop in self.grid_actives.items()}
         twin.actives = {key: copy.copy(lightpath) for key, lightpath in self.actives.items()}
         twin.forbidden_ranges = {key: list(value) for key, value in self.forbidden_ranges.items()}
         twin.changes = self.changes
         twin.last_refuser = self.last_refuser
-        twin._demands = self._demands
+        twin._shared = self._shared
         return twin
 
-    def grids_for_route(self, route: Route) -> list[SlotGrid]:
-        return [self.grids[hop] for hop in route.directed_hops]
+    def grids_for_route(self, route: Route) -> tuple[SlotGrid, ...]:
+        """This state's slot grids of ``route``'s directed hops, in route order.
+
+        The tuple is built on the first call for the route's hops and
+        returned by every later one.
+        """
+        hops = route.directed_hops
+        grids = self._route_grids.get(hops)
+        if grids is None:
+            grids = self._route_grids[hops] = tuple(self.grids[hop] for hop in hops)
+        return grids
 
     def admission(
         self, source: str, destination: str, bandwidth_gbps: float
@@ -238,13 +256,13 @@ class NetworkState:
         by the states of this topology and physics, which never change.
         """
         key = (source, destination, bandwidth_gbps)
-        demand = self._demands.get(key)
+        demands = self._shared.demands
+        demand = demands.get(key)
         if demand is None:
             route = self.topology.shortest_path(source, destination)
-            demand = (route, static_reach(route, bandwidth_gbps, self.params))
-            self._demands[key] = demand
+            demand = demands[key] = (route, static_reach(route, bandwidth_gbps, self.params))
         route, reach = demand
-        return route, tuple(self.grids_for_route(route)), reach
+        return route, self.grids_for_route(route), reach
 
     def forbid_range(self, link_id: str, block: SlotBlock) -> bool:
         """Record ``block`` as detected on a link and forbid it both ways.
@@ -298,11 +316,27 @@ class NetworkState:
             self.actives[neighbour_id].xci_psd -= delta
 
 
-#: Route and :func:`static_reach` per ``(source, destination,
-#: bandwidth_gbps)``, one table per topology (by identity) and physics,
-#: filled by :meth:`NetworkState.admission` and shared by every state
-#: built on them.  A topology never reroutes and ``PhyParams`` is frozen,
-#: so an entry never goes stale; the tables of a topology go with it.
+class _SharedTables:
+    """What the states of one topology and physics compute once.
+
+    ``demands`` maps ``(source, destination, bandwidth_gbps)`` to the
+    route and its :func:`static_reach`, filled by
+    :meth:`NetworkState.admission`.  ``channels`` maps a slot block to
+    its ``phy.channel_for_block`` at the launch power, filled by
+    :func:`handle_request`; jammer channels are not in it.
+    """
+
+    __slots__ = ("demands", "channels")
+
+    def __init__(self) -> None:
+        self.demands: dict[tuple[str, str, float], tuple[Route, StaticReach]] = {}
+        self.channels: dict[SlotBlock, phy.Channel] = {}
+
+
+#: One :class:`_SharedTables` per topology (by identity) and physics,
+#: shared by every state built on them.  A topology never reroutes and
+#: ``PhyParams`` is frozen, so an entry never goes stale; the tables of
+#: a topology go with it.
 _demand_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -527,14 +561,15 @@ def handle_request(
     Returns the established :class:`Lightpath` or a :class:`Blocked`
     record; an established circuit starts at the request arrival time.
     Only the formats in the route's :func:`static_reach` are tried; the
-    route, grids and reach come from :meth:`NetworkState.admission`.
+    route, grids and reach come from :meth:`NetworkState.admission`,
+    and a block's channel is built once per topology and physics.
     A block that :func:`_refused_by_last_refuser` refuses counts as a
     ``REJECT_QOT`` verdict without building the candidate.
     """
     route, grids, reach = state.admission(
         request.source, request.destination, request.bandwidth_gbps
     )
-    params = state.params
+    channels = state._shared.channels
     saw_qot = False
     saw_jammed = False
 
@@ -543,7 +578,9 @@ def handle_request(
             block = first_fit(grids, width)
             if block is None:
                 break
-            channel = phy.channel_for_block(block, params)
+            channel = channels.get(block)
+            if channel is None:
+                channel = channels[block] = phy.channel_for_block(block, state.params)
             if _refused_by_last_refuser(state, route, channel.record):
                 saw_qot = True
                 break

@@ -257,6 +257,12 @@ class SlotGrid:
         self.forbidden_mask |= block.mask
 
 
+#: The one :class:`SlotBlock` per ``(start, width)`` that :func:`first_fit`
+#: returns, built through the constructor on its first answer; at most
+#: the slot count times the widths in use.
+_first_fit_block = functools.cache(SlotBlock)
+
+
 def first_fit(grids, width: int) -> SlotBlock | None:
     """Lowest-index block of ``width`` slots feasible on every grid.
 
@@ -264,7 +270,8 @@ def first_fit(grids, width: int) -> SlotBlock | None:
     none of the ``GUARDBAND_SLOTS`` slots on either side is used or
     forbidden on any grid.  Forbidden blocks only exist once the
     jamming-aware plane has detected an attack, so the other planes
-    never meet one.  Returns ``None`` when nothing fits.
+    never meet one.  Returns ``None`` when nothing fits.  Equal answers
+    are one shared block, built on the first of them.
     """
     if width < 1:
         raise SpectrumError(f"width must be >= 1, got {width}")
@@ -295,7 +302,7 @@ def first_fit(grids, width: int) -> SlotBlock | None:
         span += step
     if not fits:
         return None
-    return SlotBlock(start=(fits & -fits).bit_length() - 1, width=width)
+    return _first_fit_block((fits & -fits).bit_length() - 1, width)
 
 
 def allocate(grids, block: SlotBlock) -> None:

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eonjam import sim
+from eonjam import cli, sim
 from eonjam.cli import (
     MAX_REQUESTS_PER_REPLICATION,
     MAX_SWEEP_POINTS,
@@ -292,6 +292,52 @@ def test_cold_simulate_ranks_from_its_own_no_jamming_runs(tmp_path, monkeypatch)
     assert main(["rank-links", str(write_config(tmp_path, config, "rank.yaml"))]) == 0
     for name in ("link_ranking.csv", "link_ranking.meta.json"):
         assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "rank" / name).read_bytes()
+
+
+@pytest.mark.parametrize("topology", ["nsfnet", "file"])
+def test_simulate_loads_the_topology_once_per_call(tmp_path, monkeypatch, topology):
+    loads = []
+    for name in ("nsfnet", "load_topology_file"):
+        loader = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _load=loader: loads.append(args) or _load(*args))
+    config = dict(TINY, output_dir=str(tmp_path / "out"))
+    config["jammer"] = {"target": "most_used"}
+    config["traffic"] = {"requests_per_replication": 150, "replications": 1}
+    if topology == "file":
+        (tmp_path / "tiny.topo").write_text("nodes: A B C\nlink: A B 100\nlink: B C 300\n")
+        config["topology"] = "tiny.topo"
+    config_path = write_config(tmp_path, config)
+    for warm in (False, True):
+        loads.clear()
+        assert main(["simulate", str(config_path)]) == 0
+        assert (tmp_path / "out" / "link_ranking.csv").is_file()
+        assert len(loads) == 1, "warm" if warm else "cold"
+    # The loaded topology is held by the config, not read from the file as a key.
+    assert validate(write_config(tmp_path, dict(config, _topology="x"), "key.yaml")) == [
+        "config: unknown key '_topology'"
+    ]
+
+
+def test_simulate_on_two_workers_writes_the_bytes_of_one(tmp_path):
+    config = dict(TINY, modes=["unaware", "aware"])
+    config["epsilon_sweep"] = {"start": 2.0, "stop": 2.0, "step": 1.0}
+    config["traffic"] = {"requests_per_replication": 300, "replications": 2}
+    outputs = []
+    for workers in (1, 2):
+        outdir = tmp_path / f"workers{workers}"
+        config_path = write_config(tmp_path, dict(config, workers=workers, output_dir=str(outdir)))
+        started = []
+        pool = sim.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return pool(*args, **kwargs)
+
+        with mock.patch.object(sim, "ProcessPoolExecutor", counted):
+            assert main(["simulate", str(config_path)]) == 0
+        assert started == ([] if workers == 1 else [2])
+        outputs.append([(outdir / name).read_bytes() for name in ("blocking.csv", "slots.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_validate_missing_file():

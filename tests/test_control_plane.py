@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 from unittest import mock
@@ -494,6 +495,48 @@ def test_states_of_one_topology_share_routes_and_reach(nsf, params):
     assert not set(map(id, other_grids)) & set(map(id, grids))
 
 
+def _memo(topology, params):
+    return control_plane._demand_tables[topology][params].channels
+
+
+def test_memoised_channels_equal_fresh_builds_and_hold_no_jammer(params):
+    topo = nsfnet()
+    config = JammerConfig(target="8-9", epsilon_db=2.5)
+    traffic = TrafficModel(load_erlangs=400.0, requests_per_replication=400)
+    run_replication(3, topo, traffic, ControlMode.AWARE, config, params)
+    sim._request_stream.cache_clear()
+    memo = _memo(topo, params)
+    assert len(memo) > 20
+    for block, channel in memo.items():
+        fresh = channel_for_block(block, params)
+        for entry in dataclasses.fields(phy.Channel):
+            assert getattr(channel, entry.name) == getattr(fresh, entry.name), entry.name
+        assert channel.record == fresh.record
+        assert not channel.is_jammer
+    jammers = ground_truth_channels(config, params).channels
+    assert not {id(channel) for channel in jammers} & {id(channel) for channel in memo.values()}
+
+
+def test_channel_memo_is_per_physics_and_first_fit_answers_are_shared(nsf):
+    low, high = PhyParams(), PhyParams(tx_power_dbm=3.0)
+    for state_params in (low, high):
+        state = NetworkState(nsf, state_params)
+        for rid, (src, dst) in enumerate([("1", "2"), ("8", "9"), ("3", "12")], start=1):
+            handle_request(request(rid, src, dst, 200.0), state, ControlMode.NO_JAMMING, None)
+    low_memo, high_memo = _memo(nsf, low), _memo(nsf, high)
+    assert low_memo is not high_memo
+    shared = low_memo.keys() & high_memo.keys()
+    assert shared
+    for block in shared:
+        assert high_memo[block].psd_w_per_hz > low_memo[block].psd_w_per_hz
+
+    empty = [NetworkState(nsf, low).grids[("1", "2")]]
+    busy = NetworkState(nsf, low).grids[("1", "2")]
+    allocate([busy], SlotBlock(20, 4))
+    assert first_fit(empty, 6) is first_fit([busy], 6)
+    assert first_fit(empty, 6) == SlotBlock(0, 6)
+
+
 def _loaded_state(seed, load, mode, epsilon_db, count):
     """An NSFNet state after ``count`` seeded requests, and a draw of further requests."""
     params = PhyParams()
@@ -649,10 +692,21 @@ def _snapshot(state):
 
 
 def test_departing_or_forbidding_on_a_copy_leaves_the_original_untouched(nsf, params):
-    state, ground_truth, rest = _stream_state(nsf, params, ControlMode.UNAWARE, 1.0, 500, 500)
+    state, ground_truth, rest = _stream_state(nsf, params, ControlMode.UNAWARE, 1.0, 500, 600)
     before = _snapshot(state)
+    assert state._route_grids
     twin = state.copy()
-    now = max(lightpath.departs_at for lightpath in state.actives.values())
+    # The twin reads and writes only its own grids, through its own route tuples.
+    for hops in state._route_grids:
+        route = nsf.shortest_path(hops[0][0], hops[-1][1])
+        twin.grids_for_route(route)
+    outcomes = [handle_request(req, twin, ControlMode.UNAWARE, ground_truth) for req in rest]
+    assert any(isinstance(outcome, control_plane.Lightpath) for outcome in outcomes)
+    assert twin._route_grids.keys() >= state._route_grids.keys()
+    for hops, grids in twin._route_grids.items():
+        assert all(grid is twin.grids[hop] for hop, grid in zip(hops, grids, strict=True))
+    assert _snapshot(state) == before
+    now = max(lightpath.departs_at for lightpath in twin.actives.values())
     for lightpath_id in list(twin.actives)[::3]:
         twin.depart(lightpath_id, now)
     for jammed_range in ground_truth.jammed_ranges:
