@@ -214,6 +214,8 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
             ranges = list(DEFAULT_JAMMED_RANGES)
         elif not isinstance(ranges_raw, list):
             violations.append("jammer.jammed_ranges: expected a list of [start, width]")
+        elif not ranges_raw:
+            violations.append("jammer.jammed_ranges: at least one range is required")
         else:
             for index, pair in enumerate(ranges_raw):
                 try:

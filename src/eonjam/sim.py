@@ -27,9 +27,9 @@ plane and a pair run through the same job function, :func:`_replicate`.
 
 A 0 dB attack adds no power (``epsilon_w = P * (10**0 - 1) = 0.0``), so
 every jamming term is exactly 0.0, nothing is detected, and both planes
-give the no-jamming result of their seed.  :func:`run_scenario` hands
-that result to its 0 dB points whenever it runs the no-jamming
-replications anyway, and runs no job for them.
+give the no-jamming result of their seed.  So :func:`run_scenario`
+serves every 0 dB point, like the no-jamming point, from the seed's
+jammer-free job, and never runs a jamming job at 0 dB.
 
 The arrivals are already in time order, so the engine walks them in
 order and keeps only departures on a heap of ``(departs_at,
@@ -84,6 +84,9 @@ __all__ = [
 DEPARTURE = 0
 ARRIVAL = 1
 
+#: Bound on a replication's mean arrival horizon (s), far below float overflow.
+MAX_MEAN_HORIZON_S = 1e300
+
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -104,6 +107,9 @@ class TrafficModel:
             raise ValueError("bandwidth choices must be positive and finite")
         if self.requests_per_replication < 0 or self.replications < 1:
             raise ValueError("request count must be >= 0 and replications >= 1")
+        horizon = self.requests_per_replication * self.mean_holding_s / self.load_erlangs
+        if horizon > MAX_MEAN_HORIZON_S:
+            raise ValueError(f"mean arrival horizon {horizon:.3g} s is above the {MAX_MEAN_HORIZON_S:g} s allowed")
 
     @property
     def arrival_rate(self) -> float:
@@ -354,6 +360,9 @@ def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.Replicati
 #: The modes of a pair job, in the order of its results.
 _PAIR = (ControlMode.UNAWARE, ControlMode.AWARE)
 
+#: The modes and power of the job behind every no-jamming and 0 dB point.
+_JAMMER_FREE = ((ControlMode.NO_JAMMING,), None)
+
 
 def _replicate(
     seed, topology, traffic, modes, jammer_config, params, tolerance_db,
@@ -502,24 +511,23 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     A link-utilization ranking is computed when the jammer uses a
     most/least-used selector and none is given: the no-jamming
     replications of the scenario's seeds run first and are ranked (the
-    same ranking as :func:`compute_utilization_ranking`).  They are kept
-    as the no-jamming point when the modes include it.
+    same ranking as :func:`compute_utilization_ranking`).
 
     Every job is one :func:`_replicate` call, which gives a result per
-    mode.  Jobs are submitted seed by seed, so consecutive jobs share the
-    cached request stream, and their results are regrouped per point.
-    A selector is resolved to a link id once, before any job is built.
-    Where a power has both an unaware and an aware point, one pair job
-    (modes :data:`_PAIR`) serves both planes of a seed, split at the
-    aware plane's first detection; its results equal two
+    mode, and one rule names the job behind each point.  The no-jamming
+    point and every point at exactly 0 dB take the seed's jammer-free
+    job, the ranking pre-run when there is one: at 0 dB both planes give
+    its results bit for bit.  Where a power has both an unaware and an
+    aware point, both take one pair job (modes :data:`_PAIR`), split at
+    the aware plane's first detection; its results equal two
     :func:`run_replication` calls.  Pairs are formed only when the pool
     still gets a job per worker, that is when the jobs left after
     pairing are at least ``min(workers, os.cpu_count())``; one worker
-    always pairs.  The unaware and aware points at exactly 0 dB get no
-    job when the no-jamming replications of the seeds run anyway (the
-    ranking pre-run, or a no-jamming point): they are given those
-    results, which equal theirs bit for bit.  The cache is emptied on
-    return, so every call draws its streams afresh.
+    always pairs.  Every other point takes a job of its own.  Each job
+    runs once per seed, seed by seed, so consecutive jobs share the
+    cached request stream.  A selector is resolved to a link id once,
+    before any job is built.  The cache is emptied on return, so every
+    call draws its streams afresh.
     """
     if len(set(config.modes)) != len(config.modes):
         raise ValueError("a mode may be listed only once")
@@ -545,69 +553,60 @@ def _run_scenario(config, ranking) -> ScenarioResult:
         for eps in ([None] if mode is ControlMode.NO_JAMMING else sweep)
     ]
 
-    def job(seed, modes, eps):
-        jam = None
-        if ControlMode.NO_JAMMING not in modes:
-            jam = JammerConfig(
-                target=target_link_id,
-                jammed_ranges=config.jammer.jammed_ranges,
-                epsilon_db=eps,
-            )
-        return (seed, topology, traffic, modes, jam, params, config.detection_tolerance_db)
-
-    grouped: dict[tuple, list] = {}
-    pending = list(order)
-    needs_jammer = any(m is not ControlMode.NO_JAMMING for m in config.modes)
+    done: dict[tuple, list] = {}  # job -> its results, a tuple per seed
     target_link_id = None
-    baseline = None
-    if needs_jammer:
+    if any(mode is not ControlMode.NO_JAMMING for mode in config.modes):
         if config.jammer is None:
             raise ValueError("jamming modes require a jammer section")
         if config.jammer.uses_selector and ranking is None:
-            baseline = _no_jamming_runs(seeds, topology, traffic, params, config.workers)
-            ranking = metrics.utilization_ranking(baseline)
-            if ControlMode.NO_JAMMING in config.modes:
-                pending.remove((ControlMode.NO_JAMMING, None))
-                grouped[(ControlMode.NO_JAMMING, None)] = baseline
+            jammer_free = _no_jamming_runs(seeds, topology, traffic, params, config.workers)
+            ranking = metrics.utilization_ranking(jammer_free)
+            done[_JAMMER_FREE] = [(result,) for result in jammer_free]
         target_link_id = resolve_target(config.jammer, ranking)
         topology.link_by_id(target_link_id)
 
     # At 0 dB the jammer adds no power, so every jamming term is 0.0 and
-    # nothing is detected: both planes give the no-jamming results.  Run
-    # no job for them where those results are already in the plan.
-    at_zero = []
-    if baseline is not None or ControlMode.NO_JAMMING in config.modes:
-        at_zero = [(mode, eps) for mode, eps in pending if eps == 0.0]
-        pending = [key for key in pending if key not in at_zero]
+    # nothing is detected: both planes give the jammer-free results.
+    def job_of(mode, eps):
+        """The modes and power of the job behind the (mode, eps) point."""
+        if mode is ControlMode.NO_JAMMING or eps == 0.0:
+            return _JAMMER_FREE
+        return (_PAIR if eps in paired else (mode,)), eps
 
-    # A pair job serves a power's unaware and aware keys together; pair
+    def planned():
+        return [job for job in dict.fromkeys(job_of(*point) for point in order) if job not in done]
+
+    # A pair job serves a power's unaware and aware points together; pair
     # only when the pool still gets at least one job per worker.
-    paired = {eps for mode, eps in pending if mode is ControlMode.UNAWARE} & {
-        eps for mode, eps in pending if mode is ControlMode.AWARE
+    paired = {eps for mode, eps in order if mode is ControlMode.UNAWARE} & {
+        eps for mode, eps in order if mode is ControlMode.AWARE
     }
-    if len(seeds) * (len(pending) - len(paired)) < min(config.workers, os.cpu_count() or 1):
+    if len(seeds) * len(planned()) < min(config.workers, os.cpu_count() or 1):
         paired = set()
-    jobs, keys = [], []
-    for seed in seeds:
-        for mode, eps in pending:
-            modes = (mode,)
-            if eps in paired:
-                if mode is not ControlMode.UNAWARE:
-                    continue
-                modes = _PAIR
-            jobs.append(job(seed, modes, eps))
-            keys.append((modes, eps))
-    for (modes, eps), results in zip(keys, _run_jobs(jobs, config.workers), strict=True):
-        for mode, result in zip(modes, results, strict=True):
-            grouped.setdefault((mode, eps), []).append(result)
-    for key in at_zero:
-        grouped[key] = grouped.get((ControlMode.NO_JAMMING, None), baseline)
+    jobs = planned()
+
+    def arguments(seed, modes, eps):
+        jam = None if eps is None else JammerConfig(
+            target=target_link_id, jammed_ranges=config.jammer.jammed_ranges, epsilon_db=eps
+        )
+        return (seed, topology, traffic, modes, jam, params, config.detection_tolerance_db)
+
+    work = [(seed, job) for seed in seeds for job in jobs]
+    results = _run_jobs([arguments(seed, *job) for seed, job in work], config.workers)
+    for (_, job), job_results in zip(work, results, strict=True):
+        done.setdefault(job, []).append(job_results)
+
+    def point_results(mode, eps):
+        modes, _ = job = job_of(mode, eps)
+        at = modes.index(mode) if mode in modes else 0
+        return tuple(job_results[at] for job_results in done[job])
+
     points = tuple(
         ScenarioPoint(
             mode=mode,
             target_link_id=None if mode is ControlMode.NO_JAMMING else target_link_id,
             epsilon_db=eps,
-            results=tuple(grouped[(mode, eps)]),
+            results=point_results(mode, eps),
         )
         for mode, eps in order
     )

@@ -126,12 +126,14 @@ class Topology:
             self._adjacency[link.source].append(link)
             self._adjacency[link.destination].append(link)
         self._distances: dict[str, dict[str, float]] = {}
-        if len(self.nodes) > 1 and len(self._dijkstra_distances(self.nodes[0])) < len(self.nodes):
+        if len(self._dijkstra_distances(self.nodes[0])) < len(self.nodes):
             raise TopologyError("graph is not connected")
         self._by_id = {link.id: link for link in self.links}
         self._route_cache: dict[tuple[str, str], Route] = {}
 
     def _validate(self) -> None:
+        if len(self.nodes) < 2:
+            raise TopologyError("at least two nodes are required")
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node id")
         node_set = set(self.nodes)

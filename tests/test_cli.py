@@ -54,10 +54,19 @@ def test_validate_names_step_violation(tmp_path):
     assert any("sweep.step" in v for v in violations)
 
 
-def test_validate_names_range_violation(tmp_path):
-    bad = dict(TINY, jammer={"target": "8-9", "jammed_ranges": [[315, 10]]})
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        ([[315, 10]], "range exceeds grid"),
+        ([], "jammer.jammed_ranges: at least one range is required"),
+    ],
+    ids=["exceeds grid", "empty"],
+)
+def test_validate_names_range_violation(tmp_path, ranges, message):
+    bad = dict(TINY, jammer={"target": "8-9", "jammed_ranges": ranges})
     violations = validate(write_config(tmp_path, bad))
-    assert any("range exceeds grid" in v for v in violations)
+    assert any(message in v for v in violations)
+    assert "jammer: required by modes other than no_jamming" not in violations
 
 
 def test_validate_rejects_unknown_mode(tmp_path):
@@ -266,6 +275,33 @@ def test_duplicate_link_id_is_a_config_error(tmp_path, capsys, command):
     assert main([command, str(write_config(tmp_path, config))]) == 1
     captured = capsys.readouterr()
     assert captured.err == "config error: topology: duplicate link id 'a-b-c'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_an_arrival_clock_that_would_overflow_is_a_config_error(tmp_path, capsys, command):
+    # 20 requests a mean 6e307 s apart: the last arrival time would be inf.
+    traffic = {"requests_per_replication": 20, "replications": 1, "load_erlangs": 1e-305}
+    config = dict(TINY, traffic=traffic, output_dir=str(tmp_path / "out"))
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: traffic: mean arrival horizon inf s is above the 1e+300 s allowed\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
+def test_a_one_node_topology_is_a_config_error(tmp_path, capsys, command):
+    # A request needs two distinct endpoints, so one node can serve none.
+    (tmp_path / "one.topo").write_text("nodes: A\n")
+    config = dict(TINY, topology="one.topo", output_dir=str(tmp_path / "out"))
+    config["jammer"] = {"target": "most_used"}
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: topology: at least two nodes are required\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -586,7 +622,7 @@ _PLAUSIBLE_SCENARIO = st.fixed_dictionaries(
         "traffic": st.fixed_dictionaries(
             {"requests_per_replication": st.sampled_from([20, 1, 0]), "replications": st.just(1)},
             optional={
-                "load_erlangs": st.sampled_from([200, 0.5, 1e6]),
+                "load_erlangs": st.sampled_from([200, 0.5, 1e6, 1e-305]),
                 "mean_holding_s": st.sampled_from([600, 1e-3]),
                 "bandwidth_choices_gbps": st.sampled_from([[40, 200, 400], [1000]]),
             },
@@ -612,7 +648,7 @@ _PLAUSIBLE_SCENARIO = st.fixed_dictionaries(
     },
 )
 _ODD_VALUES = {
-    ("topology",): st.sampled_from(["broken.topo", "missing.topo", "", 5, None]),
+    ("topology",): st.sampled_from(["broken.topo", "one.topo", "missing.topo", "", 5, None]),
     ("modes",): st.sampled_from([[], ["bogus"], ["aware", "aware"], [1], 5, None, {"a": 1}]),
     ("jammer",): st.sampled_from([None, [1, 2], "x", {}]),
     ("jammer", "target"): st.sampled_from(["9-99", "", 5, None]),
@@ -694,12 +730,17 @@ def _attack_at(power):
 @given(scenarios())
 @example(_attack_at(1700))  # the squared PSD of a jammer channel overflows
 @example(_attack_at(3100))  # the dB-to-linear conversion overflows
+@example(  # the arrival clock overflows
+    {"modes": ["no_jamming"], "traffic": {"requests_per_replication": 20, "replications": 1,
+                                          "load_erlangs": 1e-305}}
+)
 @settings(max_examples=150, deadline=None)
 def test_simulate_runs_what_validate_accepts(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "ring.topo").write_text("nodes: A B C\nlink: A B 100\nlink: B C 200\nlink: C A 300\n")
         (tmp / "broken.topo").write_text("nodes: A B\nlink: A C 100\n")
+        (tmp / "one.topo").write_text("nodes: A\n")
         config_path = tmp / "scenario.yaml"
         config_path.write_text(yaml.safe_dump(scenario))
 
@@ -709,6 +750,8 @@ def test_simulate_runs_what_validate_accepts(scenario):
             code, _, err = _cli("simulate", str(config_path))
         assert (code, err) == (0, "")
         assert (tmp / "out" / "blocking.csv").is_file()
+        for written in (tmp / "out").glob("*.csv"):
+            assert "nan" not in written.read_text().lower(), written.name
 
 
 @given(

@@ -65,6 +65,21 @@ def test_traffic_rejects_non_finite_values(field, value):
         TrafficModel(**{field: value})
 
 
+def test_traffic_refuses_a_horizon_the_arrival_clock_cannot_hold(nsf):
+    # 20 requests a mean 6e307 s apart: the last arrival time overflows.
+    with pytest.raises(ValueError, match=r"mean arrival horizon inf s is above the 1e\+300 s allowed"):
+        TrafficModel(load_erlangs=1e-305, requests_per_replication=20)
+    with pytest.raises(ValueError, match=r"mean arrival horizon 1.2e\+303 s"):
+        TrafficModel(load_erlangs=1e-299, requests_per_replication=20)
+    # At the bound, every statistic stays finite.
+    at_bound = TrafficModel(load_erlangs=1.2e-296, requests_per_replication=20, replications=1)
+    result = run_replication(1, nsf, at_bound, ControlMode.NO_JAMMING)
+    assert 0 < result.horizon_s < math.inf
+    assert np.isfinite(result.slot_utilization).all()
+    for by_link in (result.slot_utilization_by_link, result.slot_used_by_link):
+        assert all(np.isfinite(values).all() for values in by_link.values())
+
+
 def test_defaults_match_reference_workload():
     traffic = TrafficModel()
     assert traffic.load_erlangs == 200.0
@@ -454,55 +469,74 @@ def _spied_scenario(config):
 
 
 def _planned_jobs(config, ranking=None):
-    """``run_scenario``'s result and a count of its jobs by modes and power."""
-    with mock.patch.object(sim, "_replicate", wraps=sim._replicate) as jobs:
+    """``run_scenario``'s result, a count of its jobs by modes and power, and
+    the jammer-free results it got, in seed order."""
+    replicate, jammer_free = sim._replicate, []
+
+    def spy(*args):
+        results = replicate(*args)
+        if args[3] == (ControlMode.NO_JAMMING,):
+            jammer_free.extend(results)
+        return results
+
+    with mock.patch.object(sim, "_replicate", side_effect=spy) as jobs:
         result = run_scenario(config, ranking)
     planned = Counter(
         (call.args[3], None if call.args[4] is None else call.args[4].epsilon_db)
         for call in jobs.call_args_list
     )
-    return result, planned
+    return result, planned, jammer_free
 
 
-@pytest.mark.parametrize("case", ["cold selector", "warm ranking", "explicit target", "no baseline"])
-def test_zero_db_points_reuse_the_planned_no_jamming_runs(case):
-    # Two seeds, 0 and 1 dB.  Every case but the last plans the seeds'
-    # no_jamming runs (the ranking pre-run or the no_jamming point), and
-    # the 0 dB points reuse them instead of running jobs of their own.
-    modes = (ControlMode.NO_JAMMING, ControlMode.UNAWARE, ControlMode.AWARE)
-    ranking = None
-    if case == "cold selector":
-        target = "most_used"
-    elif case == "warm ranking":
-        target = "most_used"
-        ranking = [("8-9", 1.0), ("1-8", 0.5), ("11-14", 0.0)]
-    else:
-        target = "8-9"
-    if case == "no baseline":
-        modes = modes[1:]
+_NO_JAMMING = (ControlMode.NO_JAMMING,)
+_ALL_MODES = (ControlMode.NO_JAMMING, ControlMode.UNAWARE, ControlMode.AWARE)
+_RANKING = [("8-9", 1.0), ("1-8", 0.5), ("11-14", 0.0)]
+
+
+@pytest.mark.parametrize(
+    "modes, target, ranking, sweep, plan",
+    [
+        (_ALL_MODES, "most_used", None, (0.0, 1.0, 1.0), {(_NO_JAMMING, None): 2, (sim._PAIR, 1.0): 2}),
+        (_ALL_MODES, "most_used", _RANKING, (0.0, 1.0, 1.0), {(_NO_JAMMING, None): 2, (sim._PAIR, 1.0): 2}),
+        (_ALL_MODES, "8-9", None, (0.0, 1.0, 1.0), {(_NO_JAMMING, None): 2, (sim._PAIR, 1.0): 2}),
+        (_ALL_MODES[1:], "8-9", None, (0.0, 1.0, 1.0), {(_NO_JAMMING, None): 2, (sim._PAIR, 1.0): 2}),
+        (_ALL_MODES[1:], "8-9", None, (1.0, 2.0, 1.0), {(sim._PAIR, 1.0): 2, (sim._PAIR, 2.0): 2}),
+        (
+            (ControlMode.UNAWARE,), "most_used", _RANKING, (0.0, 1.0, 1.0),
+            {(_NO_JAMMING, None): 2, ((ControlMode.UNAWARE,), 1.0): 2},
+        ),
+    ],
+    ids=[
+        "cold selector", "warm ranking", "explicit target", "no baseline",
+        "explicit target without 0 dB", "unaware only with a ranking",
+    ],
+)
+def test_zero_db_points_reuse_the_planned_no_jamming_runs(modes, target, ranking, sweep, plan):
+    # Two seeds.  The no_jamming point and every 0 dB point take the
+    # seeds' jammer-free job (the ranking pre-run when there is one), a
+    # power with both planes takes a pair job, and each job runs once.
     config = ScenarioConfig(
         topology="nsfnet",
         modes=modes,
         jammer=JammerConfig(target=target),
-        epsilon_sweep=(0.0, 1.0, 1.0),
+        epsilon_sweep=sweep,
         traffic=TrafficModel(requests_per_replication=200, replications=2),
         base_seed=5,
         output_dir="unused",
     )
-    result, planned = _planned_jobs(config, ranking)
-    no_jamming, pair = (ControlMode.NO_JAMMING,), sim._PAIR
-    if case == "no baseline":
-        assert planned == {(pair, 0.0): 2, (pair, 1.0): 2}
-    else:
-        assert planned == {(no_jamming, None): 2, (pair, 1.0): 2}
-        baseline = result.points[0].results
-        for point in result.points[1:]:
-            reused = all(map(operator.is_, point.results, baseline))
-            assert reused == (point.epsilon_db == 0.0)
+    result, planned, jammer_free = _planned_jobs(config, ranking)
+    assert planned == plan
+    assert len(jammer_free) == 2 * (0.0 in sweep or ControlMode.NO_JAMMING in modes)
+    for point in result.points:
+        reused = len(point.results) == len(jammer_free) and all(
+            map(operator.is_, point.results, jammer_free)
+        )
+        assert reused == (point.epsilon_db in (None, 0.0))
 
     topology = config.load_topology()
     zero_db = [point for point in result.points if point.epsilon_db == 0.0]
-    assert [point.mode for point in zero_db] == [ControlMode.UNAWARE, ControlMode.AWARE]
+    jamming_modes = [mode for mode in modes if mode is not ControlMode.NO_JAMMING]
+    assert [point.mode for point in zero_db] == (jamming_modes if 0.0 in sweep else [])
     for point in zero_db:
         jam = JammerConfig(target=point.target_link_id, epsilon_db=0.0)
         for seed, got in enumerate(point.results, start=config.base_seed):
