@@ -44,7 +44,8 @@ for label, block in (
     channel = channel_for_block(block, params)
     ase, sci = ase_psd(route, params), sci_psd(channel, route.total_spans, params)
     candidate = _build_candidate(
-        1, route, block, channel, QPSK, 40.0, 0.0, 600.0, state, ground_truth, ase, sci
+        1, state.route_record(route), block, channel, QPSK, 40.0, 0.0, 600.0, state, ground_truth,
+        ase, sci,
     )
     measured = linear_to_db(candidate.snr)
     estimated = linear_to_db(candidate.snr_estimated)

@@ -60,6 +60,7 @@ from .spectrum import (
     SlotGrid,
     allocate,
     first_fit,
+    fit_mask,
     release,
     utilization,
 )

@@ -123,8 +123,8 @@ def _load_topology(topology: str) -> Topology:
 
 
 def _finite(value) -> float:
-    """A config number as a float; booleans, NaN and infinities are refused."""
-    if isinstance(value, bool):
+    """A config number as a float; strings, booleans, NaN and infinities are refused."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
@@ -133,16 +133,23 @@ def _finite(value) -> float:
 
 
 def _integer(value) -> int:
-    """A config integer; booleans and fractional numbers are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A config integer; strings, booleans and fractional numbers are refused."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _bandwidths(values) -> tuple[float, ...]:
+    """A config list of bandwidths as floats; anything but a list is refused."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(_finite(value) for value in values)
 
 
 _TRAFFIC_FIELDS = {
     "load_erlangs": _finite,
     "mean_holding_s": _finite,
-    "bandwidth_choices_gbps": lambda values: tuple(_finite(b) for b in values),
+    "bandwidth_choices_gbps": _bandwidths,
     "requests_per_replication": _integer,
     "replications": _integer,
 }
@@ -219,8 +226,10 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
         else:
             for index, pair in enumerate(ranges_raw):
                 try:
+                    if not isinstance(pair, list) or len(pair) != 2:
+                        raise TypeError("a range is a two-item list")
                     block = SlotBlock(_integer(pair[0]), _integer(pair[1]))
-                except (TypeError, ValueError, IndexError):
+                except (TypeError, ValueError):
                     violations.append(f"jammer.jammed_ranges[{index}]: expected [start, width]")
                     continue
                 if block.end > SLOT_COUNT:

@@ -39,12 +39,31 @@ the cross-channel term is updated by the exact pair contribution when a
 neighbour arrives or departs.  This keeps admission checks O(shared
 neighbours) instead of rescanning the whole network.  Every term comes
 from the :mod:`eonjam.phy` kernels that the audit's ``phy.snr`` uses:
-``phy.xci_onto`` sums a candidate's own XCI hop by hop, and
-``phy.xci_from`` prices what a circuit adds to its neighbours, one call
-per hop of its route.  ``NetworkState.grid_actives`` maps each directed
-hop to the spectral records (``phy.Channel.record``: centre and
-half-width in half-slots, PSD and its square) of the circuits on it,
-which is all both kernels read.
+``phy.xci_onto`` sums a candidate's own XCI and ``phy.xci_from`` prices
+what a circuit adds to its neighbours, each in one call that walks the
+whole route.  ``NetworkState.grid_actives`` maps each directed hop to
+the spectral records (``phy.Channel.record``: centre and half-width in
+half-slots, PSD and its square) of the circuits on it, which is all
+both kernels read.
+
+What is fixed is computed once and read on every check:
+
+* Each state keeps one :class:`RouteRecord` per route, built on first
+  use: the route's grids, each hop's span count paired with its live
+  ``grid_actives`` entry (the shape the kernels walk), and the span
+  count of each link.  Candidates and circuits carry it, so admission,
+  :meth:`NetworkState.establish` and :meth:`NetworkState.depart` never
+  look a hop up.
+* Each request folds its route's grids into one First Fit mask
+  (``spectrum.fit_mask``); every format and the pruned-width probe ask
+  it, and only a detection, which forbids slots, recomputes it.
+* Each attack prices the jamming noise of a block once per span count
+  (``GroundTruth.jamming_psd``).
+* Each established circuit keeps a survival cap
+  (:meth:`Lightpath.survival_cap`): the XCI up to which it surely meets
+  its threshold.  A neighbour whose XCI plus a candidate's stays within
+  it passes without an SNR or a verdict; only one above it is judged by
+  :meth:`Lightpath.survives`.
 
 A neighbour that refuses one candidate tends to refuse the next: it is
 the circuit with the least margin near the free spectrum.  So
@@ -55,15 +74,16 @@ block it refuses is never built; the verdict is the one the full check
 would give.
 
 What a request's endpoints and bandwidth fix is computed once:
-:meth:`NetworkState.admission` keeps the route and its
-:func:`static_reach` under ``(source, destination, bandwidth_gbps)``.
-They depend only on the topology and the physics, so every state of one
-topology and physics shares them (``_demand_tables``), together with
-the launch-power ``phy.Channel`` of each block First Fit has answered.
-Each state keeps one tuple of slot grids per route, built on the first
-request that reads it.  The reach also keeps the route's ASE and each
-kept format's self-channel NLI, which depend only on the route and the
-block width, and every candidate reuses them.
+:meth:`NetworkState.admission` keeps the route, its
+:func:`static_reach` and a route id under ``(source, destination,
+bandwidth_gbps)``.  They depend only on the topology and the physics,
+so every state of one topology and physics shares them
+(``_demand_tables``), together with the launch-power ``phy.Channel`` of
+each block First Fit has answered; each state keeps its route records
+under the route ids.
+The reach also keeps the route's ASE and each kept format's
+self-channel NLI, which depend only on the route and the block width,
+and every candidate reuses them.
 """
 
 from __future__ import annotations
@@ -77,7 +97,7 @@ from enum import Enum
 
 from . import phy
 from .jammer import GroundTruth
-from .spectrum import SlotBlock, SlotGrid, allocate, first_fit, release
+from .spectrum import SlotBlock, SlotGrid, allocate, first_fit, fit_mask, release
 from .topology import Route, Topology
 
 __all__ = [
@@ -85,6 +105,7 @@ __all__ = [
     "Verdict",
     "Lightpath",
     "Blocked",
+    "RouteRecord",
     "NetworkState",
     "REASON_NO_SPECTRUM",
     "REASON_QOT",
@@ -117,16 +138,24 @@ class Verdict(Enum):
     REJECT_JAMMED = "reject_jammed"
 
 
-@dataclass
+#: Relative margin under the upper QoT band edge that a survival cap keeps.
+CAP_MARGIN = 1e-12
+
+
+@dataclass(slots=True)
 class Lightpath:
     """A circuit (candidate or established) plus its live noise state.
 
     ``ase_psd``, ``sci_psd`` and ``jam_psd`` are constants of the route,
     block and static attack; ``xci_psd`` is the accumulated cross-channel
-    interference from currently co-propagating circuits.  ``priced``
-    holds what :func:`evaluate_candidate` computed for
-    :meth:`NetworkState.establish`: the state and its change count, and
-    the XCI the candidate adds to each neighbour.
+    interference from currently co-propagating circuits.  ``path`` is
+    the :class:`RouteRecord` of the route in the state that built the
+    candidate.  ``priced`` holds what :func:`evaluate_candidate` computed
+    for :meth:`NetworkState.establish`: the state and its change count,
+    and the XCI the candidate adds to each neighbour.  ``cap`` is the
+    :meth:`survival_cap` that :meth:`NetworkState.establish` sets; a
+    circuit that was never established has ``-inf``, which passes no
+    neighbour check on its own.
     """
 
     id: int
@@ -140,7 +169,9 @@ class Lightpath:
     sci_psd: float
     jam_psd: float
     xci_psd: float = 0.0
+    path: RouteRecord | None = field(default=None, repr=False, compare=False)
     priced: tuple | None = field(default=None, repr=False, compare=False)
+    cap: float = field(default=-math.inf, repr=False, compare=False)
 
     @property
     def noise_psd(self) -> float:
@@ -168,12 +199,53 @@ class Lightpath:
         noise = self.ase_psd + self.sci_psd + self.xci_psd + self.jam_psd + delta
         return phy.qot_verdict(self.channel.psd_w_per_hz / noise, self.modulation)
 
+    def survival_cap(self) -> float:
+        """The XCI up to which the circuit surely meets its threshold.
 
-@dataclass(frozen=True)
+        It is ``psd / high * (1 - CAP_MARGIN) - (ase + sci + jam)``, with
+        ``high`` the upper edge of the format's ``qot_band``; all but the
+        XCI is fixed for the circuit's life.  When ``xci_psd + delta <=
+        cap``, :meth:`survives` holds for ``delta``.  In exact arithmetic
+        the noise ``ase + sci + xci + jam + delta`` is then at most
+        ``psd / high * (1 - 1e-12)``.  Rounding moves the noise (a sum of
+        five non-negative terms) and the cap (a division, a product and
+        two sums) by a few units in the last place of values no larger
+        than ``psd / high``, about 1e-15 of it, far inside the 1e-12
+        margin.  So the rounded noise stays below ``psd / high``, the SNR
+        at or above ``high``, and :func:`phy.qot_verdict` passes it.
+        Above the cap only :meth:`survives` can tell.
+        """
+        margin = self.channel.psd_w_per_hz / self.modulation.qot_band[1] * (1.0 - CAP_MARGIN)
+        return margin - (self.ase_psd + self.sci_psd + self.jam_psd)
+
+
+@dataclass(frozen=True, slots=True)
 class Blocked:
     """A denied request and the dominant reason."""
 
     reason: str
+
+
+class RouteRecord:
+    """What admission reads of one route in one state, gathered once.
+
+    ``grids`` are the state's slot grids of the route's directed hops,
+    in route order.  ``hops`` pairs each hop's span count with the
+    state's live ``grid_actives`` entry for it, the ``(span_count,
+    channels)`` shape the :mod:`phy` XCI kernels walk.  ``link_spans``
+    maps each link id of the route to its span count.
+    """
+
+    __slots__ = ("route", "grids", "hops", "link_spans")
+
+    def __init__(self, state: "NetworkState", route: Route):
+        self.route = route
+        hops = route.directed_hops
+        self.grids = tuple(state.grids[hop] for hop in hops)
+        self.hops = tuple(
+            (link.span_count, state.grid_actives[hop]) for link, hop in zip(route.links, hops)
+        )
+        self.link_spans = {link.id: link.span_count for link in route.links}
 
 
 class NetworkState:
@@ -191,15 +263,14 @@ class NetworkState:
     found pushed below its threshold (None before the first); it may
     have departed since.  The routes, reaches and channels that depend
     only on the topology and the physics are read from their
-    :class:`_SharedTables`; the grid tuple of each route
-    (:meth:`grids_for_route`) is this state's own.
+    :class:`_SharedTables`; the :class:`RouteRecord` of each route
+    (:meth:`route_record`) is this state's own.
     """
 
     def __init__(self, topology: Topology, params: phy.PhyParams):
         self.topology = topology
         self.params = params
         self.grids: dict[tuple[str, str], SlotGrid] = {}
-        self._route_grids: dict[tuple[tuple[str, str], ...], tuple[SlotGrid, ...]] = {}
         self.grid_actives: dict[tuple[str, str], dict[int, tuple]] = {}
         for link in topology.links:
             for direction in ((link.source, link.destination), (link.destination, link.source)):
@@ -209,6 +280,7 @@ class NetworkState:
         self.forbidden_ranges: dict[str, list[SlotBlock]] = {}
         self.changes = 0
         self.last_refuser: int | None = None
+        self._records: dict[int, RouteRecord] = {}
         self._shared = _demand_tables.setdefault(topology, {}).setdefault(params, _SharedTables())
 
     def copy(self) -> "NetworkState":
@@ -218,51 +290,58 @@ class NetworkState:
         :class:`Lightpath` are copied (a circuit's ``xci_psd`` changes as
         neighbours come and go); the topology, the physics, the shared
         tables and the immutable channels and records are shared.  The
-        copy starts with no route grid tuples: it builds its own, of its
-        own grids.
+        copy builds its own route records, of its own grids and hop
+        lists, and each copied circuit's ``path`` is the copy's record.
         """
         twin = NetworkState.__new__(NetworkState)
         twin.topology = self.topology
         twin.params = self.params
+        twin._shared = self._shared
         twin.grids = {hop: grid.copy() for hop, grid in self.grids.items()}
-        twin._route_grids = {}
         twin.grid_actives = {hop: dict(on_hop) for hop, on_hop in self.grid_actives.items()}
-        twin.actives = {key: copy.copy(lightpath) for key, lightpath in self.actives.items()}
+        twin._records = {}
+        twin.actives = {}
+        for key, lightpath in self.actives.items():
+            lightpath = twin.actives[key] = copy.copy(lightpath)
+            lightpath.path = twin.route_record(lightpath.route)
         twin.forbidden_ranges = {key: list(value) for key, value in self.forbidden_ranges.items()}
         twin.changes = self.changes
         twin.last_refuser = self.last_refuser
-        twin._shared = self._shared
         return twin
 
-    def grids_for_route(self, route: Route) -> tuple[SlotGrid, ...]:
-        """This state's slot grids of ``route``'s directed hops, in route order.
+    def route_record(self, route: Route) -> RouteRecord:
+        """This state's :class:`RouteRecord` of ``route``, built on the first call."""
+        return self._record(route, self._shared.route_id(route))
 
-        The tuple is built on the first call for the route's hops and
-        returned by every later one.
-        """
-        hops = route.directed_hops
-        grids = self._route_grids.get(hops)
-        if grids is None:
-            grids = self._route_grids[hops] = tuple(self.grids[hop] for hop in hops)
-        return grids
+    def _record(self, route: Route, route_id: int) -> RouteRecord:
+        record = self._records.get(route_id)
+        if record is None:
+            record = self._records[route_id] = RouteRecord(self, route)
+        return record
 
     def admission(
         self, source: str, destination: str, bandwidth_gbps: float
-    ) -> tuple[Route, tuple[SlotGrid, ...], StaticReach]:
-        """The route, its slot grids and its static reach for one demand.
+    ) -> tuple[RouteRecord, StaticReach]:
+        """The route record and the static reach of one demand.
 
-        The route and the reach are computed on the first request with
-        these endpoints and bandwidth, then looked up in the table shared
-        by the states of this topology and physics, which never change.
+        The route, its id and the reach are computed on the first
+        request with these endpoints and bandwidth in any state of this
+        topology and physics, then looked up in their shared table,
+        which never changes; the record is this state's, kept under the
+        route id.
         """
         key = (source, destination, bandwidth_gbps)
-        demands = self._shared.demands
-        demand = demands.get(key)
+        shared = self._shared
+        demand = shared.demands.get(key)
         if demand is None:
             route = self.topology.shortest_path(source, destination)
-            demand = demands[key] = (route, static_reach(route, bandwidth_gbps, self.params))
-        route, reach = demand
-        return route, self.grids_for_route(route), reach
+            reach = static_reach(route, bandwidth_gbps, self.params)
+            demand = shared.demands[key] = (route, reach, shared.route_id(route))
+        route, reach, route_id = demand
+        record = self._records.get(route_id)
+        if record is None:
+            record = self._record(route, route_id)
+        return record, reach
 
     def forbid_range(self, link_id: str, block: SlotBlock) -> bool:
         """Record ``block`` as detected on a link and forbid it both ways.
@@ -280,7 +359,7 @@ class NetworkState:
         return True
 
     def establish(self, lightpath: Lightpath, now: float) -> None:
-        """Allocate spectrum and fold the circuit's NLI onto its neighbours.
+        """Allocate spectrum, fold the circuit's NLI onto its neighbours, set its cap.
 
         The neighbour XCI comes from the :func:`evaluate_candidate` call
         that accepted ``lightpath``; a candidate not evaluated against
@@ -290,47 +369,62 @@ class NetworkState:
         state, changes, deltas = priced or (None, None, None)
         if state is not self or changes != self.changes:
             raise ValueError(f"lightpath {lightpath.id} was not evaluated on the current state")
-        grids = self.grids_for_route(lightpath.route)
+        path = lightpath.path
+        grids = path.grids
         for grid in grids:
             grid.advance_time(now)
         allocate(grids, lightpath.block)
         self.changes += 1
+        actives = self.actives
         for neighbour_id, delta in deltas.items():
-            self.actives[neighbour_id].xci_psd += delta
+            actives[neighbour_id].xci_psd += delta
+        key = lightpath.id
         record = lightpath.channel.record
-        for hop in lightpath.route.directed_hops:
-            self.grid_actives[hop][lightpath.id] = record
-        self.actives[lightpath.id] = lightpath
+        for _, on_hop in path.hops:
+            on_hop[key] = record
+        lightpath.cap = lightpath.survival_cap()
+        actives[key] = lightpath
 
     def depart(self, lightpath_id: int, now: float) -> None:
         """Release spectrum and remove the circuit's NLI from neighbours."""
         lightpath = self.actives.pop(lightpath_id)
         self.changes += 1
-        for hop in lightpath.route.directed_hops:
-            del self.grid_actives[hop][lightpath_id]
-        grids = self.grids_for_route(lightpath.route)
+        path = lightpath.path
+        for _, on_hop in path.hops:
+            del on_hop[lightpath_id]
+        grids = path.grids
         for grid in grids:
             grid.advance_time(now)
         release(grids, lightpath.block)
-        for neighbour_id, delta in _neighbour_deltas(self, lightpath).items():
-            self.actives[neighbour_id].xci_psd -= delta
+        deltas: dict[int, float] = {}
+        phy.xci_from(lightpath.channel.record, path.hops, self.params, deltas)
+        actives = self.actives
+        for neighbour_id, delta in deltas.items():
+            actives[neighbour_id].xci_psd -= delta
 
 
 class _SharedTables:
     """What the states of one topology and physics compute once.
 
     ``demands`` maps ``(source, destination, bandwidth_gbps)`` to the
-    route and its :func:`static_reach`, filled by
-    :meth:`NetworkState.admission`.  ``channels`` maps a slot block to
+    route, its :func:`static_reach` and its id, filled by
+    :meth:`NetworkState.admission`.  ``route_ids`` numbers the routes by
+    their directed hops, in order of first use; a state keeps its
+    route records under these ids.  ``channels`` maps a slot block to
     its ``phy.channel_for_block`` at the launch power, filled by
     :func:`handle_request`; jammer channels are not in it.
     """
 
-    __slots__ = ("demands", "channels")
+    __slots__ = ("demands", "route_ids", "channels")
 
     def __init__(self) -> None:
-        self.demands: dict[tuple[str, str, float], tuple[Route, StaticReach]] = {}
+        self.demands: dict[tuple[str, str, float], tuple[Route, StaticReach, int]] = {}
+        self.route_ids: dict[tuple[tuple[str, str], ...], int] = {}
         self.channels: dict[SlotBlock, phy.Channel] = {}
+
+    def route_id(self, route: Route) -> int:
+        ids = self.route_ids
+        return ids.setdefault(route.directed_hops, len(ids))
 
 
 #: One :class:`_SharedTables` per topology (by identity) and physics,
@@ -407,54 +501,43 @@ def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> 
     return StaticReach(tuple(formats), min(pruned_widths, default=None), ase, tuple(sci_psds))
 
 
-def _neighbour_deltas(state: NetworkState, lightpath: Lightpath) -> dict[int, float]:
-    """Per-neighbour XCI this circuit contributes, summed over shared links.
-
-    The circuit itself is not in ``state.grid_actives`` here: it is a
-    candidate not yet established, or a departing one already removed.
-    """
-    deltas: dict[int, float] = {}
-    params = state.params
-    record = lightpath.channel.record
-    actives = state.grid_actives
-    for link, hop in zip(lightpath.route.links, lightpath.route.directed_hops):
-        phy.xci_from(record, actives[hop].items(), link.span_count, params, deltas)
-    return deltas
-
-
-def _refused_by_last_refuser(state: NetworkState, route: Route, record: tuple) -> bool:
-    """Whether ``state.last_refuser`` refuses a candidate on ``route``.
+def _refused_by_last_refuser(state: NetworkState, path: RouteRecord, record: tuple) -> bool:
+    """Whether ``state.last_refuser`` refuses a candidate on the route of ``path``.
 
     ``record`` is the spectral record of the candidate's channel.  Its
     XCI onto that circuit is summed over the hops they share, in
-    route-hop order, by the same :func:`phy.xci_from` accumulation as
-    :func:`_neighbour_deltas`, so it equals the delta the full check
-    would compute to the bit, and :meth:`Lightpath.survives` gives the
-    same verdict on it.  True therefore means :func:`evaluate_candidate`
-    would return ``REJECT_QOT``: any failing neighbour does, whatever
-    the candidate's own QoT, because the neighbour check runs before
-    detection.  Running detection first (an open item of ``ROADMAP.md``)
-    must move this probe after detection, or it would refuse as
-    ``qot-fail`` a candidate that detection rejects as jammed.  False
-    when the circuit has departed or shares no hop with ``route``.
+    route-hop order, by the same :func:`phy.xci_from` accumulation that
+    :func:`evaluate_candidate` runs over all of the route's hops, so it
+    equals the delta the full check would compute to the bit, and the
+    cap and :meth:`Lightpath.survives` give the same verdict on it.
+    True therefore means :func:`evaluate_candidate` would return
+    ``REJECT_QOT``: any failing neighbour does, whatever the candidate's
+    own QoT, because the neighbour check runs before detection.  Running
+    detection first (an open item of ``ROADMAP.md``) must move this
+    probe after detection, or it would refuse as ``qot-fail`` a
+    candidate that detection rejects as jammed.  False when the circuit
+    has departed or shares no hop with the route.
     """
     refuser = state.actives.get(state.last_refuser)
     if refuser is None:
         return False
     key = refuser.id
-    params = state.params
-    actives = state.grid_actives
-    delta: dict[int, float] = {}
-    for link, hop in zip(route.links, route.directed_hops):
-        on_hop = actives[hop]
+    alone = {key: refuser.channel.record}
+    shared = []
+    for span_count, on_hop in path.hops:
         if key in on_hop:
-            phy.xci_from(record, ((key, on_hop[key]),), link.span_count, params, delta)
-    return bool(delta) and not refuser.survives(delta[key])
+            shared.append((span_count, alone))
+    if not shared:
+        return False
+    deltas: dict[int, float] = {}
+    phy.xci_from(record, shared, state.params, deltas)
+    delta = deltas[key]
+    return refuser.xci_psd + delta > refuser.cap and not refuser.survives(delta)
 
 
 def _build_candidate(
     request_id: int,
-    route: Route,
+    path: RouteRecord,
     block: SlotBlock,
     channel: phy.Channel,
     modulation: phy.Modulation,
@@ -468,25 +551,24 @@ def _build_candidate(
 ) -> Lightpath:
     """Assemble a candidate circuit on ``block`` with its noise terms evaluated.
 
-    ``channel`` is ``phy.channel_for_block(block, state.params)``, and
-    ``ase_psd`` and ``sci_psd`` are its route's and width's constant
-    terms (:class:`StaticReach` keeps them).  The XCI is one running
-    total over the route's hops, in order.
+    ``path`` is ``state``'s record of the route, ``channel`` is
+    ``phy.channel_for_block(block, state.params)``, and ``ase_psd`` and
+    ``sci_psd`` are its route's and width's constant terms
+    (:class:`StaticReach` keeps them).  The XCI is one running total
+    over the route's hops, in order; the jamming noise is the attack's
+    table entry for the block on the attacked link, if the route
+    crosses it.
     """
     params = state.params
-    record = channel.record
-    actives = state.grid_actives
-    xci = 0.0
+    xci = phy.xci_onto(channel.record, path.hops, params, 0.0)
     jam = 0.0
-    for link, hop in zip(route.links, route.directed_hops):
-        xci = phy.xci_onto(record, actives[hop].values(), link.span_count, params, xci)
-        if ground_truth is not None and link.id == ground_truth.link_id:
-            jam = phy.jamming_psd(
-                channel, link.span_count, ground_truth.channels, ground_truth.epsilon_w, params
-            )
+    if ground_truth is not None:
+        span_count = path.link_spans.get(ground_truth.link_id)
+        if span_count is not None:
+            jam = ground_truth.jamming_psd(channel, span_count, params)
     return Lightpath(
         id=request_id,
-        route=route,
+        route=path.route,
         block=block,
         modulation=modulation,
         bandwidth_gbps=bandwidth_gbps,
@@ -496,6 +578,7 @@ def _build_candidate(
         sci_psd=sci_psd,
         jam_psd=jam,
         xci_psd=xci,
+        path=path,
     )
 
 
@@ -529,17 +612,22 @@ def evaluate_candidate(
     Checks, in order: the candidate's own QoT under true physics, the
     survival of every active circuit sharing a link, and (aware mode)
     the jamming-detection comparison for candidates overlapping a
-    jammed range.  The neighbour XCI is kept on the candidate for
-    :meth:`NetworkState.establish`; a neighbour that would drop below
-    its threshold is recorded as ``state.last_refuser``.
+    jammed range.  ``candidate.path`` must be ``state``'s record of its
+    route.  A neighbour whose XCI plus the candidate's stays within its
+    survival cap passes without an SNR; one above it is judged by
+    :meth:`Lightpath.survives`.  The neighbour XCI is kept on the
+    candidate for :meth:`NetworkState.establish`; a neighbour that would
+    drop below its threshold is recorded as ``state.last_refuser``.
     """
     if not candidate.meets_threshold():
         return Verdict.REJECT_QOT
-    deltas = _neighbour_deltas(state, candidate)
+    deltas: dict[int, float] = {}
+    phy.xci_from(candidate.channel.record, candidate.path.hops, state.params, deltas)
     candidate.priced = (state, state.changes, deltas)
     actives = state.actives
     for neighbour_id, delta in deltas.items():
-        if not actives[neighbour_id].survives(delta):
+        neighbour = actives[neighbour_id]
+        if neighbour.xci_psd + delta > neighbour.cap and not neighbour.survives(delta):
             state.last_refuser = neighbour_id
             return Verdict.REJECT_QOT
     if mode is ControlMode.AWARE and ground_truth is not None:
@@ -547,6 +635,10 @@ def evaluate_candidate(
             if ground_truth.ranges_overlapping(candidate.block):
                 return Verdict.REJECT_JAMMED
     return Verdict.ACCEPT
+
+
+#: The one :class:`Blocked` per reason that :func:`handle_request` returns.
+_BLOCKED = {reason: Blocked(reason) for reason in (REASON_NO_SPECTRUM, REASON_QOT, REASON_JAMMED)}
 
 
 def handle_request(
@@ -561,32 +653,33 @@ def handle_request(
     Returns the established :class:`Lightpath` or a :class:`Blocked`
     record; an established circuit starts at the request arrival time.
     Only the formats in the route's :func:`static_reach` are tried; the
-    route, grids and reach come from :meth:`NetworkState.admission`,
-    and a block's channel is built once per topology and physics.
+    route record and the reach come from :meth:`NetworkState.admission`,
+    and a block's channel is built once per topology and physics.  One
+    :func:`fit_mask` of the route's grids answers every First Fit call
+    of the request; a detection, which forbids slots, recomputes it.
     A block that :func:`_refused_by_last_refuser` refuses counts as a
     ``REJECT_QOT`` verdict without building the candidate.
     """
-    route, grids, reach = state.admission(
-        request.source, request.destination, request.bandwidth_gbps
-    )
+    path, reach = state.admission(request.source, request.destination, request.bandwidth_gbps)
     channels = state._shared.channels
+    mask = fit_mask(path.grids)
     saw_qot = False
     saw_jammed = False
 
     for (modulation, width), sci in zip(reach.formats, reach.sci_psds):
         while True:
-            block = first_fit(grids, width)
+            block = first_fit(mask, width)
             if block is None:
                 break
             channel = channels.get(block)
             if channel is None:
                 channel = channels[block] = phy.channel_for_block(block, state.params)
-            if _refused_by_last_refuser(state, route, channel.record):
+            if _refused_by_last_refuser(state, path, channel.record):
                 saw_qot = True
                 break
             candidate = _build_candidate(
                 request.id,
-                route,
+                path,
                 block,
                 channel,
                 modulation,
@@ -608,20 +701,19 @@ def handle_request(
             saw_jammed = True
             for jammed_range in ground_truth.ranges_overlapping(candidate.block):
                 state.forbid_range(ground_truth.link_id, jammed_range)
+            mask = fit_mask(path.grids)
 
     if not (saw_jammed or saw_qot) and reach.narrowest_pruned_width is not None:
         # A pruned format would have failed QoT on any block First Fit
         # found it.  The grids are unchanged without a detection, and a
         # window that fits a wider format also fits the narrowest one.
-        saw_qot = first_fit(grids, reach.narrowest_pruned_width) is not None
+        saw_qot = first_fit(mask, reach.narrowest_pruned_width) is not None
 
     if saw_jammed:
-        reason = REASON_JAMMED
-    elif saw_qot:
-        reason = REASON_QOT
-    else:
-        reason = REASON_NO_SPECTRUM
-    return Blocked(reason=reason)
+        return _BLOCKED[REASON_JAMMED]
+    if saw_qot:
+        return _BLOCKED[REASON_QOT]
+    return _BLOCKED[REASON_NO_SPECTRUM]
 
 
 def verify_state_invariants(
@@ -632,14 +724,25 @@ def verify_state_invariants(
 ) -> None:
     """Audit the live engine state against the declarative model.
 
-    Recomputes every active circuit's SNR from scratch through the
-    physical-layer module, and checks that each grid's used slots are
-    the union of the disjoint blocks of the circuits listed on its hop
-    and its forbidden slots the union of its link's detected ranges.
-    Raises ``AssertionError`` on any violation; used by the test suite.
+    Recomputes every active circuit's SNR and survival cap from scratch
+    through the physical-layer module, and checks that each grid's used
+    slots are the union of the disjoint blocks of the circuits listed on
+    its hop and its forbidden slots the union of its link's detected
+    ranges.  Every route record must read this state's own grids and
+    hop lists, and every circuit must carry its route's record.  Raises
+    ``AssertionError`` on any violation; used by the test suite.
     """
     params = state.params
     actives = state.actives
+    route_ids = state._shared.route_ids
+    for route_id, record in state._records.items():
+        hops = record.route.directed_hops
+        assert route_ids.get(hops) == route_id, f"route record of {hops} is kept under another id"
+        for hop, grid, (_, on_hop) in zip(hops, record.grids, record.hops, strict=True):
+            assert grid is state.grids[hop], f"route record of {hops} reads another grid of {hop}"
+            assert on_hop is state.grid_actives[hop], (
+                f"route record of {hops} reads another circuit list of {hop}"
+            )
     for hop, grid in state.grids.items():
         held = 0
         for lightpath_id in state.grid_actives[hop]:
@@ -673,6 +776,12 @@ def verify_state_invariants(
             if ground_truth is not None and link.id == ground_truth.link_id:
                 channels.extend(ground_truth.channels)
             per_link_state.append(channels)
+        assert lightpath.path is state._records.get(route_ids.get(lightpath.route.directed_hops)), (
+            f"lightpath {lightpath.id} carries another route record"
+        )
+        assert lightpath.cap == lightpath.survival_cap(), (
+            f"survival cap drifted for lightpath {lightpath.id}"
+        )
         reference = phy.snr(lightpath.channel, lightpath.route, per_link_state, eps, params)
         assert math.isclose(lightpath.snr, reference, rel_tol=rel_tol), (
             f"incremental SNR drifted for lightpath {lightpath.id}: "

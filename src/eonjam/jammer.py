@@ -13,9 +13,9 @@ the measured-SNR comparison in the detection step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .phy import Channel, PhyParams, channel_for_block, db_to_linear
+from .phy import Channel, PhyParams, channel_for_block, db_to_linear, jamming_psd
 from .spectrum import SLOT_COUNT, SlotBlock
 
 __all__ = [
@@ -78,15 +78,38 @@ class JammerConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Resolved attack state: the emulated measurement-plane view."""
+    """Resolved attack state: the emulated measurement-plane view.
+
+    An attack is fixed for the whole run, so the jamming noise of a
+    launch-power channel depends only on its block and on the span count
+    of the attacked link; :meth:`jamming_psd` prices each such pair once.
+    """
 
     link_id: str
     channels: tuple[Channel, ...]
     epsilon_w: float
     jammed_ranges: tuple[SlotBlock, ...]
+    #: ``phy.jamming_psd`` by ``(block, span_count)``, filled by :meth:`jamming_psd`.
+    _psds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ranges_overlapping(self, block: SlotBlock) -> tuple[SlotBlock, ...]:
         return tuple(r for r in self.jammed_ranges if r.overlaps(block))
+
+    def jamming_psd(self, channel: Channel, span_count: int, params: PhyParams) -> float:
+        """``phy.jamming_psd`` of ``channel`` on the attacked link of ``span_count`` spans.
+
+        Computed on the first call for the channel's block and the span
+        count and read from the table after that.  ``channel`` is the
+        launch-power channel of its block under ``params``, the physics
+        this attack was built with (:func:`ground_truth_channels`).
+        """
+        key = (channel.block, span_count)
+        psd = self._psds.get(key)
+        if psd is None:
+            psd = self._psds[key] = jamming_psd(
+                channel, span_count, self.channels, self.epsilon_w, params
+            )
+        return psd
 
 
 def resolve_target(config: JammerConfig, utilization_ranking) -> str:

@@ -26,24 +26,30 @@ the cross-channel kernels, :func:`jamming_psd`); :func:`snr` and the
 admission engine in ``control_plane`` both compose them.
 
 The cross-channel (XCI) term has two kernels, one per direction of a
-neighbour pair on one link.  :func:`xci_onto` sums what many channels
-put on one target (a candidate's own noise); :func:`xci_from` spreads
-what one source puts on many channels (the noise a circuit adds to its
-neighbours).  Both read spectral records, ``(2 * start + width, width,
-psd, psd**2)`` tuples that each :class:`Channel` computes once as
+neighbour pair.  :func:`xci_onto` sums what many channels put on one
+target (a candidate's own noise); :func:`xci_from` spreads what one
+source puts on many channels (the noise a circuit adds to its
+neighbours).  Each walks a whole route in one call: it takes
+``(span_count, channels)`` pairs, one per hop, where ``channels`` maps
+ids to spectral records, which is the shape ``control_plane`` keeps of
+a route's live hops.  :func:`snr`, :func:`xci_psd` and
+:func:`jamming_psd` pass a single hop.  A spectral record is a ``(2 * start + width, width, psd, psd**2)``
+tuple that each :class:`Channel` computes once as
 :attr:`Channel.record`: the centre and the half-bandwidth in half-slots,
 then the PSD and its square.  The pair logarithm ``ln((f + B/2) / (f -
 B/2))`` depends only on the centre spacing ``d`` and the half-width
 ``w`` in half-slots, as ``ln((d + w) / (d - w))``; it is read from a
 table per width, built with the first channel of that width
-(:data:`_LOG_RATIOS`), so the per-pair loops make no attribute lookup,
-division, power or logarithm.  With slots a whole number of hertz wide,
-as the default 12.5 GHz, the centres and half-widths in Hz are exact
-floats far below 2**53, so the ratio in Hz rounds to the same float as
-the ratio in half-slots.  Each kernel computes the factor fixed across its loop once,
-as the same left-to-right prefix of the product that :func:`xci_psd`
-evaluates, so every term keeps its bits.  :func:`xci_psd` is the
-one-pair case of :func:`xci_onto`.
+(:data:`_LOG_RATIOS`) and indexed by the signed difference of the
+centres, so the per-pair loops make no attribute lookup, division,
+power, ``abs`` or logarithm.  The entries where the spectra overlap are
+None, so an overlap raises in the product and needs no test per pair.
+With slots a whole number of hertz wide, as the default 12.5 GHz, the
+centres and half-widths in Hz are exact floats far below 2**53, so the
+ratio in Hz rounds to the same float as the ratio in half-slots.  Each kernel computes the factor fixed across
+a hop once, as the same left-to-right prefix of the product that
+:func:`xci_psd` evaluates, so every term keeps its bits.  :func:`xci_psd`
+is the one-pair case of :func:`xci_onto`.
 
 :func:`qot_verdict` judges a linear SNR against the format threshold in
 dB.  Outside a band of relative half-width :data:`QOT_BAND` around the
@@ -172,24 +178,27 @@ class PhyParams:
         return (gain - 1.0) * db_to_linear(self.noise_figure_db) * self.planck_js * self.light_frequency_hz
 
 
-#: ``_LOG_RATIOS[w][d]`` is ``ln((d + w) / (d - w))``, the XCI logarithm of
-#: a channel of half-width ``w`` at centre spacing ``d``, both in half-slots
-#: (None for ``d <= w``, where the spectra overlap).  Every :class:`Channel`
-#: sees to it when it is built that its width has a table and that all the
-#: tables reach past its centre, so the kernels find the entry of any pair
-#: of channels.  All tables have one length.
+#: ``_LOG_RATIOS[w][d]`` is ``ln((|d| + w) / (|d| - w))``, the XCI logarithm
+#: of a channel of half-width ``w`` at signed centre spacing ``d``, both in
+#: half-slots, for ``-S < d < S``; it is None for ``|d| <= w``, where the
+#: spectra overlap.  A table lists the spacings ``0 .. S - 1`` and then
+#: ``S .. 1``, so that a negative index reads a negative spacing, and all
+#: tables have the one length ``2 * S``.  Every :class:`Channel` sees to it
+#: when it is built that its width has a table and that ``S`` is past its
+#: centre, so the kernels find the entry of any pair of channels at the
+#: difference of their centres.
 _LOG_RATIOS: dict[int, list[float | None]] = {}
 
 
 def _cover(center: int, width: int) -> None:
-    """Give ``width`` a table and extend every table past ``center``."""
+    """Give ``width`` a table and make every table reach past ``center``."""
     tables = _LOG_RATIOS
-    size = max(center + 1, len(next(iter(tables.values()), ())))
+    reach = max(center + 1, len(next(iter(tables.values()), ())) // 2)
     tables.setdefault(width, [])
     for w, table in tables.items():
-        table.extend(
-            math.log((d + w) / (d - w)) if d > w else None for d in range(len(table), size)
-        )
+        if len(table) != 2 * reach:
+            ratios = [math.log((d + w) / (d - w)) if d > w else None for d in range(reach + 1)]
+            table[:] = ratios[:reach] + ratios[:0:-1]
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,7 @@ class Channel:
         center = 2 * self.block.start + width
         object.__setattr__(self, "record", (center, width, psd, psd**2))
         table = _LOG_RATIOS.get(width)
-        if table is None or center >= len(table):
+        if table is None or 2 * center >= len(table):
             _cover(center, width)
 
     def overlap_hz(self, other: "Channel") -> float:
@@ -303,11 +312,22 @@ def ase_psd(route, params: PhyParams) -> float:
     return route.total_spans * params.g0_ase
 
 
-def _overlap_error(spacing: int, half: int) -> PhyModelError:
-    return PhyModelError(
-        "co-channel spectra overlap the interference integral "
-        f"(spacing {spacing} half-slots, half-bandwidth {half} half-slots)"
-    )
+def _raise_overlap(center: int, hops, half: int | None) -> None:
+    """Raise :class:`PhyModelError` for the first channel of ``hops`` that overlaps.
+
+    A channel overlaps when its centre lies within ``half`` half-slots
+    of ``center``, or within its own half-width when ``half`` is None.
+    Returns when none does.
+    """
+    for _, channels in hops:
+        for other_center, other_half, _, _ in channels.values():
+            spacing = abs(other_center - center)
+            limit = other_half if half is None else half
+            if spacing <= limit:
+                raise PhyModelError(
+                    "co-channel spectra overlap the interference integral "
+                    f"(spacing {spacing} half-slots, half-bandwidth {limit} half-slots)"
+                )
 
 
 def sci_psd(target: Channel, span_count: int, params: PhyParams) -> float:
@@ -322,50 +342,66 @@ def sci_psd(target: Channel, span_count: int, params: PhyParams) -> float:
 
 def xci_psd(target: Channel, other: Channel, span_count: int, params: PhyParams) -> float:
     """Cross-channel NLI PSD that ``other`` adds to ``target`` on one link."""
-    return xci_onto(target.record, (other.record,), span_count, params, 0.0)
+    return xci_onto(target.record, ((span_count, {0: other.record}),), params, 0.0)
 
 
-def xci_onto(target, records, span_count: int, params: PhyParams, total: float) -> float:
-    """``total`` plus the XCI each of ``records`` adds to ``target`` on one link.
+def xci_onto(target, hops, params: PhyParams, total: float) -> float:
+    """``total`` plus the XCI the channels on each hop add to ``target``.
 
-    ``target`` and each of ``records`` are :attr:`Channel.record` tuples.
-    The terms are added in the order of ``records``.  Each is
-    ``span_count * phi * G_target * G_other^2 * ln((f + B/2) / (f - B/2))``
-    evaluated left to right, with the target's prefix computed once and
-    the logarithm read from :data:`_LOG_RATIOS`.  Raises
-    :class:`PhyModelError` when a channel overlaps the target's centre.
+    ``target`` is a :attr:`Channel.record` and ``hops`` is a sequence of
+    ``(span_count, channels)`` pairs, one per link, where ``channels``
+    maps ids to records.  The terms are added hop by hop, in the order
+    of each mapping.  Each is ``span_count * phi * G_target * G_other^2
+    * ln((f + B/2) / (f - B/2))`` evaluated left to right, with the
+    hop's prefix computed once and the logarithm read from
+    :data:`_LOG_RATIOS`.  An overlapping channel reads None there, and
+    the product's ``TypeError`` becomes :class:`PhyModelError`, so the
+    loop makes no overlap test of its own.
     """
     center, _, psd, _ = target
-    scale = span_count * params.phi * psd
+    phi = params.phi
     tables = _LOG_RATIOS
-    for other_center, half, _, power in records:
-        spacing = abs(center - other_center)
-        if spacing <= half:
-            raise _overlap_error(spacing, half)
-        total += scale * power * tables[half][spacing]
+    try:
+        for span_count, channels in hops:
+            scale = span_count * phi * psd
+            for other_center, half, _, power in channels.values():
+                total += scale * power * tables[half][other_center - center]
+    except TypeError:
+        _raise_overlap(center, hops, None)
+        raise
     return total
 
 
-def xci_from(source, items, span_count: int, params: PhyParams, deltas: dict) -> None:
-    """Add the XCI ``source`` puts on each channel of one link to ``deltas``.
+def xci_from(source, hops, params: PhyParams, deltas: dict) -> None:
+    """Add the XCI ``source`` puts on each channel of each hop to ``deltas``.
 
-    ``source`` is a :attr:`Channel.record` and ``items`` yields ``(id,
-    record)`` pairs; ``deltas[id]`` grows by the term :func:`xci_psd`
-    gives for that channel as target and ``source`` as interferer, from
-    the prefix ``span_count * phi`` and the source's squared PSD, with
-    the logarithm read from the source width's table in
-    :data:`_LOG_RATIOS`.  Raises :class:`PhyModelError` when the source
-    overlaps a channel's centre.
+    ``source`` is a :attr:`Channel.record` and ``hops`` a sequence of
+    ``(span_count, channels)`` pairs as for :func:`xci_onto`.  Hop by
+    hop, ``deltas[id]`` grows by the term :func:`xci_psd` gives for that
+    channel as target and ``source`` as interferer, from the prefix
+    ``span_count * phi`` and the source's squared PSD, with the
+    logarithm read from the source width's table in
+    :data:`_LOG_RATIOS`.  While ``deltas`` is empty a term is stored
+    as it is: the terms are positive, and ``0.0 + term`` is ``term``.
+    Raises :class:`PhyModelError` when the source overlaps a channel's
+    centre, as :func:`xci_onto` does.
     """
     center, half, _, power = source
-    scale = span_count * params.phi
+    phi = params.phi
     table = _LOG_RATIOS[half]
     get = deltas.get
-    for key, (other_center, _, psd, _) in items:
-        spacing = abs(other_center - center)
-        if spacing <= half:
-            raise _overlap_error(spacing, half)
-        deltas[key] = get(key, 0.0) + scale * psd * power * table[spacing]
+    try:
+        for span_count, channels in hops:
+            scale = span_count * phi
+            if deltas:
+                for key, (other_center, _, psd, _) in channels.items():
+                    deltas[key] = get(key, 0.0) + scale * psd * power * table[other_center - center]
+            else:
+                for key, (other_center, _, psd, _) in channels.items():
+                    deltas[key] = scale * psd * power * table[other_center - center]
+    except TypeError:
+        _raise_overlap(center, hops, half)
+        raise
 
 
 def jamming_psd(
@@ -394,7 +430,7 @@ def jamming_psd(
             total += inband_jamming_psd(target, jam, epsilon_w)
         else:
             record = jam.record[:3] + (excess / jam.bandwidth_hz**2,)
-            total = xci_onto(target.record, (record,), span_count, params, total)
+            total = xci_onto(target.record, ((span_count, {0: record}),), params, total)
     return total
 
 
@@ -436,9 +472,9 @@ def snr(
         raise ValueError("per_link_state must align with route.links")
     noise = ase_psd(route, params) + sci_psd(target, route.total_spans, params)
     for link, channels in zip(route.links, per_link_state):
-        signals = [other.record for other in channels if not other.is_jammer]
+        signals = {key: other.record for key, other in enumerate(channels) if not other.is_jammer}
         jammers = [other for other in channels if other.is_jammer]
-        noise = xci_onto(target.record, signals, link.span_count, params, noise)
+        noise = xci_onto(target.record, ((link.span_count, signals),), params, noise)
         if jammer_epsilon_w is not None:
             noise += jamming_psd(target, link.span_count, jammers, jammer_epsilon_w, params)
     return target.psd_w_per_hz / noise

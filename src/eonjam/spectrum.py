@@ -10,7 +10,12 @@ until that circuit leaves; ``used | forbidden_mask`` is the blocked set
 either way, so release never has to restore forbidden slots.  First
 Fit finds the lowest start index where a block fits on every grid of a
 route with a 2-slot guardband separating it from blocked spectrum, used
-and forbidden alike.
+and forbidden alike.  It works in two steps: :func:`fit_mask` folds the
+route's grids into one mask of the slots that are a guardband clear on
+all of them, and :func:`first_fit` finds the lowest window of a width
+in that mask.  The control plane computes the mask once per request
+(again only after a detection forbids a range) and asks it for every
+format.
 
 Grids also integrate per-slot busy time so that utilization statistics
 come from exact event-time integration instead of sampling.  Each clock
@@ -37,6 +42,7 @@ __all__ = [
     "UnheldBlockError",
     "SlotBlock",
     "SlotGrid",
+    "fit_mask",
     "first_fit",
     "allocate",
     "release",
@@ -263,20 +269,19 @@ class SlotGrid:
 _first_fit_block = functools.cache(SlotBlock)
 
 
-def first_fit(grids, width: int) -> SlotBlock | None:
-    """Lowest-index block of ``width`` slots feasible on every grid.
+def fit_mask(grids) -> int:
+    """Slots a guardband clear of blocked spectrum on every grid, as a bitmask.
 
-    A candidate ``[s, s+width)`` is feasible when none of its slots and
-    none of the ``GUARDBAND_SLOTS`` slots on either side is used or
-    forbidden on any grid.  Forbidden blocks only exist once the
-    jamming-aware plane has detected an attack, so the other planes
-    never meet one.  Returns ``None`` when nothing fits.  Equal answers
-    are one shared block, built on the first of them.
+    Bit ``s`` is set when slot ``s`` and the ``GUARDBAND_SLOTS`` slots
+    on either side of it are neither used nor forbidden on any of
+    ``grids``; no bit at or above the slot count is set.  Forbidden
+    slots only exist once the jamming-aware plane has detected an
+    attack, so the other planes never meet one.  The mask changes only
+    when a grid does, so one mask answers :func:`first_fit` for every
+    width until then.
     """
-    if width < 1:
-        raise SpectrumError(f"width must be >= 1, got {width}")
     if not grids:
-        raise SpectrumError("first_fit needs at least one grid")
+        raise SpectrumError("fit_mask needs at least one grid")
     slot_count = grids[0].slot_count
     blocked = 0
     for grid in grids:
@@ -284,17 +289,26 @@ def first_fit(grids, width: int) -> SlotBlock | None:
             counts = sorted({g.slot_count for g in grids})
             raise SpectrumError(f"grids disagree on slot_count: {counts}")
         blocked |= grid.used | grid.forbidden_mask
-    if width > slot_count:
-        return None
-
-    # A start is feasible when every slot of its window lies at least a
-    # guardband away from a blocked slot.
     near = blocked
     for k in range(1, GUARDBAND_SLOTS + 1):
         near |= (blocked << k) | (blocked >> k)
-    fits = ~near & ((1 << slot_count) - 1)
-    # Bit s of ``fits`` now says slots s..s+span-1 are all clear; double
-    # the span (capped at ``width``) until it covers the window.
+    return ~near & ((1 << slot_count) - 1)
+
+
+def first_fit(mask: int, width: int) -> SlotBlock | None:
+    """Lowest-index block of ``width`` slots whose every slot is set in ``mask``.
+
+    ``mask`` is the :func:`fit_mask` of a route's grids, so the block
+    keeps a guardband from blocked spectrum on every one of them.
+    Returns ``None`` when nothing fits, a width above the slot count
+    included.  Equal answers are one shared block, built on the first
+    of them.
+    """
+    if width < 1:
+        raise SpectrumError(f"width must be >= 1, got {width}")
+    # Bit s of ``fits`` says slots s..s+span-1 are all clear; double the
+    # span (capped at ``width``) until it covers the window.
+    fits = mask
     span = 1
     while span < width and fits:
         step = min(span, width - span)

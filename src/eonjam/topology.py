@@ -7,6 +7,8 @@ Topologies are loaded from a small line-oriented text format::
     link: A B 100
     link: B C 250
 
+Node names are separated by whitespace and may not hold a comma: they
+make up the link ids that the CSV outputs record.
 Links are undirected fibres whose spectrum is managed per direction by
 the control plane; lengths are symmetric, finite and positive.  Every
 link is divided into amplifier spans of :data:`SPAN_LENGTH_KM`, rounded
@@ -247,6 +249,10 @@ def load_topology(document: str) -> Topology:
             nodes = line[len("nodes:"):].split()
             if not nodes:
                 raise TopologyError(f"line {lineno}: empty node list")
+            for node in nodes:
+                # Node names end up in link ids, which the CSV outputs hold.
+                if "," in node:
+                    raise TopologyError(f"line {lineno}: node name {node!r} contains a comma")
             saw_nodes = True
         elif line.startswith("link:"):
             parts = line[len("link:"):].split()

@@ -3,7 +3,9 @@
 ``benchmarks/run.py`` checks each round's CSVs, counts failed
 operations and compares seed 1's CSV bodies with the reference hashes.
 A change that breaks any of these would otherwise fail only in a
-benchmark run.
+benchmark run.  Its traced run reports every per-layer metric that
+``BENCHMARK.json`` declares, which a span renamed or no longer reached
+would break.
 """
 
 import json
@@ -16,13 +18,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["nsfnet_sweep", "metro_aware"])
-def test_the_benchmark_command_is_correct_and_matches_the_reference_hashes(workload):
+def _benchmark(workload, trace):
     command = [sys.executable, "benchmarks/run.py", "--workload", workload,
-               "--seed", "1", "--seconds", "0", "--trace", "0"]
+               "--seed", "1", "--seconds", "0", "--trace", str(trace)]
     run = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     summary = json.loads(run.stdout.splitlines()[-1])
     assert summary["correct"] is True
     assert summary["failed"] == 0
+    return run, summary
+
+
+@pytest.mark.parametrize("workload", ["nsfnet_sweep", "metro_aware"])
+def test_the_benchmark_command_is_correct_and_matches_the_reference_hashes(workload):
+    run, _ = _benchmark(workload, 0)
     assert f"reference hashes: {workload} seed 1 matches" in run.stderr.splitlines()
+
+
+@pytest.mark.parametrize("workload", ["nsfnet_sweep", "metro_aware"])
+def test_the_traced_benchmark_command_reports_every_declared_layer(workload):
+    _, summary = _benchmark(workload, 1)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [entry["name"] for entry in declared if entry["name"] not in summary["metrics"]]
+    assert not missing, missing

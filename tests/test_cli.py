@@ -59,8 +59,12 @@ def test_validate_names_step_violation(tmp_path):
     [
         ([[315, 10]], "range exceeds grid"),
         ([], "jammer.jammed_ranges: at least one range is required"),
+        (["59", "2345"], "jammer.jammed_ranges[0]: expected [start, width]"),
+        ([[50, 10], ["140", 10]], "jammer.jammed_ranges[1]: expected [start, width]"),
+        ([[50, 10, 99]], "jammer.jammed_ranges[0]: expected [start, width]"),
+        ([[50]], "jammer.jammed_ranges[0]: expected [start, width]"),
     ],
-    ids=["exceeds grid", "empty"],
+    ids=["exceeds grid", "empty", "strings", "string-start", "three-items", "one-item"],
 )
 def test_validate_names_range_violation(tmp_path, ranges, message):
     bad = dict(TINY, jammer={"target": "8-9", "jammed_ranges": ranges})
@@ -187,9 +191,21 @@ def test_sweep_at_the_point_limit_validates(tmp_path):
         ({"epsilon_sweep": {"start": 0.0, "stop": -1.0, "step": 0.5}}, "sweep.stop: must be >= sweep.start"),
         ({"base_seed": True}, "base_seed: must be an integer"),
         ({"traffic": {"requests_per_replication": 10.7}}, "traffic: requests_per_replication: expected an integer"),
+        ({"traffic": {"bandwidth_choices_gbps": "48"}},
+         "traffic: bandwidth_choices_gbps: expected a list of numbers, got '48'"),
+        ({"traffic": {"bandwidth_choices_gbps": [40, "200"]}},
+         "traffic: bandwidth_choices_gbps: expected a number, got '200'"),
+        ({"traffic": {"load_erlangs": "200"}}, "traffic: load_erlangs: expected a number, got '200'"),
+        ({"traffic": {"requests_per_replication": "250"}},
+         "traffic: requests_per_replication: expected an integer, got '250'"),
+        ({"base_seed": "7"}, "base_seed: must be an integer"),
+        ({"workers": "1"}, "workers: must be an integer"),
+        ({"detection_tolerance_db": "0.1"}, "detection_tolerance_db: must be a finite number"),
+        ({"epsilon_sweep": {"start": "0", "stop": 1.0, "step": 0.5}}, "epsilon_sweep: expected finite"),
     ],
     ids=["nan-tolerance", "inf-load", "nan-start", "nan-stop", "negative-start", "negative-stop",
-         "bool-seed", "fractional-requests"],
+         "bool-seed", "fractional-requests", "string-bandwidths", "string-bandwidth", "string-load",
+         "string-requests", "string-seed", "string-workers", "string-tolerance", "string-start"],
 )
 def test_non_finite_or_fractional_number_is_a_config_error(tmp_path, capsys, override, message):
     config_path = write_config(tmp_path, dict(TINY, **override))
@@ -275,6 +291,20 @@ def test_duplicate_link_id_is_a_config_error(tmp_path, capsys, command):
     assert main([command, str(write_config(tmp_path, config))]) == 1
     captured = capsys.readouterr()
     assert captured.err == "config error: topology: duplicate link id 'a-b-c'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
+def test_a_comma_in_a_node_name_is_a_config_error(tmp_path, capsys, command):
+    # Node names make up the link ids in the CSV outputs, where a comma
+    # would split one field in two.
+    (tmp_path / "comma.topo").write_text("nodes: a,b c d\nlink: a,b c 100\nlink: c d 100\n")
+    config = dict(TINY, topology="comma.topo", output_dir=str(tmp_path / "out"))
+    config["jammer"] = {"target": "most_used"}
+    assert main([command, str(write_config(tmp_path, config))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: topology: line 1: node name 'a,b' contains a comma\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

@@ -27,7 +27,7 @@ from eonjam.jammer import JammerConfig, ground_truth_channels
 from eonjam.phy import MODULATIONS, PhyParams, channel_for_block, db_to_linear, linear_to_db
 from eonjam.metrics import results_equal
 from eonjam.sim import Request, TrafficModel, generate_request, run_replication
-from eonjam.spectrum import SlotBlock, SpectrumError, allocate, first_fit
+from eonjam.spectrum import SlotBlock, SpectrumError, allocate, first_fit, fit_mask
 from eonjam.topology import load_topology, nsfnet
 
 import reference_model as ref
@@ -47,8 +47,9 @@ def candidate_on(rid, route, block, modulation, gbps, state, ground_truth):
     params = state.params
     channel = channel_for_block(block, params)
     ase, sci = phy.ase_psd(route, params), phy.sci_psd(channel, route.total_spans, params)
+    path = state.route_record(route)
     return _build_candidate(
-        rid, route, block, channel, modulation, gbps, 0.0, 600.0, state, ground_truth, ase, sci
+        rid, path, block, channel, modulation, gbps, 0.0, 600.0, state, ground_truth, ase, sci
     )
 
 
@@ -300,6 +301,61 @@ def test_release_repaints_forbidden_marks(params):
     verify_state_invariants(state, ControlMode.AWARE, gt)
 
 
+def _circuit_near_an_edge(modulation, width, edge, relative, shares, jammed):
+    """A lone circuit whose noise before ``delta`` puts its SNR ``relative`` off ``edge``.
+
+    ``shares`` split that noise among ASE, self-channel NLI, jamming
+    (zero unless ``jammed``), XCI and the ``delta`` returned with it.
+    """
+    params = PhyParams()
+    channel = channel_for_block(SlotBlock(0, width), params)
+    noise = channel.psd_w_per_hz / (edge * (1.0 + relative))
+    ase, sci, jam, xci, _ = (noise * share / sum(shares) for share in shares)
+    if not jammed:
+        jam = 0.0
+    circuit = control_plane.Lightpath(
+        id=1, route=topo_single(100).shortest_path("A", "B"), block=channel.block,
+        modulation=modulation, bandwidth_gbps=40.0, departs_at=0.0, channel=channel,
+        ase_psd=ase, sci_psd=sci, jam_psd=jam, xci_psd=xci,
+    )
+    return circuit, max(0.0, noise - (ase + sci + jam + xci))
+
+
+@given(
+    st.sampled_from(MODULATIONS),
+    st.integers(1, 16),
+    st.sampled_from([0, 1, 2]),
+    st.floats(1e-15, 1e-9),
+    st.sampled_from([-1.0, 1.0]),
+    st.lists(st.floats(1e-6, 1.0), min_size=5, max_size=5),
+    st.booleans(),
+)
+@settings(max_examples=500, deadline=None)
+def test_the_survival_cap_never_passes_a_delta_that_survives_refuses(
+    modulation, width, edge, relative, sign, shares, jammed
+):
+    # SNRs within 1e-15 to 1e-9 relative of the threshold or of either
+    # edge of its QoT band, where rounding could flip a verdict.
+    low, high = modulation.qot_band
+    edge = (low, db_to_linear(modulation.snr_threshold_db), high)[edge]
+    circuit, delta = _circuit_near_an_edge(modulation, width, edge, sign * relative, shares, jammed)
+    if circuit.xci_psd + delta <= circuit.survival_cap():
+        assert circuit.survives(delta)
+
+
+def test_the_survival_cap_passes_clear_of_the_band_edge_and_defers_near_it():
+    modulation = MODULATIONS[3]
+    high = modulation.qot_band[1]
+    shares = [1.0, 1.0, 1.0, 1.0, 1.0]
+    clear, delta = _circuit_near_an_edge(modulation, 4, high, 1e-11, shares, True)
+    assert clear.xci_psd + delta <= clear.survival_cap()
+    near, delta = _circuit_near_an_edge(modulation, 4, high, 1e-13, shares, True)
+    assert near.xci_psd + delta > near.survival_cap()
+    assert near.survives(delta)
+    # A circuit that was never established has no cap to pass.
+    assert near.cap == -math.inf
+
+
 def test_handle_request_termination_bound(params):
     # Worst case is bounded by modulation count x slot count; an aware
     # run against many narrow jammed ranges must still terminate.
@@ -478,21 +534,28 @@ def test_admission_table_equals_a_fresh_lookup(nsf, params):
             if src == dst:
                 continue
             for gbps in (40.0, 200.0, 400.0):
-                entry = state.admission(src, dst, gbps)
+                path, reach = state.admission(src, dst, gbps)
                 route = nsf.shortest_path(src, dst)
-                assert entry == (route, tuple(state.grids_for_route(route)), static_reach(route, gbps, params))
+                assert (path.route, reach) == (route, static_reach(route, gbps, params))
+                assert path is state.route_record(route)
+                hops = route.directed_hops
+                assert path.grids == tuple(state.grids[hop] for hop in hops)
+                assert [span for span, _ in path.hops] == [link.span_count for link in route.links]
+                assert all(on_hop is state.grid_actives[hop] for hop, (_, on_hop) in zip(hops, path.hops))
+                assert path.link_spans == {link.id: link.span_count for link in route.links}
                 again = state.admission(src, dst, gbps)
-                assert again[0] is entry[0] and again[2] is entry[2]
+                assert again[0] is path and again[1] is reach
 
 
 def test_states_of_one_topology_share_routes_and_reach(nsf, params):
-    # A second state adds only its own grids to the shared route and reach.
+    # A second state adds only its own route record to the shared route and reach.
     first, second = NetworkState(nsf, params), NetworkState(nsf, params)
-    route, grids, reach = first.admission("1", "14", 400.0)
-    other_route, other_grids, other_reach = second.admission("1", "14", 400.0)
-    assert other_route is route and other_reach is reach
-    assert other_grids == tuple(second.grids_for_route(route))
-    assert not set(map(id, other_grids)) & set(map(id, grids))
+    path, reach = first.admission("1", "14", 400.0)
+    other_path, other_reach = second.admission("1", "14", 400.0)
+    assert other_path.route is path.route and other_reach is reach
+    assert other_path is second.route_record(path.route)
+    assert not set(map(id, other_path.grids)) & set(map(id, path.grids))
+    assert not {id(on_hop) for _, on_hop in other_path.hops} & {id(on_hop) for _, on_hop in path.hops}
 
 
 def _memo(topology, params):
@@ -533,8 +596,8 @@ def test_channel_memo_is_per_physics_and_first_fit_answers_are_shared(nsf):
     empty = [NetworkState(nsf, low).grids[("1", "2")]]
     busy = NetworkState(nsf, low).grids[("1", "2")]
     allocate([busy], SlotBlock(20, 4))
-    assert first_fit(empty, 6) is first_fit([busy], 6)
-    assert first_fit(empty, 6) == SlotBlock(0, 6)
+    assert first_fit(fit_mask(empty), 6) is first_fit(fit_mask([busy]), 6)
+    assert first_fit(fit_mask(empty), 6) == SlotBlock(0, 6)
 
 
 def _loaded_state(seed, load, mode, epsilon_db, count):
@@ -566,19 +629,20 @@ def _probe_refusals(seed, load, mode, epsilon_db):
     refused = 0
     for _ in range(30):
         req = draw()
-        route, grids, reach = state.admission(req.source, req.destination, req.bandwidth_gbps)
+        path, reach = state.admission(req.source, req.destination, req.bandwidth_gbps)
+        mask = fit_mask(path.grids)
         for modulation, width in reach.formats:
-            block = first_fit(grids, width)
+            block = first_fit(mask, width)
             if block is None:
                 continue
             channel = channel_for_block(block, state.params)
             for circuit_id in list(state.actives):
                 state.last_refuser = circuit_id
-                if not _refused_by_last_refuser(state, route, channel.record):
+                if not _refused_by_last_refuser(state, path, channel.record):
                     continue
                 refused += 1
                 candidate = candidate_on(
-                    req.id, route, block, modulation, req.bandwidth_gbps, state, ground_truth
+                    req.id, path.route, block, modulation, req.bandwidth_gbps, state, ground_truth
                 )
                 verdict = evaluate_candidate(candidate, state, mode, ground_truth)
                 assert verdict is Verdict.REJECT_QOT, (circuit_id, block, modulation.name)
@@ -694,17 +758,24 @@ def _snapshot(state):
 def test_departing_or_forbidding_on_a_copy_leaves_the_original_untouched(nsf, params):
     state, ground_truth, rest = _stream_state(nsf, params, ControlMode.UNAWARE, 1.0, 500, 600)
     before = _snapshot(state)
-    assert state._route_grids
+    assert state._records
     twin = state.copy()
-    # The twin reads and writes only its own grids, through its own route tuples.
-    for hops in state._route_grids:
-        route = nsf.shortest_path(hops[0][0], hops[-1][1])
-        twin.grids_for_route(route)
+    # The twin reads and writes only its own grids and hop lists, through
+    # its own route records, and its circuits carry those records.
+    for lightpath in twin.actives.values():
+        assert lightpath.path is twin.route_record(lightpath.route)
+    for record in state._records.values():
+        twin.route_record(nsf.shortest_path(record.route.source, record.route.destination))
     outcomes = [handle_request(req, twin, ControlMode.UNAWARE, ground_truth) for req in rest]
     assert any(isinstance(outcome, control_plane.Lightpath) for outcome in outcomes)
-    assert twin._route_grids.keys() >= state._route_grids.keys()
-    for hops, grids in twin._route_grids.items():
-        assert all(grid is twin.grids[hop] for hop, grid in zip(hops, grids, strict=True))
+    assert twin._records.keys() >= state._records.keys()
+    for route_id, record in twin._records.items():
+        hops = record.route.directed_hops
+        assert all(grid is twin.grids[hop] for hop, grid in zip(hops, record.grids, strict=True))
+        assert all(
+            on_hop is twin.grid_actives[hop] for hop, (_, on_hop) in zip(hops, record.hops, strict=True)
+        )
+        assert record is not state._records.get(route_id)
     assert _snapshot(state) == before
     now = max(lightpath.departs_at for lightpath in twin.actives.values())
     for lightpath_id in list(twin.actives)[::3]:

@@ -52,6 +52,28 @@ def test_config_bounds_epsilon_far_below_float_overflow(params):
         assert 0.0 < noise < math.inf
 
 
+def test_the_jamming_table_prices_each_block_and_span_count_once(params, monkeypatch):
+    from eonjam import jammer
+
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=2.5), params)
+    priced = []
+
+    def counted(*args):
+        priced.append(args[:2])
+        return jamming_psd(*args)
+
+    monkeypatch.setattr(jammer, "jamming_psd", counted)
+    cases = [(SlotBlock(0, 4), 3), (SlotBlock(52, 4), 3), (SlotBlock(0, 4), 7)]
+    for _ in range(3):
+        for block, spans in cases:
+            channel = channel_for_block(block, params)
+            expected = jamming_psd(channel, spans, gt.channels, gt.epsilon_w, params)
+            assert gt.jamming_psd(channel, spans, params) == expected
+    assert [(channel.block, spans) for channel, spans in priced] == cases
+    # The table is a cache: it leaves equality and the attack's fields alone.
+    assert gt == ground_truth_channels(JammerConfig(target="L1", epsilon_db=2.5), params)
+
+
 def test_ground_truth_needs_its_jammed_ranges():
     with pytest.raises(TypeError):
         GroundTruth(link_id="L1", channels=(), epsilon_w=0.0)

@@ -177,9 +177,10 @@ def _link_layouts(draw):
 @given(_link_layouts(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
-    # The kernels hoist the factor fixed across their loop; a hoisted
-    # prefix keeps the left-to-right product, so every sum is equal to
-    # the per-pair accumulation to the bit.
+    # Each kernel walks the whole route in one call and hoists the factor
+    # fixed across a hop; a hoisted prefix keeps the left-to-right
+    # product, so every sum is equal to the per-pair, hop-by-hop
+    # accumulation to the bit.
     params = PhyParams()
     channels, hops = layout
     focus = data.draw(st.integers(0, len(channels) - 1))
@@ -187,10 +188,10 @@ def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
 
     total = expected = data.draw(st.floats(0.0, 1e-20))
     deltas, expected_deltas = {}, {}
+    route = []
     for span_count, members in hops:
         others = [(k, channels[k]) for k in sorted(members) if k != focus]
-        total = xci_onto(own.record, [c.record for _, c in others], span_count, params, total)
-        xci_from(own.record, [(k, c.record) for k, c in others], span_count, params, deltas)
+        route.append((span_count, {k: c.record for k, c in others}))
         for k, other in others:
             term = _pair_xci(own, other, span_count, params)
             assert term == xci_psd(own, other, span_count, params)
@@ -198,6 +199,8 @@ def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
             term = _pair_xci(other, own, span_count, params)
             assert term == xci_psd(other, own, span_count, params)
             expected_deltas[k] = expected_deltas.get(k, 0.0) + term
+    total = xci_onto(own.record, route, params, total)
+    xci_from(own.record, route, params, deltas)
     assert total == expected
     assert deltas == expected_deltas
 
@@ -206,14 +209,16 @@ def test_xci_kernels_equal_the_per_pair_sum_exactly(layout, data):
     )
     span_count = hops[0][0]
     with pytest.raises(PhyModelError):
-        xci_onto(own.record, [c.record for c in channels[:focus] + [overlapping]], span_count, params, 0.0)
+        others = dict(enumerate(c.record for c in channels[:focus] + [overlapping]))
+        xci_onto(own.record, [(span_count, others)], params, 0.0)
     with pytest.raises(PhyModelError):
-        xci_from(overlapping.record, [(focus, own.record)], span_count, params, {})
+        xci_from(overlapping.record, [(span_count, {focus: own.record})], params, {})
 
 
 def test_log_ratio_tables_equal_the_ratio_in_hertz_on_the_whole_grid(params):
     # Every width 1-32 against a one- or two-slot channel at every centre
-    # spacing the 320-slot grid allows; both kernels read the table.
+    # spacing the 320-slot grid allows, either way round; both kernels
+    # read the table.
     for width in range(1, 33):
         source = channel_for_block(SlotBlock(0, width), params)
         half_hz = source.bandwidth_hz / 2.0
@@ -224,13 +229,14 @@ def test_log_ratio_tables_equal_the_ratio_in_hertz_on_the_whole_grid(params):
             assert abs(target.record[0] - source.record[0]) == spacing
             if spacing <= width:
                 with pytest.raises(PhyModelError):
-                    xci_onto(target.record, [source.record], 1, params, 0.0)
+                    xci_onto(target.record, [(1, {0: source.record})], params, 0.0)
                 with pytest.raises(PhyModelError):
-                    xci_from(source.record, [(0, target.record)], 1, params, {})
+                    xci_from(source.record, [(1, {0: target.record})], params, {})
                 continue
             spacing_hz = abs(target.center_frequency_hz - source.center_frequency_hz)
             expected = math.log((spacing_hz + half_hz) / (spacing_hz - half_hz))
             assert _LOG_RATIOS[width][spacing] == expected
+            assert _LOG_RATIOS[width][-spacing] == expected
 
 
 def _jammer(block, eps, params):

@@ -13,6 +13,7 @@ from eonjam.spectrum import (
     UnheldBlockError,
     allocate,
     first_fit,
+    fit_mask,
     release,
     utilization,
 )
@@ -59,13 +60,13 @@ def test_block_validation():
 
 def test_first_fit_empty_grid():
     (grid,) = make_grids()
-    assert first_fit([grid], 5) == SlotBlock(0, 5)
+    assert first_fit(fit_mask([grid]), 5) == SlotBlock(0, 5)
 
 
 def test_first_fit_respects_guardband():
     (grid,) = make_grids()
     occupy(grid, 0, 10)
-    assert first_fit([grid], 3) == SlotBlock(12, 3)
+    assert first_fit(fit_mask([grid]), 3) == SlotBlock(12, 3)
 
 
 def test_first_fit_forbidden_with_guard():
@@ -74,31 +75,42 @@ def test_first_fit_forbidden_with_guard():
     (grid,) = make_grids()
     occupy(grid, 0, 46)
     grid.forbid(SlotBlock(50, 10))
-    assert first_fit([grid], 12) == SlotBlock(62, 12)
+    assert first_fit(fit_mask([grid]), 12) == SlotBlock(62, 12)
 
 
 def test_first_fit_skips_forbidden_range():
     (grid,) = make_grids()
     grid.forbid(SlotBlock(50, 10))
-    assert first_fit([grid], 60) == SlotBlock(62, 60)
+    assert first_fit(fit_mask([grid]), 60) == SlotBlock(62, 60)
 
 
 def test_first_fit_needs_all_grids_free():
     grids = make_grids(3)
     occupy(grids[1], 0, 4)
-    assert first_fit(grids, 2) == SlotBlock(6, 2)
+    assert first_fit(fit_mask(grids), 2) == SlotBlock(6, 2)
 
 
 def test_first_fit_none_when_full():
     (grid,) = make_grids()
     occupy(grid, 0, 320)
-    assert first_fit([grid], 1) is None
+    assert first_fit(fit_mask([grid]), 1) is None
 
 
 def test_first_fit_grid_mismatch():
     grids = [SlotGrid("L", ("a", "b"), 320), SlotGrid("M", ("b", "c"), 300)]
     with pytest.raises(SpectrumError):
-        first_fit(grids, 2)
+        first_fit(fit_mask(grids), 2)
+
+
+def test_fit_mask_needs_a_grid_and_stays_inside_the_slot_count():
+    with pytest.raises(SpectrumError):
+        fit_mask([])
+    (grid,) = make_grids(slots=64)
+    assert fit_mask([grid]) == (1 << 64) - 1
+    assert first_fit(fit_mask([grid]), 64) == SlotBlock(0, 64)
+    assert first_fit(fit_mask([grid]), 65) is None
+    with pytest.raises(SpectrumError):
+        first_fit(fit_mask([grid]), 0)
 
 
 def test_allocate_and_release_roundtrip():
@@ -267,7 +279,7 @@ grid_layouts = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_first_fit_matches_linear_scan_oracle(layouts, width):
     grids, models = build_grids(layouts)
-    assert first_fit(grids, width) == _first_fit_oracle(models, width)
+    assert first_fit(fit_mask(grids), width) == _first_fit_oracle(models, width)
 
 
 @st.composite
@@ -299,7 +311,7 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
     next_id = 1
     for kind, start, width, which in operations:
         if kind == "allocate":
-            block = first_fit(grids, width)
+            block = first_fit(fit_mask(grids), width)
             if block is not None:
                 allocate(grids, block)
                 for model in models:
@@ -331,7 +343,7 @@ def test_forbidden_blocks_survive_allocate_and_release(operations):
                 assert np.flatnonzero(model.holder == lightpath_id).tolist() == list(block.slots())
                 assert grid.used & block.mask == block.mask
         for probe in (1, 3, 7, 64):
-            assert first_fit(grids, probe) == _first_fit_oracle(models, probe)
+            assert first_fit(fit_mask(grids), probe) == _first_fit_oracle(models, probe)
 
 
 class BusyTimeModel:
@@ -383,7 +395,7 @@ def test_batched_busy_time_equals_eager_integration(slots, steps):
     now = 0.0
     for lightpath_id, (kind, start, width, step, read) in enumerate(steps, start=1):
         if kind == "allocate":
-            block = first_fit([grid], width)
+            block = first_fit(fit_mask([grid]), width)
             if block is not None:
                 allocate([grid], block)
                 held[block.start:block.end] = True
