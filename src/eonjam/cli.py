@@ -32,11 +32,13 @@ Relative paths resolve differently: a relative ``topology`` file is read
 from the directory of the config file, while a relative ``output_dir``
 is created under the working directory of the ``eonjam`` process.  The
 environment variable ``EONJAM_OUTPUT_DIR`` overrides ``output_dir``.
-An ``epsilon_sweep`` may hold at most :data:`MAX_SWEEP_POINTS` powers,
-none above ``jammer.MAX_EPSILON_DB``, and a replication at most
-:data:`MAX_REQUESTS_PER_REPLICATION` requests.
-A key the format does not define, at the top level or inside
-``traffic``, ``jammer`` or ``epsilon_sweep``, is a configuration error.
+
+Each bound is checked by the type that holds the value (``sim.TrafficModel``,
+``JammerConfig``, ``sim.epsilon_sweep_length``, ``Link`` and ``Topology``,
+and :class:`ScenarioConfig` for the rest); this module converts the YAML
+and reports each refusal as one ``<section>: <message>`` line.  A key the
+format does not define, at the top level or inside ``traffic``,
+``jammer`` or ``epsilon_sweep``, is a configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -62,13 +64,11 @@ from .control_plane import (
     REASON_QOT,
     ControlMode,
 )
-from .jammer import DEFAULT_JAMMED_RANGES, MAX_EPSILON_DB, JammerConfig
-from .spectrum import SLOT_COUNT, SlotBlock
-from .topology import Topology, TopologyError, load_topology_file, nsfnet, nsfnet_text
+from .jammer import JammerConfig
+from .spectrum import SlotBlock
+from .topology import Topology, load_topology_file, nsfnet, nsfnet_text
 
 __all__ = [
-    "MAX_SWEEP_POINTS",
-    "MAX_REQUESTS_PER_REPLICATION",
     "ScenarioConfig",
     "load_config",
     "validate",
@@ -78,23 +78,14 @@ __all__ = [
 
 _NA = "na"
 
-#: Most jamming powers one ``epsilon_sweep`` may hold.  A longer sweep is
-#: a configuration error: ``validate`` counts its points without building
-#: them, and ``simulate`` refuses it before starting anything.
-MAX_SWEEP_POINTS = 10_000
-
-#: Most requests one replication may draw.  A replication holds its whole
-#: request stream in memory before serving it, about 170 B a request (a
-#: slotted ``Request`` with its own float and int objects, plus its slot
-#: in the tuple), and each worker process holds its own.  At this bound
-#: a stream takes about 170 MB, 100 times the shipped configs; a larger
-#: count is a configuration error rather than a run that exhausts memory.
-MAX_REQUESTS_PER_REPLICATION = 1_000_000
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: what to simulate and where to write results."""
+    """A checked scenario: what to simulate and where to write results.
+
+    Refuses its own fields' bounds and the rules that span fields with a
+    ``ValueError`` whose message starts with the field it is about.
+    """
 
     topology: str
     modes: tuple[ControlMode, ...]
@@ -108,6 +99,31 @@ class ScenarioConfig:
     #: The loaded topology: the one the config check built, or the first
     #: load.  Not a config key.
     _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.modes:
+            raise ValueError("modes: at least one mode is required")
+        repeated = [mode.value for mode in dict.fromkeys(self.modes) if self.modes.count(mode) > 1]
+        if repeated:
+            raise ValueError(f"modes: listed more than once: {', '.join(repeated)}")
+        jams = any(mode is not ControlMode.NO_JAMMING for mode in self.modes)
+        if jams and self.jammer is None:
+            raise ValueError("jammer: required by modes other than no_jamming")
+        if not jams and self.jammer is not None:
+            raise ValueError("jammer: must be absent when the only mode is no_jamming")
+        if self.epsilon_sweep is not None:
+            try:
+                sim.epsilon_sweep_length(*self.epsilon_sweep)
+            except ValueError as exc:
+                raise ValueError(f"epsilon_sweep: {exc}") from None
+        elif jams:
+            raise ValueError("epsilon_sweep: required by modes other than no_jamming")
+        if self.base_seed < 0:
+            raise ValueError("base_seed: must be >= 0")
+        if not self.detection_tolerance_db >= 0:
+            raise ValueError("detection_tolerance_db: must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers: must be >= 1")
 
     def load_topology(self) -> Topology:
         """The scenario's topology, parsed and checked once per config."""
@@ -146,6 +162,37 @@ def _bandwidths(values) -> tuple[float, ...]:
     return tuple(_finite(value) for value in values)
 
 
+def _jammed_range(index: int, pair) -> SlotBlock:
+    """A config ``[start, width]`` pair as a block; anything else is refused."""
+    try:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TypeError("a range is a two-item list")
+        return SlotBlock(_integer(pair[0]), _integer(pair[1]))
+    except (TypeError, ValueError):
+        raise ValueError(f"jammed_ranges[{index}]: expected [start, width]") from None
+
+
+def _jammer_fields(section) -> dict:
+    """A config ``jammer`` section as :class:`JammerConfig` keywords."""
+    if not isinstance(section, dict):
+        raise TypeError("expected a mapping with target and jammed_ranges")
+    fields = {"target": section.get("target")}
+    ranges = section.get("jammed_ranges")
+    if ranges is not None:
+        if not isinstance(ranges, list):
+            raise TypeError("jammed_ranges: expected a list of [start, width]")
+        fields["jammed_ranges"] = tuple(_jammed_range(i, pair) for i, pair in enumerate(ranges))
+    return fields
+
+
+def _sweep(section) -> tuple[float, float, float]:
+    """A config ``epsilon_sweep`` section as ``(start, stop, step)``."""
+    try:
+        return tuple(_finite(section[key]) for key in _SWEEP_FIELDS)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("expected finite {start, stop, step}") from None
+
+
 _TRAFFIC_FIELDS = {
     "load_erlangs": _finite,
     "mean_holding_s": _finite,
@@ -155,9 +202,31 @@ _TRAFFIC_FIELDS = {
 }
 
 
+def _traffic_fields(section) -> dict:
+    """A config ``traffic`` section as :class:`sim.TrafficModel` keywords."""
+    if not isinstance(section, dict):
+        raise TypeError("expected a mapping")
+    fields = {}
+    for key, convert in _TRAFFIC_FIELDS.items():
+        if key in section:
+            try:
+                fields[key] = convert(section[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return fields
+
+
 _CONFIG_FIELDS = tuple(entry.name for entry in fields(ScenarioConfig) if entry.init)
 _JAMMER_FIELDS = ("target", "jammed_ranges")
 _SWEEP_FIELDS = ("start", "stop", "step")
+_SECTION_KEYS = {"jammer": _JAMMER_FIELDS, "epsilon_sweep": _SWEEP_FIELDS, "traffic": _TRAFFIC_FIELDS}
+
+#: Top-level scalars: converter, default, and what a bad value must be.
+_SCALARS = {
+    "base_seed": (_integer, 1, "an integer"),
+    "detection_tolerance_db": (_finite, DEFAULT_DETECTION_TOLERANCE_DB, "a finite number"),
+    "workers": (_integer, 1, "an integer"),
+}
 
 
 def _unknown_keys(section: str, data: dict, known) -> list[str]:
@@ -166,193 +235,78 @@ def _unknown_keys(section: str, data: dict, known) -> list[str]:
 
 
 def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, list[str]]:
-    violations: list[str] = []
+    """Convert a config's YAML values; build each section, then the scenario if all passed."""
     if not isinstance(data, dict):
         return None, ["config: top level must be a mapping"]
+    violations: list[str] = []
+
+    def section(name: str, build, raw):
+        """``build(raw)``, or None once its refusal is a ``name:`` violation."""
+        if isinstance(raw, dict):
+            violations.extend(_unknown_keys(name, raw, _SECTION_KEYS[name]))
+        try:
+            return build(raw)
+        except (OSError, TypeError, ValueError) as exc:
+            violations.append(f"{name}: {exc}")
+            return None
 
     topology = data.get("topology", "nsfnet")
     if not isinstance(topology, str) or not topology:
         violations.append("topology: must be 'nsfnet' or a file path")
     elif topology != "nsfnet":
-        resolved = Path(topology)
-        if not resolved.is_absolute():
-            resolved = config_dir / resolved
+        resolved = config_dir / topology
         if not resolved.is_file():
             violations.append(f"topology: file not found: {topology}")
         topology = str(resolved)
-    loaded = None
-    if not violations:
-        try:
-            loaded = _load_topology(topology)
-        except (OSError, ValueError) as exc:
-            violations.append(f"topology: {exc}")
+    loaded = None if violations else section("topology", _load_topology, topology)
     violations += _unknown_keys("config", data, _CONFIG_FIELDS)
 
-    raw_modes = data.get("modes")
+    raw_modes = data.get("modes") or []
     if isinstance(raw_modes, str):
         raw_modes = [raw_modes]
     modes: list[ControlMode] = []
-    if not raw_modes:
-        violations.append("modes: at least one mode is required")
-    elif not isinstance(raw_modes, list):
+    if not isinstance(raw_modes, list):
         violations.append("modes: expected a mode name or a list of them")
-    else:
-        for entry in raw_modes:
-            try:
-                modes.append(ControlMode(entry))
-            except ValueError:
-                violations.append(f"modes: unknown mode {entry!r}")
-        repeated = [mode.value for mode in dict.fromkeys(modes) if modes.count(mode) > 1]
-        if repeated:
-            violations.append(f"modes: listed more than once: {', '.join(repeated)}")
-
-    jammer_data = data.get("jammer")
-    jammer = None
-    if jammer_data is not None and not isinstance(jammer_data, dict):
-        violations.append("jammer: expected a mapping with target and jammed_ranges")
-    elif jammer_data is not None:
-        violations += _unknown_keys("jammer", jammer_data, _JAMMER_FIELDS)
-        target = jammer_data.get("target")
-        if not isinstance(target, str) or not target:
-            violations.append("jammer.target: required (most_used, least_used or a link id)")
-        ranges_raw = jammer_data.get("jammed_ranges")
-        ranges: list[SlotBlock] = []
-        if ranges_raw is None:
-            ranges = list(DEFAULT_JAMMED_RANGES)
-        elif not isinstance(ranges_raw, list):
-            violations.append("jammer.jammed_ranges: expected a list of [start, width]")
-        elif not ranges_raw:
-            violations.append("jammer.jammed_ranges: at least one range is required")
-        else:
-            for index, pair in enumerate(ranges_raw):
-                try:
-                    if not isinstance(pair, list) or len(pair) != 2:
-                        raise TypeError("a range is a two-item list")
-                    block = SlotBlock(_integer(pair[0]), _integer(pair[1]))
-                except (TypeError, ValueError):
-                    violations.append(f"jammer.jammed_ranges[{index}]: expected [start, width]")
-                    continue
-                if block.end > SLOT_COUNT:
-                    violations.append(f"jammer.jammed_ranges[{index}]: range exceeds grid")
-                    continue
-                ranges.append(block)
-        if target and ranges and not violations:
-            try:
-                jammer = JammerConfig(target=target, jammed_ranges=tuple(ranges))
-            except ValueError as exc:
-                violations.append(f"jammer: {exc}")
-        if jammer is not None and not jammer.uses_selector and loaded is not None:
-            try:
-                loaded.link_by_id(jammer.target)
-            except TopologyError as exc:
-                violations.append(f"jammer.target: {exc}")
-
-    sweep_raw = data.get("epsilon_sweep")
-    sweep = None
-    if isinstance(sweep_raw, dict):
-        violations += _unknown_keys("epsilon_sweep", sweep_raw, _SWEEP_FIELDS)
-    if sweep_raw is not None:
+        raw_modes = []
+    for entry in raw_modes:
         try:
-            sweep = (
-                _finite(sweep_raw["start"]),
-                _finite(sweep_raw["stop"]),
-                _finite(sweep_raw["step"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            violations.append("epsilon_sweep: expected finite {start, stop, step}")
-        else:
-            if sweep[0] < 0:
-                violations.append("sweep.start: must be >= 0")
-            if sweep[2] <= 0:
-                violations.append("sweep.step: must be positive")
-            if sweep[1] < sweep[0]:
-                violations.append("sweep.stop: must be >= sweep.start")
-            elif sweep[2] > 0:
-                try:
-                    points = sim.epsilon_sweep_length(*sweep)
-                except ValueError as exc:
-                    violations.append(f"epsilon_sweep: {exc}")
-                else:
-                    if points > MAX_SWEEP_POINTS:
-                        violations.append(
-                            f"epsilon_sweep: {points} powers, more than the {MAX_SWEEP_POINTS} allowed"
-                        )
-                    elif sim.epsilon_sweep_values(*sweep)[-1] > MAX_EPSILON_DB:
-                        violations.append(f"epsilon_sweep: a power above the {MAX_EPSILON_DB} dB limit")
+            modes.append(ControlMode(entry))
+        except ValueError:
+            violations.append(f"modes: unknown mode {entry!r}")
 
-    traffic_raw = data.get("traffic", {})
-    if isinstance(traffic_raw, dict):
-        violations += _unknown_keys("traffic", traffic_raw, _TRAFFIC_FIELDS)
-    try:
-        if not isinstance(traffic_raw, dict):
-            raise TypeError("expected a mapping")
-        fields = {}
-        for key, convert in _TRAFFIC_FIELDS.items():
-            if key in traffic_raw:
-                try:
-                    fields[key] = convert(traffic_raw[key])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{key}: {exc}") from None
-        traffic = sim.TrafficModel(**fields)
-        if traffic.requests_per_replication < 1:
-            # A replication without requests has no blocking probability.
-            raise ValueError("requests_per_replication: must be >= 1")
-        if traffic.requests_per_replication > MAX_REQUESTS_PER_REPLICATION:
-            raise ValueError(
-                f"requests_per_replication: {traffic.requests_per_replication} requests, "
-                f"more than the {MAX_REQUESTS_PER_REPLICATION} allowed"
-            )
-    except (TypeError, ValueError) as exc:
-        violations.append(f"traffic: {exc}")
-        traffic = sim.TrafficModel()
+    jammer = sweep = None
+    if data.get("jammer") is not None:
+        jammer = section("jammer", lambda raw: JammerConfig(**_jammer_fields(raw)), data["jammer"])
+    if jammer is not None and not jammer.uses_selector and loaded is not None:
+        section("jammer", loaded.link_by_id, jammer.target)
+    if data.get("epsilon_sweep") is not None:
+        sweep = section("epsilon_sweep", _sweep, data["epsilon_sweep"])
+    traffic = section("traffic", lambda raw: sim.TrafficModel(**_traffic_fields(raw)), data.get("traffic", {}))
 
-    jamming_modes = [m for m in modes if m is not ControlMode.NO_JAMMING]
-    if jamming_modes and jammer is None and not violations:
-        violations.append("jammer: required by modes other than no_jamming")
-    if modes and not jamming_modes and jammer_data is not None:
-        violations.append("jammer: must be absent when the only mode is no_jamming")
-    if jamming_modes and sweep_raw is None:
-        violations.append("epsilon_sweep: required by modes other than no_jamming")
-
-    try:
-        base_seed = _integer(data.get("base_seed", 1))
-        if base_seed < 0:
-            violations.append("base_seed: must be >= 0")
-    except (TypeError, ValueError):
-        violations.append("base_seed: must be an integer")
-        base_seed = 1
+    scalars = {}
+    for key, (convert, default, kind) in _SCALARS.items():
+        try:
+            scalars[key] = convert(data.get(key, default))
+        except (TypeError, ValueError):
+            violations.append(f"{key}: must be {kind}")
     output_dir = data.get("output_dir", "results")
     if not isinstance(output_dir, str) or not output_dir:
         violations.append("output_dir: must be a non-empty string")
-        output_dir = "results"
-    try:
-        tolerance = _finite(data.get("detection_tolerance_db", DEFAULT_DETECTION_TOLERANCE_DB))
-        if tolerance < 0:
-            violations.append("detection_tolerance_db: must be >= 0")
-    except (TypeError, ValueError):
-        violations.append("detection_tolerance_db: must be a finite number")
-        tolerance = DEFAULT_DETECTION_TOLERANCE_DB
-    try:
-        workers = _integer(data.get("workers", 1))
-        if workers < 1:
-            violations.append("workers: must be >= 1")
-    except (TypeError, ValueError):
-        violations.append("workers: must be an integer")
-        workers = 1
 
     if violations:
         return None, violations
-    config = ScenarioConfig(
-        topology=topology,
-        modes=tuple(modes),
-        jammer=jammer,
-        epsilon_sweep=sweep,
-        traffic=traffic,
-        base_seed=base_seed,
-        output_dir=output_dir,
-        detection_tolerance_db=tolerance,
-        workers=workers,
-    )
+    try:
+        config = ScenarioConfig(
+            topology=topology,
+            modes=tuple(modes),
+            jammer=jammer,
+            epsilon_sweep=sweep,
+            traffic=traffic,
+            output_dir=output_dir,
+            **scalars,
+        )
+    except ValueError as exc:
+        return None, [str(exc)]
     object.__setattr__(config, "_topology", loaded)
     return config, []
 
@@ -364,6 +318,10 @@ def load_config(path) -> tuple[ScenarioConfig | None, list[str]]:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None, [f"config: file not found: {path}"]
+    except OSError as exc:
+        return None, [f"config: cannot read {path}: {exc.strerror}"]
+    except UnicodeDecodeError:
+        return None, [f"config: not UTF-8 text: {path}"]
     except yaml.YAMLError as exc:
         return None, [f"config: invalid YAML: {exc}"]
     return _parse_config(data, path.parent)

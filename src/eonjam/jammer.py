@@ -57,6 +57,8 @@ class JammerConfig:
     epsilon_db: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target, str) or not self.target:
+            raise ValueError("target: required (most_used, least_used or a link id)")
         if not 0.0 <= self.epsilon_db <= MAX_EPSILON_DB:
             raise ValueError(
                 f"epsilon_db must be finite, >= 0 and <= {MAX_EPSILON_DB}, got {self.epsilon_db}"

@@ -62,11 +62,13 @@ from .control_plane import (
     NetworkState,
     handle_request,
 )
-from .jammer import GroundTruth, JammerConfig, ground_truth_channels, resolve_target
+from .jammer import MAX_EPSILON_DB, GroundTruth, JammerConfig, ground_truth_channels, resolve_target
 from .phy import PhyParams
 from .topology import Topology
 
 __all__ = [
+    "MAX_REQUESTS_PER_REPLICATION",
+    "MAX_SWEEP_POINTS",
     "TrafficModel",
     "Request",
     "DEPARTURE",
@@ -87,6 +89,18 @@ ARRIVAL = 1
 #: Bound on a replication's mean arrival horizon (s), far below float overflow.
 MAX_MEAN_HORIZON_S = 1e300
 
+#: Most requests one replication may draw.  A replication holds its whole
+#: request stream in memory before serving it, about 170 B a request (a
+#: slotted ``Request`` with its own float and int objects, plus its slot
+#: in the tuple), and each worker process holds its own.  At this bound
+#: a stream takes about 170 MB, 100 times the shipped configs; a larger
+#: count is refused rather than a run that exhausts memory.
+MAX_REQUESTS_PER_REPLICATION = 1_000_000
+
+#: Most jamming powers one sweep may hold.  :func:`epsilon_sweep_length`
+#: counts a sweep's powers without building them and refuses a longer one.
+MAX_SWEEP_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -105,8 +119,16 @@ class TrafficModel:
             0 < b < math.inf for b in self.bandwidth_choices_gbps
         ):
             raise ValueError("bandwidth choices must be positive and finite")
-        if self.requests_per_replication < 0 or self.replications < 1:
-            raise ValueError("request count must be >= 0 and replications >= 1")
+        if self.requests_per_replication < 1:
+            # A replication without requests has no blocking probability.
+            raise ValueError("requests_per_replication: must be >= 1")
+        if self.requests_per_replication > MAX_REQUESTS_PER_REPLICATION:
+            raise ValueError(
+                f"requests_per_replication: {self.requests_per_replication} requests, "
+                f"more than the {MAX_REQUESTS_PER_REPLICATION} allowed"
+            )
+        if self.replications < 1:
+            raise ValueError("replications: must be >= 1")
         horizon = self.requests_per_replication * self.mean_holding_s / self.load_erlangs
         if horizon > MAX_MEAN_HORIZON_S:
             raise ValueError(f"mean arrival horizon {horizon:.3g} s is above the {MAX_MEAN_HORIZON_S:g} s allowed")
@@ -256,7 +278,7 @@ def _replay(
     earlier, and its probe skip for detectable blocks changes
     ``last_refuser`` but no outcome.
     """
-    horizon = requests[-1].arrival_time if requests else 0.0
+    horizon = requests[-1].arrival_time
 
     def event(branch: _Branch, kind: int, now: float) -> None:
         branch.events += 1
@@ -322,7 +344,7 @@ def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.Replicati
         raise RuntimeError("drain left active circuits behind")
     # Every slot is idle from the last departure on, so the busy-time
     # integrals already run to the horizon.
-    horizon = requests[-1].arrival_time if requests else 0.0
+    horizon = requests[-1].arrival_time
 
     slot_count = next(iter(state.grids.values())).slot_count if state.grids else 0
     by_link: dict[str, np.ndarray] = {}
@@ -421,19 +443,29 @@ def run_replication(
 
 
 def epsilon_sweep_length(start: float, stop: float, step: float) -> int:
-    """How many powers :func:`epsilon_sweep_values` returns, without building them."""
-    if step <= 0:
-        raise ValueError(f"sweep step must be positive, got {step}")
-    if stop < start:
-        raise ValueError("sweep stop must be >= start")
+    """How many powers :func:`epsilon_sweep_values` returns, without building them.
+
+    Every bound on a sweep is checked here, including its point count
+    and its last power, and a violation raises ``ValueError``.
+    """
+    if not start >= 0:
+        raise ValueError("start: must be >= 0")
+    if not step > 0:
+        raise ValueError("step: must be positive")
+    if not stop >= start:
+        raise ValueError("stop: must be >= start")
     steps = (stop - start) / step
     if not math.isfinite(steps):
         raise ValueError(f"step {step} is too small for a sweep from {start} to {stop}")
     # The rounded values never decrease, so the bound keeps a prefix of
     # them: only values at the end can exceed it (in practice the last).
     kept = int(round(steps)) + 1
-    while kept and round(start + (kept - 1) * step, 10) > stop + 1e-9:
+    while kept > 1 and round(start + (kept - 1) * step, 10) > stop + 1e-9:
         kept -= 1
+    if kept > MAX_SWEEP_POINTS:
+        raise ValueError(f"{kept} powers, more than the {MAX_SWEEP_POINTS} allowed")
+    if round(start + (kept - 1) * step, 10) > MAX_EPSILON_DB:
+        raise ValueError(f"a power above the {MAX_EPSILON_DB} dB limit")
     return kept
 
 
@@ -505,9 +537,10 @@ class ScenarioResult:
 def run_scenario(config, ranking=None) -> ScenarioResult:
     """Run every (mode, epsilon, replication) combination of a scenario.
 
-    ``config`` is a :class:`eonjam.cli.ScenarioConfig` (or anything with
-    the same attributes).  The no-jamming mode ignores the sweep: its
-    blocking is constant in epsilon, so it contributes a single point.
+    ``config`` is a :class:`eonjam.cli.ScenarioConfig`, which refuses
+    when built what ``eonjam validate`` refuses.  The no-jamming mode
+    ignores the sweep: its blocking is constant in epsilon, so it
+    contributes a single point.
     A link-utilization ranking is computed when the jammer uses a
     most/least-used selector and none is given: the no-jamming
     replications of the scenario's seeds run first and are ranked (the
@@ -529,8 +562,6 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
     before any job is built.  The cache is emptied on return, so every
     call draws its streams afresh.
     """
-    if len(set(config.modes)) != len(config.modes):
-        raise ValueError("a mode may be listed only once")
     try:
         return _run_scenario(config, ranking)
     finally:
@@ -542,11 +573,7 @@ def _run_scenario(config, ranking) -> ScenarioResult:
     params = PhyParams()
     traffic = config.traffic
     seeds = [config.base_seed + r for r in range(traffic.replications)]
-    sweep = (
-        epsilon_sweep_values(*config.epsilon_sweep)
-        if config.epsilon_sweep is not None
-        else [0.0]
-    )
+    sweep = [] if config.epsilon_sweep is None else epsilon_sweep_values(*config.epsilon_sweep)
     order = [
         (mode, eps)
         for mode in config.modes
@@ -555,9 +582,7 @@ def _run_scenario(config, ranking) -> ScenarioResult:
 
     done: dict[tuple, list] = {}  # job -> its results, a tuple per seed
     target_link_id = None
-    if any(mode is not ControlMode.NO_JAMMING for mode in config.modes):
-        if config.jammer is None:
-            raise ValueError("jamming modes require a jammer section")
+    if config.jammer is not None:
         if config.jammer.uses_selector and ranking is None:
             jammer_free = _no_jamming_runs(seeds, topology, traffic, params, config.workers)
             ranking = metrics.utilization_ranking(jammer_free)

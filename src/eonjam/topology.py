@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 
@@ -58,13 +58,18 @@ class RouteNotFoundError(TopologyError):
 
 @dataclass(frozen=True)
 class Link:
-    """An undirected fibre: id, endpoints, length and amplifier spans."""
+    """An undirected fibre: id, endpoints, length and the spans the length implies."""
 
     id: str
     source: str
     destination: str
     length_km: float
-    span_count: int
+    span_count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.length_km < math.inf:
+            raise TopologyError(f"non-positive or non-finite length {self.length_km}")
+        object.__setattr__(self, "span_count", max(1, math.ceil(self.length_km / SPAN_LENGTH_KM)))
 
     def other_end(self, node: str) -> str:
         if node == self.source:
@@ -138,6 +143,10 @@ class Topology:
             raise TopologyError("at least two nodes are required")
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node id")
+        for node in self.nodes:
+            # Node names end up in link ids, which the CSV outputs hold.
+            if "," in node:
+                raise TopologyError(f"node name {node!r} contains a comma")
         node_set = set(self.nodes)
         seen_pairs = set()
         seen_ids = set()
@@ -146,8 +155,6 @@ class Topology:
                 raise TopologyError(f"link {link.id} references an undeclared node")
             if link.source == link.destination:
                 raise TopologyError(f"link {link.id} is a self-loop")
-            if not 0.0 < link.length_km < math.inf:
-                raise TopologyError(f"link {link.id} has non-positive or non-finite length")
             pair = frozenset((link.source, link.destination))
             if pair in seen_pairs:
                 raise TopologyError(f"parallel link between {link.source} and {link.destination}")
@@ -249,10 +256,6 @@ def load_topology(document: str) -> Topology:
             nodes = line[len("nodes:"):].split()
             if not nodes:
                 raise TopologyError(f"line {lineno}: empty node list")
-            for node in nodes:
-                # Node names end up in link ids, which the CSV outputs hold.
-                if "," in node:
-                    raise TopologyError(f"line {lineno}: node name {node!r} contains a comma")
             saw_nodes = True
         elif line.startswith("link:"):
             parts = line[len("link:"):].split()
@@ -263,18 +266,11 @@ def load_topology(document: str) -> Topology:
                 length = float(length_text)
             except ValueError:
                 raise TopologyError(f"line {lineno}: bad length {length_text!r}") from None
-            if not 0.0 < length < math.inf:
-                raise TopologyError(f"line {lineno}: non-positive or non-finite length {length}")
             link_id = f"{src}-{dst}" if src < dst else f"{dst}-{src}"
-            links.append(
-                Link(
-                    id=link_id,
-                    source=src,
-                    destination=dst,
-                    length_km=length,
-                    span_count=max(1, math.ceil(length / SPAN_LENGTH_KM)),
-                )
-            )
+            try:
+                links.append(Link(id=link_id, source=src, destination=dst, length_km=length))
+            except TopologyError as exc:
+                raise TopologyError(f"line {lineno}: {exc}") from None
         else:
             raise TopologyError(f"line {lineno}: unrecognised directive {line!r}")
     if not saw_nodes:

@@ -12,15 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonjam import cli, sim
-from eonjam.cli import (
-    MAX_REQUESTS_PER_REPLICATION,
-    MAX_SWEEP_POINTS,
-    load_config,
-    main,
-    run,
-    validate,
-)
+from eonjam.cli import ScenarioConfig, load_config, main, run, validate
 from eonjam.control_plane import ControlMode
+from eonjam.jammer import JammerConfig
+from eonjam.sim import MAX_REQUESTS_PER_REPLICATION, MAX_SWEEP_POINTS, TrafficModel
+from eonjam.topology import Link, Topology, load_topology
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -50,27 +46,25 @@ def test_shipped_configs_validate():
 
 def test_validate_names_step_violation(tmp_path):
     bad = dict(TINY, epsilon_sweep={"start": 0.0, "stop": 1.0, "step": 0.0})
-    violations = validate(write_config(tmp_path, bad))
-    assert any("sweep.step" in v for v in violations)
+    assert validate(write_config(tmp_path, bad)) == ["epsilon_sweep: step: must be positive"]
 
 
 @pytest.mark.parametrize(
     "ranges, message",
     [
-        ([[315, 10]], "range exceeds grid"),
-        ([], "jammer.jammed_ranges: at least one range is required"),
-        (["59", "2345"], "jammer.jammed_ranges[0]: expected [start, width]"),
-        ([[50, 10], ["140", 10]], "jammer.jammed_ranges[1]: expected [start, width]"),
-        ([[50, 10, 99]], "jammer.jammed_ranges[0]: expected [start, width]"),
-        ([[50]], "jammer.jammed_ranges[0]: expected [start, width]"),
+        ([[315, 10]], "jammer: jammed range SlotBlock(start=315, width=10) exceeds the 320-slot grid"),
+        ([], "jammer: at least one jammed range is required"),
+        (["59", "2345"], "jammer: jammed_ranges[0]: expected [start, width]"),
+        ([[50, 10], ["140", 10]], "jammer: jammed_ranges[1]: expected [start, width]"),
+        ([[50, 10, 99]], "jammer: jammed_ranges[0]: expected [start, width]"),
+        ([[50]], "jammer: jammed_ranges[0]: expected [start, width]"),
     ],
     ids=["exceeds grid", "empty", "strings", "string-start", "three-items", "one-item"],
 )
 def test_validate_names_range_violation(tmp_path, ranges, message):
+    # The one violation is the range's, not a missing jammer.
     bad = dict(TINY, jammer={"target": "8-9", "jammed_ranges": ranges})
-    violations = validate(write_config(tmp_path, bad))
-    assert any(message in v for v in violations)
-    assert "jammer: required by modes other than no_jamming" not in violations
+    assert validate(write_config(tmp_path, bad)) == [message]
 
 
 def test_validate_rejects_unknown_mode(tmp_path):
@@ -187,8 +181,8 @@ def test_sweep_at_the_point_limit_validates(tmp_path):
         ({"traffic": {"load_erlangs": float("inf")}}, "traffic: load_erlangs: expected a finite number"),
         ({"epsilon_sweep": {"start": float("nan"), "stop": 1.0, "step": 0.5}}, "epsilon_sweep: expected finite"),
         ({"epsilon_sweep": {"start": 0.0, "stop": float("nan"), "step": 0.5}}, "epsilon_sweep: expected finite"),
-        ({"epsilon_sweep": {"start": -1.0, "stop": 1.0, "step": 0.5}}, "sweep.start: must be >= 0"),
-        ({"epsilon_sweep": {"start": 0.0, "stop": -1.0, "step": 0.5}}, "sweep.stop: must be >= sweep.start"),
+        ({"epsilon_sweep": {"start": -1.0, "stop": 1.0, "step": 0.5}}, "epsilon_sweep: start: must be >= 0\n"),
+        ({"epsilon_sweep": {"start": 0.0, "stop": -1.0, "step": 0.5}}, "epsilon_sweep: stop: must be >= start\n"),
         ({"base_seed": True}, "base_seed: must be an integer"),
         ({"traffic": {"requests_per_replication": 10.7}}, "traffic: requests_per_replication: expected an integer"),
         ({"traffic": {"bandwidth_choices_gbps": "48"}},
@@ -227,11 +221,104 @@ def test_repeated_mode_is_a_config_error(tmp_path, capsys, command):
 
 
 def test_run_scenario_refuses_a_repeated_mode(tmp_path):
+    # The scenario refuses the repeated mode when built, so no run starts.
     config, violations = load_config(write_config(tmp_path, TINY))
     assert not violations
-    repeated = dataclasses.replace(config, modes=(ControlMode.UNAWARE, ControlMode.UNAWARE))
-    with pytest.raises(ValueError, match="only once"):
-        sim.run_scenario(repeated)
+    started = AssertionError("a run started")
+    with mock.patch.object(sim, "_replicate", side_effect=started), mock.patch.object(
+        sim, "ProcessPoolExecutor", side_effect=started
+    ), pytest.raises(ValueError, match="^modes: listed more than once: unaware$"):
+        dataclasses.replace(config, modes=(ControlMode.UNAWARE, ControlMode.UNAWARE))
+
+
+def _tiny_scenario(**changes):
+    """The scenario ``TINY`` describes, built in the library, with ``changes``."""
+    fields = dict(
+        topology="nsfnet",
+        modes=(ControlMode.NO_JAMMING, ControlMode.UNAWARE),
+        jammer=JammerConfig(target="8-9"),
+        epsilon_sweep=(0.0, 1.0, 0.5),
+        traffic=TrafficModel(requests_per_replication=250, replications=1),
+        base_seed=3,
+        output_dir="out",
+    )
+    return ScenarioConfig(**dict(fields, **changes))
+
+
+_TOO_MANY_REQUESTS = MAX_REQUESTS_PER_REPLICATION + 1
+
+
+@pytest.mark.parametrize(
+    "build, override, prefix",
+    [
+        (lambda: _tiny_scenario(modes=()), {"modes": []}, ""),
+        (
+            lambda: _tiny_scenario(modes=(ControlMode.AWARE,), epsilon_sweep=None),
+            {"modes": ["aware"], "epsilon_sweep": None},
+            "",
+        ),
+        (lambda: _tiny_scenario(modes=(ControlMode.NO_JAMMING,)), {"modes": ["no_jamming"]}, ""),
+        (lambda: _tiny_scenario(base_seed=-1), {"base_seed": -1}, ""),
+        (lambda: _tiny_scenario(detection_tolerance_db=-5.0), {"detection_tolerance_db": -5}, ""),
+        (lambda: _tiny_scenario(workers=0), {"workers": 0}, ""),
+        (
+            lambda: _tiny_scenario(epsilon_sweep=(-1.0, 1.0, 0.5)),
+            {"epsilon_sweep": {"start": -1, "stop": 1, "step": 0.5}},
+            "",
+        ),
+        (
+            lambda: _tiny_scenario(epsilon_sweep=(0.0, 5.0, 1e-9)),
+            {"epsilon_sweep": {"start": 0, "stop": 5, "step": 1e-9}},
+            "",
+        ),
+        (
+            lambda: TrafficModel(requests_per_replication=0),
+            {"traffic": {"requests_per_replication": 0, "replications": 1}},
+            "traffic: ",
+        ),
+        (
+            lambda: TrafficModel(requests_per_replication=_TOO_MANY_REQUESTS),
+            {"traffic": {"requests_per_replication": _TOO_MANY_REQUESTS, "replications": 1}},
+            "traffic: ",
+        ),
+        (lambda: JammerConfig(target=""), {"jammer": {"target": ""}}, "jammer: "),
+        (
+            lambda: Topology(nodes=("a,b", "c"), links=(Link("a,b-c", "a,b", "c", 100.0),)),
+            {"topology": "comma.topo"},
+            "topology: ",
+        ),
+        (lambda: Link("A-B", "A", "B", float("inf")), {"topology": "inf.topo"}, "topology: line 2: "),
+    ],
+    ids=[
+        "no-modes", "aware-without-sweep", "no-jamming-with-jammer", "negative-seed",
+        "negative-tolerance", "no-workers", "negative-sweep-start", "sweep-above-the-point-limit",
+        "no-requests", "requests-above-the-limit", "empty-target", "comma-in-a-node-name",
+        "infinite-link-length",
+    ],
+)
+def test_the_library_refuses_what_validate_refuses(tmp_path, build, override, prefix):
+    # Each value is refused by the type that holds it, and validate prints
+    # that refusal after its section's prefix.
+    (tmp_path / "comma.topo").write_text("nodes: a,b c\nlink: a,b c 100\n")
+    (tmp_path / "inf.topo").write_text("nodes: A B\nlink: A B inf\n")
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert validate(write_config(tmp_path, dict(TINY, **override))) == [prefix + str(refused.value)]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf-8"])
+def test_an_unreadable_config_is_a_config_error(tmp_path, monkeypatch, command, unreadable):
+    monkeypatch.setenv("EONJAM_OUTPUT_DIR", str(tmp_path / "out"))
+    config_path = tmp_path / "scenario.yaml"
+    if unreadable == "directory":
+        config_path.mkdir()
+        message = f"config: cannot read {config_path}: Is a directory"
+    else:
+        config_path.write_bytes(yaml.safe_dump(TINY).encode() + b"# \xff\n")
+        message = f"config: not UTF-8 text: {config_path}"
+    assert _cli(command, str(config_path)) == (1, "", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -304,7 +391,7 @@ def test_a_comma_in_a_node_name_is_a_config_error(tmp_path, capsys, command):
     config["jammer"] = {"target": "most_used"}
     assert main([command, str(write_config(tmp_path, config))]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "config error: topology: line 1: node name 'a,b' contains a comma\n"
+    assert captured.err == "config error: topology: node name 'a,b' contains a comma\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -450,7 +537,7 @@ def test_run_unknown_link_exit_code(tmp_path, capsys):
     config["jammer"] = {"target": "no-such-link"}
     assert run(write_config(tmp_path, config)) == 1
     err = capsys.readouterr().err
-    assert err == "config error: jammer.target: unknown link id 'no-such-link'\n"
+    assert err == "config error: jammer: unknown link id 'no-such-link'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -458,7 +545,7 @@ def test_validate_unknown_link_is_a_config_error(tmp_path, capsys):
     config = dict(TINY, jammer={"target": "99-100"})
     assert main(["validate", str(write_config(tmp_path, config))]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "config error: jammer.target: unknown link id '99-100'\n"
+    assert captured.err == "config error: jammer: unknown link id '99-100'\n"
     assert captured.out == ""
 
 
@@ -782,6 +869,53 @@ def test_simulate_runs_what_validate_accepts(scenario):
         assert (tmp / "out" / "blocking.csv").is_file()
         for written in (tmp / "out").glob("*.csv"):
             assert "nan" not in written.read_text().lower(), written.name
+
+
+_AB89 = "nodes: A B 8 9\nlink: A B 100\nlink: B 8 100\nlink: 8 9 100\n"
+
+
+def _jammer_owners(fields):
+    """The jammer section's owners: the config, then the topology for a link id."""
+    jammer = JammerConfig(**fields)
+    if not jammer.uses_selector:
+        load_topology(_AB89).link_by_id(jammer.target)
+
+
+#: Each checked section: its converter in the CLI and its owner's check.
+_SECTION_OWNERS = {
+    "traffic": (cli._traffic_fields, lambda fields: TrafficModel(**fields)),
+    "jammer": (cli._jammer_fields, _jammer_owners),
+    "epsilon_sweep": (cli._sweep, lambda sweep: sim.epsilon_sweep_length(*sweep)),
+}
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_each_section_owner_refuses_what_validate_refuses(scenario):
+    # Each drawn section is put in an otherwise valid scenario.  Once
+    # converted, its owner must refuse it exactly when validate reports a
+    # violation under the section's prefix, and with the same message;
+    # a check only the CLI made would break this.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "ab89.topo").write_text(_AB89)
+        for name, (convert, owner) in _SECTION_OWNERS.items():
+            raw = scenario.get(name)
+            if raw is None:  # an absent section has no owner to ask
+                continue
+            config_path = write_config(tmp, dict(TINY, topology="ab89.topo", **{name: raw}))
+            reported = [v for v in validate(config_path) if v.startswith(f"{name}: ")]
+            try:
+                converted = convert(raw)
+            except (TypeError, ValueError):
+                assert reported, (name, raw)
+                continue
+            try:
+                owner(converted)
+            except ValueError as exc:
+                assert reported == [f"{name}: {exc}"]
+            else:
+                assert reported == []
 
 
 @given(

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonjam import control_plane, sim
@@ -210,12 +210,11 @@ def test_different_seed_differs(nsf):
     assert not results_equal(a, b)
 
 
-def test_zero_requests_degenerate(nsf):
-    result = run_replication(5, nsf, small_traffic(requests=0), ControlMode.NO_JAMMING)
-    assert result.requests == 0
-    assert result.horizon_s == 0.0
-    with pytest.raises(ValueError, match="no data"):
-        blocking_probability(result)
+def test_zero_requests_degenerate():
+    # A replication without requests has no blocking probability, so the
+    # traffic model refuses one before anything runs.
+    with pytest.raises(ValueError, match="^requests_per_replication: must be >= 1$"):
+        small_traffic(requests=0)
 
 
 def test_mode_jammer_consistency_checked(nsf):
@@ -260,10 +259,15 @@ def _listed_sweep(start, stop, step):
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(1e-3, 5.0))
+@example(0.0, 10.0, 1e-3)  # 10,001 powers: one above the limit
 @settings(max_examples=200, deadline=None)
 def test_sweep_length_counts_the_listed_grid(start, span, step):
     stop = start + span
     listed = _listed_sweep(start, stop, step)
+    if len(listed) > sim.MAX_SWEEP_POINTS:
+        with pytest.raises(ValueError, match="more than the 10000 allowed"):
+            epsilon_sweep_length(start, stop, step)
+        return
     assert epsilon_sweep_values(start, stop, step) == listed
     assert epsilon_sweep_length(start, stop, step) == len(listed)
 

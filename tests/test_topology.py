@@ -11,7 +11,6 @@ from eonjam.topology import (
     SPAN_LENGTH_KM,
     Link,
     RouteNotFoundError,
-    Topology,
     TopologyError,
     load_topology,
     nsfnet,
@@ -34,6 +33,14 @@ def test_span_count_single_span():
 def test_span_count_rounds_up():
     topo = load_topology(f"nodes: A B\nlink: A B {2.5 * SPAN_LENGTH_KM}\n")
     assert topo.links[0].span_count == 3
+
+
+def test_a_link_derives_its_span_count_from_its_length():
+    link = Link(id="A-B", source="A", destination="B", length_km=2.5 * SPAN_LENGTH_KM)
+    assert link.span_count == 3
+    # A caller cannot price a 250 km link as one span.
+    with pytest.raises(TypeError):
+        Link(id="A-B", source="A", destination="B", length_km=2.5 * SPAN_LENGTH_KM, span_count=1)
 
 
 def test_span_count_bounds_length():
@@ -78,9 +85,9 @@ def test_malformed_documents_rejected(document, message):
 
 @pytest.mark.parametrize("length_km", [0.0, -5.0, math.inf, math.nan])
 def test_topology_refuses_a_length_that_is_not_finite_and_positive(length_km):
-    link = Link(id="A-B", source="A", destination="B", length_km=length_km, span_count=1)
-    with pytest.raises(TopologyError, match="link A-B has non-positive or non-finite length"):
-        Topology(nodes=("A", "B"), links=(link,))
+    # The link refuses its own length, before any topology holds it.
+    with pytest.raises(TopologyError, match=f"^non-positive or non-finite length {length_km}$"):
+        Link(id="A-B", source="A", destination="B", length_km=length_km)
 
 
 def test_triangle_routes_around():
