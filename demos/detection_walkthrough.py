@@ -18,18 +18,17 @@ from eonjam.control_plane import (
     handle_request,
 )
 from eonjam.jammer import JammerConfig, ground_truth_channels
-from eonjam.phy import MODULATIONS, PhyParams, ase_psd, channel_for_block, linear_to_db, sci_psd
+from eonjam.phy import MODULATIONS, ase_psd, channel_for_block, linear_to_db, sci_psd
 from eonjam.sim import Request
 from eonjam.spectrum import SlotBlock, allocate
 from eonjam.topology import load_topology
 
 QPSK = next(m for m in MODULATIONS if m.name == "QPSK")
 
-params = PhyParams()
 topology = load_topology("nodes: A B\nlink: A B 700\n")
 jam = JammerConfig(target="A-B", epsilon_db=1.5)
-ground_truth = ground_truth_channels(jam, params)
-state = NetworkState(topology, params)
+ground_truth = ground_truth_channels(jam)
+state = NetworkState(topology)
 route = topology.shortest_path("A", "B")
 
 print(f"attacked fibre A-B, jammed ranges at 50-59 / 140-149 / 230-239,")
@@ -41,8 +40,8 @@ for label, block in (
     ("overlapping range   ", SlotBlock(49, 2)),
     ("inside the range    ", SlotBlock(54, 2)),
 ):
-    channel = channel_for_block(block, params)
-    ase, sci = ase_psd(route, params), sci_psd(channel, route.total_spans, params)
+    channel = channel_for_block(block)
+    ase, sci = ase_psd(route), sci_psd(channel, route.total_spans)
     candidate = _build_candidate(
         1, state.route_record(route), block, channel, QPSK, 40.0, 0.0, 600.0, state, ground_truth,
         ase, sci,

@@ -10,23 +10,21 @@ Run:  python demos/physical_layer_tour.py
 """
 
 from eonjam import (
-    PhyParams,
     channel_for_block,
     db_to_linear,
     linear_to_db,
     snr,
 )
 from eonjam.control_plane import static_reach
+from eonjam.phy import G0_ASE, PHI, RHO, SLOT_WIDTH_HZ, TX_POWER_W
 from eonjam.spectrum import SlotBlock
 from eonjam.topology import load_topology
 
-params = PhyParams()
-
 print("=== Constants (SI domain) ===")
-print(f"per-span ASE PSD      : {params.g0_ase:.4e} W/Hz")
-print(f"phi (NLI coefficient) : {params.phi:.4e} Hz^2/W^2")
-print(f"rho * slot_width^2    : {params.rho * params.slot_width_hz**2:.4f}")
-print(f"launch power          : {params.tx_power_w * 1e3:.1f} mW per channel")
+print(f"per-span ASE PSD      : {G0_ASE:.4e} W/Hz")
+print(f"phi (NLI coefficient) : {PHI:.4e} Hz^2/W^2")
+print(f"rho * slot_width^2    : {RHO * SLOT_WIDTH_HZ**2:.4f}")
+print(f"launch power          : {TX_POWER_W * 1e3:.1f} mW per channel")
 print()
 
 
@@ -36,10 +34,10 @@ def route_km(length_km):
 
 
 print("=== SNR vs distance, one 12.5 GHz channel, empty fibre ===")
-target = channel_for_block(SlotBlock(0, 1), params)
+target = channel_for_block(SlotBlock(0, 1))
 for km in (100, 500, 1000, 2000, 4000):
     route = route_km(km)
-    value = snr(target, route, [[] for _ in route.links], None, params)
+    value = snr(target, route, [[] for _ in route.links], None)
     print(f"{km:5d} km ({route.total_spans:2d} spans): {linear_to_db(value):6.2f} dB")
 print()
 
@@ -49,7 +47,7 @@ print("meets its threshold; admission never scores the others.")
 for km in (300, 700, 1200, 2000, 3000, 4000):
     route = route_km(km)
     for bandwidth in (40.0, 200.0, 400.0):
-        reach = static_reach(route, bandwidth, params)
+        reach = static_reach(route, bandwidth)
         names = " ".join(modulation.name for modulation, _ in reach.formats)
         label = f"{km:5d} km" if bandwidth == 40.0 else ""
         print(f"{label:8s} {bandwidth:4.0f}G: {names or 'none, always blocked'}")
@@ -59,17 +57,15 @@ print("=== Jamming: a 10-slot jammer at slots 50-59, victim nearby ===")
 print("Extra power sweeps from 0 to 5 dB; the victim sits either inside")
 print("the jammed range (in-band) or 4 slots below it (out-of-band).")
 route = route_km(700)
-inband = channel_for_block(SlotBlock(52, 2), params)
-outband = channel_for_block(SlotBlock(44, 2), params)
+inband = channel_for_block(SlotBlock(52, 2))
+outband = channel_for_block(SlotBlock(44, 2))
 print("eps_dB   in-band SNR   out-of-band SNR")
 for eps_db in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
-    eps = params.tx_power_w * (db_to_linear(eps_db) - 1.0)
-    jammer = channel_for_block(
-        SlotBlock(50, 10), params, power_w=params.tx_power_w + eps, is_jammer=True
-    )
+    eps = TX_POWER_W * (db_to_linear(eps_db) - 1.0)
+    jammer = channel_for_block(SlotBlock(50, 10), power_w=TX_POWER_W + eps, is_jammer=True)
     state = [[jammer] for _ in route.links]
-    snr_in = linear_to_db(snr(inband, route, state, eps, params))
-    snr_out = linear_to_db(snr(outband, route, state, eps, params))
+    snr_in = linear_to_db(snr(inband, route, state, eps))
+    snr_out = linear_to_db(snr(outband, route, state, eps))
     print(f"{eps_db:4.1f}    {snr_in:8.2f} dB   {snr_out:10.2f} dB")
 print()
 print("In-band victims fall below the 9 dB floor between 3 and 4 dB of")

@@ -29,7 +29,6 @@ from .phy import (
     MODULATIONS,
     Channel,
     Modulation,
-    PhyParams,
     ase_psd,
     channel_for_block,
     db_to_linear,

@@ -49,11 +49,12 @@ both kernels read.
 What is fixed is computed once and read on every check:
 
 * Each state keeps one :class:`RouteRecord` per route, built on first
-  use: the route's grids, each hop's span count paired with its live
-  ``grid_actives`` entry (the shape the kernels walk), and the span
-  count of each link.  Candidates and circuits carry it, so admission,
-  :meth:`NetworkState.establish` and :meth:`NetworkState.depart` never
-  look a hop up.
+  use: the route's grids and each hop's span count paired with its live
+  ``grid_actives`` entry (the shape the kernels walk).  The span counts
+  are the route's own (``Route.span_counts`` and ``Route.link_spans``),
+  shared by every state.  Candidates and circuits carry the record, so
+  admission, :meth:`NetworkState.establish` and
+  :meth:`NetworkState.depart` never look a hop up.
 * Each request folds its route's grids into one First Fit mask
   (``spectrum.fit_mask``); every format and the pruned-width probe ask
   it, and only a detection, which forbids slots, recomputes it.
@@ -76,11 +77,11 @@ would give.
 What a request's endpoints and bandwidth fix is computed once:
 :meth:`NetworkState.admission` keeps the route, its
 :func:`static_reach` and a route id under ``(source, destination,
-bandwidth_gbps)``.  They depend only on the topology and the physics,
-so every state of one topology and physics shares them
-(``_demand_tables``), together with the launch-power ``phy.Channel`` of
-each block First Fit has answered; each state keeps its route records
-under the route ids.
+bandwidth_gbps)``.  They depend only on the topology (the physics is
+the one of :mod:`eonjam.phy`), so every state of one topology shares
+them (``_demand_tables``), together with the launch-power
+``phy.Channel`` of each block First Fit has answered; each state keeps
+its route records under the route ids.
 The reach also keeps the route's ASE and each kept format's
 self-channel NLI, which depend only on the route and the block width,
 and every candidate reuses them.
@@ -97,7 +98,7 @@ from enum import Enum
 
 from . import phy
 from .jammer import GroundTruth
-from .spectrum import SlotBlock, SlotGrid, allocate, first_fit, fit_mask, release
+from .spectrum import SLOT_COUNT, SlotBlock, SlotGrid, allocate, first_fit, fit_mask, release
 from .topology import Route, Topology
 
 __all__ = [
@@ -233,7 +234,7 @@ class RouteRecord:
     in route order.  ``hops`` pairs each hop's span count with the
     state's live ``grid_actives`` entry for it, the ``(span_count,
     channels)`` shape the :mod:`phy` XCI kernels walk.  ``link_spans``
-    maps each link id of the route to its span count.
+    is the route's own :attr:`Route.link_spans`.
     """
 
     __slots__ = ("route", "grids", "hops", "link_spans")
@@ -241,11 +242,11 @@ class RouteRecord:
     def __init__(self, state: "NetworkState", route: Route):
         self.route = route
         hops = route.directed_hops
-        self.grids = tuple(state.grids[hop] for hop in hops)
-        self.hops = tuple(
-            (link.span_count, state.grid_actives[hop]) for link, hop in zip(route.links, hops)
-        )
-        self.link_spans = {link.id: link.span_count for link in route.links}
+        grids = state.grids
+        actives = state.grid_actives
+        self.grids = tuple([grids[hop] for hop in hops])
+        self.hops = tuple(zip(route.span_counts, [actives[hop] for hop in hops]))
+        self.link_spans = route.link_spans
 
 
 class NetworkState:
@@ -262,14 +263,13 @@ class NetworkState:
     last circuit that the neighbour check of :func:`evaluate_candidate`
     found pushed below its threshold (None before the first); it may
     have departed since.  The routes, reaches and channels that depend
-    only on the topology and the physics are read from their
-    :class:`_SharedTables`; the :class:`RouteRecord` of each route
-    (:meth:`route_record`) is this state's own.
+    only on the topology are read from its :class:`_SharedTables`; the
+    :class:`RouteRecord` of each route (:meth:`route_record`) is this
+    state's own.
     """
 
-    def __init__(self, topology: Topology, params: phy.PhyParams):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.params = params
         self.grids: dict[tuple[str, str], SlotGrid] = {}
         self.grid_actives: dict[tuple[str, str], dict[int, tuple]] = {}
         for link in topology.links:
@@ -281,21 +281,20 @@ class NetworkState:
         self.changes = 0
         self.last_refuser: int | None = None
         self._records: dict[int, RouteRecord] = {}
-        self._shared = _demand_tables.setdefault(topology, {}).setdefault(params, _SharedTables())
+        self._shared = _demand_tables.setdefault(topology, _SharedTables())
 
     def copy(self) -> "NetworkState":
         """An exact, independent :class:`NetworkState` of the same network.
 
         The grids, the hop lists, the detected ranges and every active
         :class:`Lightpath` are copied (a circuit's ``xci_psd`` changes as
-        neighbours come and go); the topology, the physics, the shared
-        tables and the immutable channels and records are shared.  The
+        neighbours come and go); the topology, the shared tables and the
+        immutable channels and records are shared.  The
         copy builds its own route records, of its own grids and hop
         lists, and each copied circuit's ``path`` is the copy's record.
         """
         twin = NetworkState.__new__(NetworkState)
         twin.topology = self.topology
-        twin.params = self.params
         twin._shared = self._shared
         twin.grids = {hop: grid.copy() for hop, grid in self.grids.items()}
         twin.grid_actives = {hop: dict(on_hop) for hop, on_hop in self.grid_actives.items()}
@@ -326,7 +325,7 @@ class NetworkState:
 
         The route, its id and the reach are computed on the first
         request with these endpoints and bandwidth in any state of this
-        topology and physics, then looked up in their shared table,
+        topology, then looked up in its shared table,
         which never changes; the record is this state's, kept under the
         route id.
         """
@@ -335,7 +334,7 @@ class NetworkState:
         demand = shared.demands.get(key)
         if demand is None:
             route = self.topology.shortest_path(source, destination)
-            reach = static_reach(route, bandwidth_gbps, self.params)
+            reach = static_reach(route, bandwidth_gbps)
             demand = shared.demands[key] = (route, reach, shared.route_id(route))
         route, reach, route_id = demand
         record = self._records.get(route_id)
@@ -397,14 +396,14 @@ class NetworkState:
             grid.advance_time(now)
         release(grids, lightpath.block)
         deltas: dict[int, float] = {}
-        phy.xci_from(lightpath.channel.record, path.hops, self.params, deltas)
+        phy.xci_from(lightpath.channel.record, path.hops, deltas)
         actives = self.actives
         for neighbour_id, delta in deltas.items():
             actives[neighbour_id].xci_psd -= delta
 
 
 class _SharedTables:
-    """What the states of one topology and physics compute once.
+    """What the states of one topology compute once.
 
     ``demands`` maps ``(source, destination, bandwidth_gbps)`` to the
     route, its :func:`static_reach` and its id, filled by
@@ -427,18 +426,17 @@ class _SharedTables:
         return ids.setdefault(route.directed_hops, len(ids))
 
 
-#: One :class:`_SharedTables` per topology (by identity) and physics,
-#: shared by every state built on them.  A topology never reroutes and
-#: ``PhyParams`` is frozen, so an entry never goes stale; the tables of
-#: a topology go with it.
+#: One :class:`_SharedTables` per topology (by identity), shared by every
+#: state built on it.  A topology never reroutes and the physics is fixed,
+#: so an entry never goes stale; the tables of a topology go with it.
 _demand_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def required_slots(bandwidth_gbps: float, modulation: phy.Modulation, params: phy.PhyParams) -> int:
+def required_slots(bandwidth_gbps: float, modulation: phy.Modulation) -> int:
     """Contiguous slots needed to carry ``bandwidth_gbps`` at this format."""
     if bandwidth_gbps <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth_gbps}")
-    slot_gbps = params.slot_width_hz / 1e9
+    slot_gbps = phy.SLOT_WIDTH_HZ / 1e9
     return math.ceil(bandwidth_gbps / (slot_gbps * modulation.bits_per_symbol))
 
 
@@ -461,7 +459,7 @@ class StaticReach:
 
 
 @functools.cache
-def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> StaticReach:
+def static_reach(route: Route, bandwidth_gbps: float) -> StaticReach:
     """Keep each format whose lone circuit on an empty network meets its threshold.
 
     The verdict comes from a :class:`Lightpath` with no XCI or jamming
@@ -471,16 +469,22 @@ def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> 
     its own QoT check wherever First Fit places it.  The SNR does not
     depend on the block's position, only on its width, and neither do
     the ASE and self-channel terms kept for the candidates.  ``Route``
-    and ``PhyParams`` are frozen, so a cached entry never goes stale.
+    is frozen and the physics fixed, so a cached entry never goes stale.
+
+    A format wider than the grid is left out with neither a verdict nor
+    a pruned width: First Fit can never place it, so it could set no
+    block reason, and its channel would lie outside the grid.
     """
     formats = []
     sci_psds = []
     pruned_widths = []
-    ase = phy.ase_psd(route, params)
+    ase = phy.ase_psd(route)
     for modulation in reversed(phy.MODULATIONS):
-        width = required_slots(bandwidth_gbps, modulation, params)
+        width = required_slots(bandwidth_gbps, modulation)
+        if width > SLOT_COUNT:
+            continue
         block = SlotBlock(0, width)
-        channel = phy.channel_for_block(block, params)
+        channel = phy.channel_for_block(block)
         lone = Lightpath(
             id=0,
             route=route,
@@ -490,7 +494,7 @@ def static_reach(route: Route, bandwidth_gbps: float, params: phy.PhyParams) -> 
             departs_at=0.0,
             channel=channel,
             ase_psd=ase,
-            sci_psd=phy.sci_psd(channel, route.total_spans, params),
+            sci_psd=phy.sci_psd(channel, route.total_spans),
             jam_psd=0.0,
         )
         if lone.meets_threshold():
@@ -530,7 +534,7 @@ def _refused_by_last_refuser(state: NetworkState, path: RouteRecord, record: tup
     if not shared:
         return False
     deltas: dict[int, float] = {}
-    phy.xci_from(record, shared, state.params, deltas)
+    phy.xci_from(record, shared, deltas)
     delta = deltas[key]
     return refuser.xci_psd + delta > refuser.cap and not refuser.survives(delta)
 
@@ -552,20 +556,19 @@ def _build_candidate(
     """Assemble a candidate circuit on ``block`` with its noise terms evaluated.
 
     ``path`` is ``state``'s record of the route, ``channel`` is
-    ``phy.channel_for_block(block, state.params)``, and ``ase_psd`` and
+    ``phy.channel_for_block(block)``, and ``ase_psd`` and
     ``sci_psd`` are its route's and width's constant terms
     (:class:`StaticReach` keeps them).  The XCI is one running total
     over the route's hops, in order; the jamming noise is the attack's
     table entry for the block on the attacked link, if the route
     crosses it.
     """
-    params = state.params
-    xci = phy.xci_onto(channel.record, path.hops, params, 0.0)
+    xci = phy.xci_onto(channel.record, path.hops, 0.0)
     jam = 0.0
     if ground_truth is not None:
         span_count = path.link_spans.get(ground_truth.link_id)
         if span_count is not None:
-            jam = ground_truth.jamming_psd(channel, span_count, params)
+            jam = ground_truth.jamming_psd(channel, span_count)
     return Lightpath(
         id=request_id,
         route=path.route,
@@ -622,7 +625,7 @@ def evaluate_candidate(
     if not candidate.meets_threshold():
         return Verdict.REJECT_QOT
     deltas: dict[int, float] = {}
-    phy.xci_from(candidate.channel.record, candidate.path.hops, state.params, deltas)
+    phy.xci_from(candidate.channel.record, candidate.path.hops, deltas)
     candidate.priced = (state, state.changes, deltas)
     actives = state.actives
     for neighbour_id, delta in deltas.items():
@@ -654,7 +657,7 @@ def handle_request(
     record; an established circuit starts at the request arrival time.
     Only the formats in the route's :func:`static_reach` are tried; the
     route record and the reach come from :meth:`NetworkState.admission`,
-    and a block's channel is built once per topology and physics.  One
+    and a block's channel is built once per topology.  One
     :func:`fit_mask` of the route's grids answers every First Fit call
     of the request; a detection, which forbids slots, recomputes it.
     A block that :func:`_refused_by_last_refuser` refuses counts as a
@@ -673,7 +676,7 @@ def handle_request(
                 break
             channel = channels.get(block)
             if channel is None:
-                channel = channels[block] = phy.channel_for_block(block, state.params)
+                channel = channels[block] = phy.channel_for_block(block)
             if _refused_by_last_refuser(state, path, channel.record):
                 saw_qot = True
                 break
@@ -732,7 +735,6 @@ def verify_state_invariants(
     hop lists, and every circuit must carry its route's record.  Raises
     ``AssertionError`` on any violation; used by the test suite.
     """
-    params = state.params
     actives = state.actives
     route_ids = state._shared.route_ids
     for route_id, record in state._records.items():
@@ -782,7 +784,7 @@ def verify_state_invariants(
         assert lightpath.cap == lightpath.survival_cap(), (
             f"survival cap drifted for lightpath {lightpath.id}"
         )
-        reference = phy.snr(lightpath.channel, lightpath.route, per_link_state, eps, params)
+        reference = phy.snr(lightpath.channel, lightpath.route, per_link_state, eps)
         assert math.isclose(lightpath.snr, reference, rel_tol=rel_tol), (
             f"incremental SNR drifted for lightpath {lightpath.id}: "
             f"{lightpath.snr} vs {reference}"

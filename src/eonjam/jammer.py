@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .phy import Channel, PhyParams, channel_for_block, db_to_linear, jamming_psd
+from .phy import TX_POWER_W, Channel, channel_for_block, db_to_linear, jamming_psd
 from .spectrum import SLOT_COUNT, SlotBlock
 
 __all__ = [
@@ -97,20 +97,17 @@ class GroundTruth:
     def ranges_overlapping(self, block: SlotBlock) -> tuple[SlotBlock, ...]:
         return tuple(r for r in self.jammed_ranges if r.overlaps(block))
 
-    def jamming_psd(self, channel: Channel, span_count: int, params: PhyParams) -> float:
+    def jamming_psd(self, channel: Channel, span_count: int) -> float:
         """``phy.jamming_psd`` of ``channel`` on the attacked link of ``span_count`` spans.
 
         Computed on the first call for the channel's block and the span
         count and read from the table after that.  ``channel`` is the
-        launch-power channel of its block under ``params``, the physics
-        this attack was built with (:func:`ground_truth_channels`).
+        launch-power channel of its block.
         """
         key = (channel.block, span_count)
         psd = self._psds.get(key)
         if psd is None:
-            psd = self._psds[key] = jamming_psd(
-                channel, span_count, self.channels, self.epsilon_w, params
-            )
+            psd = self._psds[key] = jamming_psd(channel, span_count, self.channels, self.epsilon_w)
         return psd
 
 
@@ -129,7 +126,6 @@ def resolve_target(config: JammerConfig, utilization_ranking) -> str:
 
 def ground_truth_channels(
     config: JammerConfig,
-    params: PhyParams,
     target_link_id: str | None = None,
 ) -> GroundTruth:
     """Materialise the jammer channels for a resolved target link.
@@ -142,14 +138,9 @@ def ground_truth_channels(
         if config.uses_selector:
             raise ValueError("selector-based jammer needs target_link_id resolved first")
         target_link_id = config.target
-    epsilon_w = params.tx_power_w * (db_to_linear(config.epsilon_db) - 1.0)
+    epsilon_w = TX_POWER_W * (db_to_linear(config.epsilon_db) - 1.0)
     channels = tuple(
-        channel_for_block(
-            block,
-            params,
-            power_w=params.tx_power_w + epsilon_w,
-            is_jammer=True,
-        )
+        channel_for_block(block, power_w=TX_POWER_W + epsilon_w, is_jammer=True)
         for block in config.jammed_ranges
     )
     return GroundTruth(

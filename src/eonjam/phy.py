@@ -9,13 +9,15 @@ accumulates amplifier noise (ASE), Kerr nonlinear interference from
 co-propagating channels (Gaussian-noise approximation), and the extra
 nonlinear interference caused by a high-power jamming signal.
 
-Everything is evaluated in SI units (W, Hz, m, s).  :class:`PhyParams`
-converts the conventional engineering units (dB/km, ps^2/km, 1/(W km))
-on first use and caches the per-span ASE PSD and the two derived
-coefficients
+The model has one physical layer.  Its fibre, amplifier and transmitter
+constants are module constants, in their customary units (dB/km,
+ps^2/km, 1/(W km), dBm); everything is evaluated in SI units (W, Hz, m,
+s), and the SI values the noise terms read are computed once, at
+import: the launch power :data:`TX_POWER_W`, the per-span ASE PSD
+:data:`G0_ASE` and the two coefficients
 
-    phi = 3 * gamma^2 / (2 * pi * alpha * |beta2|)
-    rho = pi^2 * |beta2| / (2 * alpha)
+    PHI = 3 * gamma^2 / (2 * pi * alpha * |beta2|)
+    RHO = pi^2 * |beta2| / (2 * alpha)
 
 used by the nonlinear terms.  Only frequency differences matter for the
 interference integrals, so frequencies are counted from the lower edge
@@ -44,7 +46,7 @@ table per width, built with the first channel of that width
 centres, so the per-pair loops make no attribute lookup, division,
 power, ``abs`` or logarithm.  The entries where the spectra overlap are
 None, so an overlap raises in the product and needs no test per pair.
-With slots a whole number of hertz wide, as the default 12.5 GHz, the
+With slots a whole number of hertz wide, as :data:`SLOT_WIDTH_HZ` is, the
 centres and half-widths in Hz are exact floats far below 2**53, so the
 ratio in Hz rounds to the same float as the ratio in half-slots.  Each kernel computes the factor fixed across
 a hop once, as the same left-to-right prefix of the product that
@@ -62,14 +64,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .spectrum import SlotBlock
+from .spectrum import SLOT_COUNT, SlotBlock
 from .topology import SPAN_LENGTH_KM
 
 __all__ = [
     "PhyModelError",
-    "PhyParams",
+    "TX_POWER_DBM",
+    "SLOT_WIDTH_HZ",
+    "ATTENUATION_DB_PER_KM",
+    "GAMMA_NL_PER_W_KM",
+    "BETA2_ABS_PS2_PER_KM",
+    "LIGHT_FREQUENCY_HZ",
+    "NOISE_FIGURE_DB",
+    "PLANCK_JS",
+    "TX_POWER_W",
+    "PHI",
+    "RHO",
+    "G0_ASE",
     "Channel",
     "Modulation",
     "MODULATIONS",
@@ -111,71 +123,31 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-@dataclass(frozen=True)
-class PhyParams:
-    """Fibre, amplifier and transmitter constants plus derived coefficients.
+#: Launch power of one channel (the whole slot block), so wider channels
+#: spread the same power more thinly.
+TX_POWER_DBM = 0.0
+SLOT_WIDTH_HZ = 12.5e9
+ATTENUATION_DB_PER_KM = 0.2
+GAMMA_NL_PER_W_KM = 1.22
+BETA2_ABS_PS2_PER_KM = 16.0
+LIGHT_FREQUENCY_HZ = 1.93e14
+NOISE_FIGURE_DB = 6.0
+PLANCK_JS = 6.62607015e-34
 
-    ``tx_power_dbm`` is the launch power of one channel (the whole slot
-    block), so wider channels spread the same power more thinly.  The
-    remaining fields keep their customary units and are converted to SI
-    internally.
-    """
-
-    tx_power_dbm: float = 0.0
-    slot_width_hz: float = 12.5e9
-    attenuation_db_per_km: float = 0.2
-    gamma_nl_per_w_km: float = 1.22
-    beta2_abs_ps2_per_km: float = 16.0
-    light_frequency_hz: float = 1.93e14
-    noise_figure_db: float = 6.0
-    planck_js: float = 6.62607015e-34
-
-    def __post_init__(self) -> None:
-        positive = {
-            "slot_width_hz": self.slot_width_hz,
-            "attenuation_db_per_km": self.attenuation_db_per_km,
-            "gamma_nl_per_w_km": self.gamma_nl_per_w_km,
-            "beta2_abs_ps2_per_km": self.beta2_abs_ps2_per_km,
-            "light_frequency_hz": self.light_frequency_hz,
-            "noise_figure_db": self.noise_figure_db,
-            "planck_js": self.planck_js,
-        }
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise ValueError(f"PhyParams.{name} must be positive, got {value!r}")
-
-    @cached_property
-    def tx_power_w(self) -> float:
-        return 1e-3 * db_to_linear(self.tx_power_dbm)
-
-    @cached_property
-    def alpha_per_m(self) -> float:
-        """Power attenuation in nepers per metre."""
-        return self.attenuation_db_per_km * math.log(10.0) / 10.0 / 1e3
-
-    @cached_property
-    def beta2_s2_per_m(self) -> float:
-        return self.beta2_abs_ps2_per_km * 1e-24 / 1e3
-
-    @cached_property
-    def gamma_per_w_m(self) -> float:
-        return self.gamma_nl_per_w_km / 1e3
-
-    @cached_property
-    def phi(self) -> float:
-        return 3.0 * self.gamma_per_w_m**2 / (
-            2.0 * math.pi * self.alpha_per_m * self.beta2_s2_per_m
-        )
-
-    @cached_property
-    def rho(self) -> float:
-        return math.pi**2 * self.beta2_s2_per_m / (2.0 * self.alpha_per_m)
-
-    @cached_property
-    def g0_ase(self) -> float:
-        """ASE noise PSD of one span of ``SPAN_LENGTH_KM``, (e^{alpha L} - 1) F h nu."""
-        gain = math.exp(self.alpha_per_m * 1e3 * SPAN_LENGTH_KM)
-        return (gain - 1.0) * db_to_linear(self.noise_figure_db) * self.planck_js * self.light_frequency_hz
+TX_POWER_W = 1e-3 * db_to_linear(TX_POWER_DBM)
+#: Power attenuation in nepers per metre.
+_ALPHA_PER_M = ATTENUATION_DB_PER_KM * math.log(10.0) / 10.0 / 1e3
+_BETA2_S2_PER_M = BETA2_ABS_PS2_PER_KM * 1e-24 / 1e3
+_GAMMA_PER_W_M = GAMMA_NL_PER_W_KM / 1e3
+PHI = 3.0 * _GAMMA_PER_W_M**2 / (2.0 * math.pi * _ALPHA_PER_M * _BETA2_S2_PER_M)
+RHO = math.pi**2 * _BETA2_S2_PER_M / (2.0 * _ALPHA_PER_M)
+#: ASE noise PSD of one span of ``SPAN_LENGTH_KM``, (e^{alpha L} - 1) F h nu.
+G0_ASE = (
+    (math.exp(_ALPHA_PER_M * 1e3 * SPAN_LENGTH_KM) - 1.0)
+    * db_to_linear(NOISE_FIGURE_DB)
+    * PLANCK_JS
+    * LIGHT_FREQUENCY_HZ
+)
 
 
 #: ``_LOG_RATIOS[w][d]`` is ``ln((|d| + w) / (|d| - w))``, the XCI logarithm
@@ -277,39 +249,43 @@ MODULATIONS: tuple[Modulation, ...] = (
 )
 
 
-def slot_center_frequency(block: SlotBlock, params: PhyParams) -> float:
+def slot_center_frequency(block: SlotBlock) -> float:
     """Centre frequency of a slot block above the lower edge of slot 0."""
-    return (block.start + block.width / 2.0) * params.slot_width_hz
+    return (block.start + block.width / 2.0) * SLOT_WIDTH_HZ
 
 
 def channel_for_block(
     block: SlotBlock,
-    params: PhyParams,
     power_w: float | None = None,
     is_jammer: bool = False,
 ) -> Channel:
     """Build the :class:`Channel` occupying ``block`` at the given power.
 
     Defaults to the transmitter launch power; the PSD is power divided by
-    the block bandwidth.
+    the block bandwidth.  Raises :class:`PhyModelError` for a block that
+    does not lie inside the ``SLOT_COUNT``-slot grid: a channel grows the
+    log-ratio tables out to its centre, so a block far past the grid
+    would cost memory in proportion to its position.
     """
-    bandwidth = block.width * params.slot_width_hz
+    if block.end > SLOT_COUNT:
+        raise PhyModelError(f"block {block} does not lie inside the {SLOT_COUNT}-slot grid")
+    bandwidth = block.width * SLOT_WIDTH_HZ
     if power_w is None:
-        power_w = params.tx_power_w
+        power_w = TX_POWER_W
     return Channel(
         block=block,
-        center_frequency_hz=slot_center_frequency(block, params),
+        center_frequency_hz=slot_center_frequency(block),
         bandwidth_hz=bandwidth,
         psd_w_per_hz=power_w / bandwidth,
         is_jammer=is_jammer,
     )
 
 
-def ase_psd(route, params: PhyParams) -> float:
+def ase_psd(route) -> float:
     """ASE noise PSD accumulated over every span of ``route``."""
     if not route.links:
         raise ValueError("route has no links")
-    return route.total_spans * params.g0_ase
+    return route.total_spans * G0_ASE
 
 
 def _raise_overlap(center: int, hops, half: int | None) -> None:
@@ -330,22 +306,22 @@ def _raise_overlap(center: int, hops, half: int | None) -> None:
                 )
 
 
-def sci_psd(target: Channel, span_count: int, params: PhyParams) -> float:
+def sci_psd(target: Channel, span_count: int) -> float:
     """Self-channel NLI PSD of ``target`` accumulated over ``span_count`` spans."""
     return (
         span_count
-        * params.phi
+        * PHI
         * target.psd_w_per_hz**3
-        * math.asinh(params.rho * target.bandwidth_hz**2)
+        * math.asinh(RHO * target.bandwidth_hz**2)
     )
 
 
-def xci_psd(target: Channel, other: Channel, span_count: int, params: PhyParams) -> float:
+def xci_psd(target: Channel, other: Channel, span_count: int) -> float:
     """Cross-channel NLI PSD that ``other`` adds to ``target`` on one link."""
-    return xci_onto(target.record, ((span_count, {0: other.record}),), params, 0.0)
+    return xci_onto(target.record, ((span_count, {0: other.record}),), 0.0)
 
 
-def xci_onto(target, hops, params: PhyParams, total: float) -> float:
+def xci_onto(target, hops, total: float) -> float:
     """``total`` plus the XCI the channels on each hop add to ``target``.
 
     ``target`` is a :attr:`Channel.record` and ``hops`` is a sequence of
@@ -359,7 +335,7 @@ def xci_onto(target, hops, params: PhyParams, total: float) -> float:
     loop makes no overlap test of its own.
     """
     center, _, psd, _ = target
-    phi = params.phi
+    phi = PHI
     tables = _LOG_RATIOS
     try:
         for span_count, channels in hops:
@@ -372,7 +348,7 @@ def xci_onto(target, hops, params: PhyParams, total: float) -> float:
     return total
 
 
-def xci_from(source, hops, params: PhyParams, deltas: dict) -> None:
+def xci_from(source, hops, deltas: dict) -> None:
     """Add the XCI ``source`` puts on each channel of each hop to ``deltas``.
 
     ``source`` is a :attr:`Channel.record` and ``hops`` a sequence of
@@ -387,7 +363,7 @@ def xci_from(source, hops, params: PhyParams, deltas: dict) -> None:
     centre, as :func:`xci_onto` does.
     """
     center, half, _, power = source
-    phi = params.phi
+    phi = PHI
     table = _LOG_RATIOS[half]
     get = deltas.get
     try:
@@ -409,7 +385,6 @@ def jamming_psd(
     span_count: int,
     jammers,
     epsilon_w: float,
-    params: PhyParams,
 ) -> float:
     """Jamming noise PSD on one attacked link of ``span_count`` spans.
 
@@ -423,14 +398,14 @@ def jamming_psd(
     """
     if epsilon_w < 0.0:
         raise ValueError(f"epsilon_w must be non-negative, got {epsilon_w!r}")
-    excess = epsilon_w * epsilon_w + 2.0 * epsilon_w * params.tx_power_w
+    excess = epsilon_w * epsilon_w + 2.0 * epsilon_w * TX_POWER_W
     total = 0.0
     for jam in jammers:
         if target.overlap_hz(jam) > 0.0:
             total += inband_jamming_psd(target, jam, epsilon_w)
         else:
             record = jam.record[:3] + (excess / jam.bandwidth_hz**2,)
-            total = xci_onto(target.record, ((span_count, {0: record}),), params, total)
+            total = xci_onto(target.record, ((span_count, {0: record}),), total)
     return total
 
 
@@ -457,7 +432,6 @@ def snr(
     route,
     per_link_state,
     jammer_epsilon_w: float | None,
-    params: PhyParams,
 ) -> float:
     """Linear SNR of ``target`` over ``route``.
 
@@ -470,13 +444,13 @@ def snr(
     """
     if len(per_link_state) != len(route.links):
         raise ValueError("per_link_state must align with route.links")
-    noise = ase_psd(route, params) + sci_psd(target, route.total_spans, params)
+    noise = ase_psd(route) + sci_psd(target, route.total_spans)
     for link, channels in zip(route.links, per_link_state):
         signals = {key: other.record for key, other in enumerate(channels) if not other.is_jammer}
         jammers = [other for other in channels if other.is_jammer]
-        noise = xci_onto(target.record, ((link.span_count, signals),), params, noise)
+        noise = xci_onto(target.record, ((link.span_count, signals),), noise)
         if jammer_epsilon_w is not None:
-            noise += jamming_psd(target, link.span_count, jammers, jammer_epsilon_w, params)
+            noise += jamming_psd(target, link.span_count, jammers, jammer_epsilon_w)
     return target.psd_w_per_hz / noise
 
 

@@ -15,7 +15,9 @@ so a replication's whole stream is drawn once per seed, by
 :func:`generate_request` in the same order, and kept as a tuple of
 :class:`Request` (see :func:`_request_stream`).  The last stream is
 cached, so the replications of one seed share it; :func:`run_scenario`
-runs its jobs seed by seed and empties the cache when it returns.
+runs its jobs seed by seed.  Every public entry that runs replications
+(:func:`run_scenario`, :func:`run_replication` and
+:func:`compute_utilization_ranking`) empties the cache when it returns.
 
 The unaware and the aware plane decide alike on every request until
 the aware plane first forbids a jammed range.  So :func:`run_scenario`
@@ -63,7 +65,6 @@ from .control_plane import (
     handle_request,
 )
 from .jammer import MAX_EPSILON_DB, GroundTruth, JammerConfig, ground_truth_channels, resolve_target
-from .phy import PhyParams
 from .topology import Topology
 
 __all__ = [
@@ -194,8 +195,8 @@ def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) ->
     under different planes and powers share one stream, also in a worker
     process that received its own copy of the topology.  Each
     :func:`_replicate` call looks it up once, so the two planes of a
-    pair job read one stream.  One stream is kept; :func:`run_scenario`
-    clears it when it returns.
+    pair job read one stream.  One stream is kept; each public entry
+    that runs replications clears it when it returns.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     where = _Nodes(nodes)
@@ -324,7 +325,7 @@ def _replay(
     return branches
 
 
-def _ground_truth(mode, jammer_config, params, topology) -> GroundTruth | None:
+def _ground_truth(mode, jammer_config, topology) -> GroundTruth | None:
     """The attack a replication in ``mode`` runs under (None without jamming)."""
     if mode is ControlMode.NO_JAMMING:
         if jammer_config is not None:
@@ -332,7 +333,7 @@ def _ground_truth(mode, jammer_config, params, topology) -> GroundTruth | None:
         return None
     if jammer_config is None:
         raise ValueError(f"mode {mode.value} requires a jammer config")
-    ground_truth = ground_truth_channels(jammer_config, params)
+    ground_truth = ground_truth_channels(jammer_config)
     topology.link_by_id(ground_truth.link_id)
     return ground_truth
 
@@ -387,7 +388,7 @@ _JAMMER_FREE = ((ControlMode.NO_JAMMING,), None)
 
 
 def _replicate(
-    seed, topology, traffic, modes, jammer_config, params, tolerance_db,
+    seed, topology, traffic, modes, jammer_config, tolerance_db,
     audit_hook=None, audit_every=0,
 ) -> tuple[metrics.ReplicationResult, ...]:
     """The replication of one seed in each of ``modes``, one result per mode.
@@ -398,13 +399,13 @@ def _replicate(
     result equals the one the mode gives alone.  A pair that never
     splits returns its one result twice.  The jammer must name its link.
     """
-    ground_truth = _ground_truth(modes[0], jammer_config, params, topology)
+    ground_truth = _ground_truth(modes[0], jammer_config, topology)
     requests = _request_stream(seed, topology.nodes, traffic)
     if modes == _PAIR:
-        start = _Branch(ControlMode.AWARE, _SharedState(topology, params))
+        start = _Branch(ControlMode.AWARE, _SharedState(topology))
     else:
         [mode] = modes
-        start = _Branch(mode, NetworkState(topology, params))
+        start = _Branch(mode, NetworkState(topology))
     branches = _replay(requests, [start], ground_truth, tolerance_db, audit_hook, audit_every)
     results = tuple(_result(branch, requests) for branch in branches)
     return results * len(modes) if len(results) == 1 else results
@@ -416,7 +417,6 @@ def run_replication(
     traffic: TrafficModel,
     mode: ControlMode,
     jammer_config: JammerConfig | None = None,
-    params: PhyParams | None = None,
     detection_tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB,
     audit_hook=None,
     audit_every: int = 0,
@@ -433,13 +433,15 @@ def run_replication(
     ``audit_hook(state, kind, time)`` is invoked every ``audit_every``
     processed events (arrivals and departures, in the order above) when
     set (testing aid); ``kind`` is :data:`ARRIVAL` or :data:`DEPARTURE`.
+    The cached request stream is emptied on return.
     """
-    if params is None:
-        params = PhyParams()
-    return _replicate(
-        seed, topology, traffic, (mode,), jammer_config, params, detection_tolerance_db,
-        audit_hook, audit_every,
-    )[0]
+    try:
+        return _replicate(
+            seed, topology, traffic, (mode,), jammer_config, detection_tolerance_db,
+            audit_hook, audit_every,
+        )[0]
+    finally:
+        _request_stream.cache_clear()
 
 
 def epsilon_sweep_length(start: float, stop: float, step: float) -> int:
@@ -485,10 +487,10 @@ def _run_jobs(jobs, workers: int) -> list[tuple[metrics.ReplicationResult, ...]]
         return list(pool.map(_replicate, *zip(*jobs)))
 
 
-def _no_jamming_runs(seeds, topology, traffic, params, workers) -> list[metrics.ReplicationResult]:
+def _no_jamming_runs(seeds, topology, traffic, workers) -> list[metrics.ReplicationResult]:
     """The jammer-free replication of each seed, in seed order."""
     modes, tolerance = (ControlMode.NO_JAMMING,), DEFAULT_DETECTION_TOLERANCE_DB
-    jobs = [(seed, topology, traffic, modes, None, params, tolerance) for seed in seeds]
+    jobs = [(seed, topology, traffic, modes, None, tolerance) for seed in seeds]
     return [result for (result,) in _run_jobs(jobs, workers)]
 
 
@@ -496,18 +498,19 @@ def compute_utilization_ranking(
     topology: Topology,
     traffic: TrafficModel,
     base_seed: int,
-    params: PhyParams | None = None,
     workers: int = 1,
 ) -> list[tuple[str, float]]:
     """Rank links by mean utilization from a jammer-free pre-run.
 
     Uses the same seed set as the main runs so the most/least-used
-    selection is reproducible.
+    selection is reproducible.  The cached request stream is emptied on
+    return.
     """
-    if params is None:
-        params = PhyParams()
     seeds = range(base_seed, base_seed + traffic.replications)
-    return metrics.utilization_ranking(_no_jamming_runs(seeds, topology, traffic, params, workers))
+    try:
+        return metrics.utilization_ranking(_no_jamming_runs(seeds, topology, traffic, workers))
+    finally:
+        _request_stream.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -570,7 +573,6 @@ def run_scenario(config, ranking=None) -> ScenarioResult:
 
 def _run_scenario(config, ranking) -> ScenarioResult:
     topology = config.load_topology()
-    params = PhyParams()
     traffic = config.traffic
     seeds = [config.base_seed + r for r in range(traffic.replications)]
     sweep = [] if config.epsilon_sweep is None else epsilon_sweep_values(*config.epsilon_sweep)
@@ -584,7 +586,7 @@ def _run_scenario(config, ranking) -> ScenarioResult:
     target_link_id = None
     if config.jammer is not None:
         if config.jammer.uses_selector and ranking is None:
-            jammer_free = _no_jamming_runs(seeds, topology, traffic, params, config.workers)
+            jammer_free = _no_jamming_runs(seeds, topology, traffic, config.workers)
             ranking = metrics.utilization_ranking(jammer_free)
             done[_JAMMER_FREE] = [(result,) for result in jammer_free]
         target_link_id = resolve_target(config.jammer, ranking)
@@ -614,7 +616,7 @@ def _run_scenario(config, ranking) -> ScenarioResult:
         jam = None if eps is None else JammerConfig(
             target=target_link_id, jammed_ranges=config.jammer.jammed_ranges, epsilon_db=eps
         )
-        return (seed, topology, traffic, modes, jam, params, config.detection_tolerance_db)
+        return (seed, topology, traffic, modes, jam, config.detection_tolerance_db)
 
     work = [(seed, job) for seed in seeds for job in jobs]
     results = _run_jobs([arguments(seed, *job) for seed, job in work], config.workers)

@@ -44,7 +44,7 @@ __all__ = [
     "nsfnet_text",
 ]
 
-#: Links are cut into amplifier spans of this length; ``PhyParams.g0_ase`` prices one.
+#: Links are cut into amplifier spans of this length; ``phy.G0_ASE`` prices one.
 SPAN_LENGTH_KM = 100.0
 
 
@@ -101,6 +101,16 @@ class Route:
     @property
     def length_km(self) -> float:
         return sum(link.length_km for link in self.links)
+
+    @cached_property
+    def span_counts(self) -> tuple[int, ...]:
+        """The span count of each link, in route order."""
+        return tuple([link.span_count for link in self.links])
+
+    @cached_property
+    def link_spans(self) -> dict[str, int]:
+        """The span count of each link, by link id."""
+        return {link.id: link.span_count for link in self.links}
 
     @cached_property
     def total_spans(self) -> int:

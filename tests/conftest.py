@@ -5,13 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eonjam.phy import PhyParams
 from eonjam.topology import nsfnet
-
-
-@pytest.fixture(scope="session")
-def params():
-    return PhyParams()
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from eonjam.metrics import (
     slot_histogram,
     utilization_ranking,
 )
-from eonjam.phy import PhyParams, channel_for_block, db_to_linear, snr
+from eonjam.phy import G0_ASE, TX_POWER_W, channel_for_block, db_to_linear, snr
 from eonjam.sim import TrafficModel, _run_jobs, run_replication
 from eonjam.spectrum import SlotBlock
 from eonjam.topology import load_topology, nsfnet
@@ -38,7 +38,6 @@ FULL = TrafficModel(requests_per_replication=100_000, replications=REPLICATIONS)
 JAMMED_RANGES = (SlotBlock(50, 10), SlotBlock(140, 10), SlotBlock(230, 10))
 RANGE_INDICES = np.r_[50:60, 140:150, 230:240]
 
-PARAMS = PhyParams()
 TOPOLOGY = nsfnet()
 
 _cache: dict = {}
@@ -55,7 +54,7 @@ def _point(mode: ControlMode, target: str | None, eps: float | None, traffic=DES
                 if mode is ControlMode.NO_JAMMING
                 else JammerConfig(target=target, jammed_ranges=JAMMED_RANGES, epsilon_db=eps)
             )
-            jobs.append((BASE_SEED + r, TOPOLOGY, traffic, (mode,), jam, PARAMS, 0.1))
+            jobs.append((BASE_SEED + r, TOPOLOGY, traffic, (mode,), jam, 0.1))
         _cache[key] = tuple(result for (result,) in _run_jobs(jobs, WORKERS))
     return _cache[key]
 
@@ -117,19 +116,19 @@ def _random_configuration(rng):
         blocks.append(SlotBlock(cursor, width))
         cursor += width + 2
     target_index = int(rng.integers(len(blocks)))
-    target = channel_for_block(blocks[target_index], PARAMS)
+    target = channel_for_block(blocks[target_index])
 
     eps_db = float(rng.choice([0.0, 1.0, 3.0, 5.0]))
-    eps = PARAMS.tx_power_w * (db_to_linear(eps_db) - 1.0)
+    eps = TX_POWER_W * (db_to_linear(eps_db) - 1.0)
     jam_start = 250 + int(rng.integers(0, 40))
     jammer = channel_for_block(
-        SlotBlock(jam_start, 10), PARAMS, power_w=PARAMS.tx_power_w + eps, is_jammer=True
+        SlotBlock(jam_start, 10), power_w=TX_POWER_W + eps, is_jammer=True
     )
 
     per_link = []
     for _ in route.links:
         channels = [
-            channel_for_block(b, PARAMS) for i, b in enumerate(blocks)
+            channel_for_block(b) for i, b in enumerate(blocks)
             if i != target_index and rng.random() < 0.8
         ]
         if rng.random() < 0.7:
@@ -144,7 +143,7 @@ def test_c1_snr_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         target, route, per_link, eps = _random_configuration(rng)
-        value = snr(target, route, per_link, eps, PARAMS)
+        value = snr(target, route, per_link, eps)
         as_tuple = lambda c: (c.center_frequency_hz, c.bandwidth_hz, c.psd_w_per_hz, c.is_jammer)
         expected = ref.ref_snr(
             as_tuple(target),
@@ -158,7 +157,7 @@ def test_c1_snr_oracle_equivalence():
         checked += 1
     assert checked == 1000
 
-    g0 = PARAMS.g0_ase
+    g0 = G0_ASE
     assert abs(g0 - ref.ref_g0_ase()) / ref.ref_g0_ase() < 1e-6
     assert g0 == pytest.approx(5.0402e-17, rel=1e-4)
     _report("C1", f"1000 randomized SNR configs within 1e-9 (worst {worst:.2e}); "
@@ -354,20 +353,20 @@ def test_c7_structural_invariants():
     traffic = TrafficModel(requests_per_replication=2_000, replications=1)
     for mode, eps in ((ControlMode.AWARE, 2.25), (ControlMode.UNAWARE, 5.0)):
         jam = JammerConfig(target=_mu_link(), jammed_ranges=JAMMED_RANGES, epsilon_db=eps)
-        gt = ground_truth_channels(jam, PARAMS, target_link_id=_mu_link())
+        gt = ground_truth_channels(jam, target_link_id=_mu_link())
 
         def audit(state, kind, now, _mode=mode, _gt=gt):
             verify_state_invariants(state, _mode, _gt)
 
         run_replication(
-            BASE_SEED, TOPOLOGY, traffic, mode, jam, PARAMS,
+            BASE_SEED, TOPOLOGY, traffic, mode, jam,
             audit_hook=audit, audit_every=59,
         )
 
     # Determinism: identical seed and configuration, bit-identical result.
     jam = JammerConfig(target=_mu_link(), jammed_ranges=JAMMED_RANGES, epsilon_db=2.25)
-    a = run_replication(BASE_SEED, TOPOLOGY, traffic, ControlMode.AWARE, jam, PARAMS)
-    b = run_replication(BASE_SEED, TOPOLOGY, traffic, ControlMode.AWARE, jam, PARAMS)
+    a = run_replication(BASE_SEED, TOPOLOGY, traffic, ControlMode.AWARE, jam)
+    b = run_replication(BASE_SEED, TOPOLOGY, traffic, ControlMode.AWARE, jam)
     assert results_equal(a, b)
     _report("C7", "audited replications clean (admission soundness, conservation, "
                   "aware-mode safety); rerun bit-identical")

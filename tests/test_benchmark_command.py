@@ -18,9 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _benchmark(workload, trace):
+def _benchmark(workload, trace, seed=1):
     command = [sys.executable, "benchmarks/run.py", "--workload", workload,
-               "--seed", "1", "--seconds", "0", "--trace", str(trace)]
+               "--seed", str(seed), "--seconds", "0", "--trace", str(trace)]
     run = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     summary = json.loads(run.stdout.splitlines()[-1])
@@ -29,10 +29,16 @@ def _benchmark(workload, trace):
     return run, summary
 
 
-@pytest.mark.parametrize("workload", ["nsfnet_sweep", "metro_aware"])
-def test_the_benchmark_command_is_correct_and_matches_the_reference_hashes(workload):
-    run, _ = _benchmark(workload, 0)
-    assert f"reference hashes: {workload} seed 1 matches" in run.stderr.splitlines()
+# Seed 2 of nsfnet_sweep is the first whose aware plane forbids a range
+# (at 1 dB), so it checks the path where a pair job splits.
+@pytest.mark.parametrize(
+    "workload, seed",
+    [("nsfnet_sweep", 1), ("metro_aware", 1), ("nsfnet_sweep", 2)],
+    ids=["nsfnet_sweep", "metro_aware", "nsfnet_sweep-seed2"],
+)
+def test_the_benchmark_command_is_correct_and_matches_the_reference_hashes(workload, seed):
+    run, _ = _benchmark(workload, 0, seed)
+    assert f"reference hashes: {workload} seed {seed} matches" in run.stderr.splitlines()
 
 
 @pytest.mark.parametrize("workload", ["nsfnet_sweep", "metro_aware"])

@@ -24,7 +24,7 @@ from eonjam.control_plane import (
     verify_state_invariants,
 )
 from eonjam.jammer import JammerConfig, ground_truth_channels
-from eonjam.phy import MODULATIONS, PhyParams, channel_for_block, db_to_linear, linear_to_db
+from eonjam.phy import MODULATIONS, SLOT_COUNT, channel_for_block, db_to_linear, linear_to_db
 from eonjam.metrics import results_equal
 from eonjam.sim import Request, TrafficModel, generate_request, run_replication
 from eonjam.spectrum import SlotBlock, SpectrumError, allocate, first_fit, fit_mask
@@ -44,28 +44,27 @@ def request(rid, src, dst, gbps, at=0.0, hold=600.0):
 
 
 def candidate_on(rid, route, block, modulation, gbps, state, ground_truth):
-    params = state.params
-    channel = channel_for_block(block, params)
-    ase, sci = phy.ase_psd(route, params), phy.sci_psd(channel, route.total_spans, params)
+    channel = channel_for_block(block)
+    ase, sci = phy.ase_psd(route), phy.sci_psd(channel, route.total_spans)
     path = state.route_record(route)
     return _build_candidate(
         rid, path, block, channel, modulation, gbps, 0.0, 600.0, state, ground_truth, ase, sci
     )
 
 
-def test_required_slots_examples(params):
-    assert required_slots(40, MOD["BPSK"], params) == 4
-    assert required_slots(400, MOD["64QAM"], params) == 6
-    assert required_slots(200, MOD["QPSK"], params) == 8
+def test_required_slots_examples():
+    assert required_slots(40, MOD["BPSK"]) == 4
+    assert required_slots(400, MOD["64QAM"]) == 6
+    assert required_slots(200, MOD["QPSK"]) == 8
     with pytest.raises(ValueError):
-        required_slots(0, MOD["BPSK"], params)
+        required_slots(0, MOD["BPSK"])
 
 
-def test_empty_network_establishes_highest_passing_modulation(params):
+def test_empty_network_establishes_highest_passing_modulation():
     # On one 100 km span the reference model puts a one-slot channel at
     # ~26.5 dB, so the top format must be granted at the lowest index.
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome.modulation.name == "64QAM"
     assert outcome.block == SlotBlock(0, 1)
@@ -79,10 +78,10 @@ def test_empty_network_establishes_highest_passing_modulation(params):
     assert linear_to_db(outcome.snr) >= 21.0
 
 
-def test_modulation_falls_back_with_distance(params):
+def test_modulation_falls_back_with_distance():
     # 4000 km: only QPSK closes the budget for 40 Gbps.
     topo = topo_single(4000)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome.modulation.name == "QPSK"
     assert outcome.block.width == 2
@@ -110,12 +109,12 @@ def fill_except(state, free_block):
     allocate(grids, SlotBlock(free_block.end, 320 - free_block.end))
 
 
-def test_unreachable_route_probes_first_fit_once(params, calls):
+def test_unreachable_route_probes_first_fit_once(calls):
     # No format closes 5000 km at 40 Gbps, so no candidate is built; the
     # one First Fit probe still tells an empty grid from a full one.
     topo = topo_single(5000)
-    assert static_reach(topo.shortest_path("A", "B"), 40.0, params).formats == ()
-    state = NetworkState(topo, params)
+    assert static_reach(topo.shortest_path("A", "B"), 40.0).formats == ()
+    state = NetworkState(topo)
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome == Blocked("qot-fail")
     assert calls == {"first_fit": 1, "evaluate_candidate": 0}
@@ -126,37 +125,56 @@ def test_unreachable_route_probes_first_fit_once(params, calls):
     assert calls == {"first_fit": 2, "evaluate_candidate": 0}
 
 
-def test_pruned_formats_are_skipped_but_keep_their_block_reason(params, calls):
+def test_pruned_formats_are_skipped_but_keep_their_block_reason(calls):
     # At 4000 km only QPSK (2 slots) reaches 40 Gbps; the one-slot formats
     # above it are pruned.  With room it establishes at QPSK after one
     # evaluation.  A gap that fits one slot plus guardbands but not two
     # would have failed 64QAM's QoT, so the block reason is qot-fail.
     topo = topo_single(4000)
-    reach = static_reach(topo.shortest_path("A", "B"), 40.0, params)
+    reach = static_reach(topo.shortest_path("A", "B"), 40.0)
     assert [(m.name, w) for m, w in reach.formats] == [("QPSK", 2)]
     assert reach.narrowest_pruned_width == 1
 
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome.modulation is reach.formats[0][0]
     assert outcome.block == SlotBlock(0, 2)
     assert calls == {"first_fit": 1, "evaluate_candidate": 1}
 
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     fill_except(state, SlotBlock(100, 5))
     outcome = handle_request(request(2, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome == Blocked("qot-fail")
     assert calls == {"first_fit": 3, "evaluate_candidate": 1}
 
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     fill_except(state, SlotBlock(100, 4))
     outcome = handle_request(request(3, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     assert outcome == Blocked("no-spectrum")
 
 
-def test_full_grid_blocks_no_spectrum(params):
+def test_a_demand_wider_than_the_grid_tries_no_format_and_blocks_as_no_spectrum(calls):
+    # 30,000 Gbps needs 400 slots even at 64QAM, more than the grid has:
+    # no format is priced, no channel is built and no pruned width is
+    # probed, so the log-ratio tables keep their length.  At 24,000 Gbps
+    # 64QAM fills the grid exactly and still counts.
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    route = topo.shortest_path("A", "B")
+    lengths = {width: len(table) for width, table in phy._LOG_RATIOS.items()}
+    reach = static_reach(route, 30000.0)
+    assert (reach.formats, reach.narrowest_pruned_width, reach.sci_psds) == ((), None, ())
+    assert {width: len(table) for width, table in phy._LOG_RATIOS.items()} == lengths
+    assert static_reach(route, 24000.0).narrowest_pruned_width == SLOT_COUNT
+
+    state = NetworkState(topo)
+    outcome = handle_request(request(1, "A", "B", 30000.0), state, ControlMode.NO_JAMMING, None)
+    assert outcome == Blocked("no-spectrum")
+    assert calls == {"first_fit": 0, "evaluate_candidate": 0}
+
+
+def test_full_grid_blocks_no_spectrum():
+    topo = topo_single(100)
+    state = NetworkState(topo)
     allocate(list(state.grids.values()), SlotBlock(0, 320))
     state.grid_actives[("A", "B")][999] = None  # never inspected: no first fit succeeds
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
@@ -164,7 +182,7 @@ def test_full_grid_blocks_no_spectrum(params):
     assert outcome.reason == "no-spectrum"
 
 
-def test_admission_protects_existing_circuit(params):
+def test_admission_protects_existing_circuit():
     # A 4300 km circuit holds a ~0.35 dB margin at QPSK.  A short-route
     # candidate that passes its own QoT at 16QAM would still push the
     # active circuit below threshold on the shared link and must be
@@ -172,7 +190,7 @@ def test_admission_protects_existing_circuit(params):
     topo = load_topology(
         "nodes: A B C D\nlink: A B 1800\nlink: B C 600\nlink: C D 1900\n"
     )
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     active = handle_request(request(1, "A", "D", 40.0), state, ControlMode.NO_JAMMING, None)
     assert active.modulation.name == "QPSK"
     margin_db = linear_to_db(active.snr) - active.modulation.snr_threshold_db
@@ -189,24 +207,24 @@ def test_admission_protects_existing_circuit(params):
     verify_state_invariants(state, ControlMode.NO_JAMMING, None)
 
 
-def test_unaware_mode_suffers_inband_jamming(params):
+def test_unaware_mode_suffers_inband_jamming():
     # Jammed range right at the bottom of the grid: the unaware plane
     # keeps proposing the in-band block and loses modulation levels.
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=5.0)
-    gt = ground_truth_channels(config, params)
+    gt = ground_truth_channels(config)
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.UNAWARE, gt)
     assert isinstance(outcome, Blocked)
     assert outcome.reason == "qot-fail"
     assert not state.forbidden_ranges
 
 
-def test_aware_mode_avoids_jammed_range_and_retries(params):
+def test_aware_mode_avoids_jammed_range_and_retries():
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=2.0)
-    gt = ground_truth_channels(config, params)
+    gt = ground_truth_channels(config)
     outcome = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt)
     assert not isinstance(outcome, Blocked)
     assert outcome.block.start == 12  # range forbidden, guard respected
@@ -216,30 +234,30 @@ def test_aware_mode_avoids_jammed_range_and_retries(params):
     verify_state_invariants(state, ControlMode.AWARE, gt)
 
 
-def test_aware_accepts_out_of_band_despite_detection(params):
+def test_aware_accepts_out_of_band_despite_detection():
     # A candidate outside every jammed range can show a measurable SNR
     # mismatch from out-of-band interference; the plane tolerates it
     # (only overlapping spectrum is refused and forbidden).
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=2.0)
-    gt = ground_truth_channels(config, params)
+    gt = ground_truth_channels(config)
     route = topo.shortest_path("A", "B")
     candidate = candidate_on(1, route, SlotBlock(12, 2), MOD["QPSK"], 40.0, state, gt)
     assert detect_jamming(candidate, gt) is True
     assert evaluate_candidate(candidate, state, ControlMode.AWARE, gt) is Verdict.ACCEPT
 
 
-def test_detect_jamming_cases(params):
+def test_detect_jamming_cases():
     topo = load_topology("nodes: A B C\nlink: A B 100\nlink: B C 100\n")
-    state = NetworkState(topo, params)
-    gt5 = ground_truth_channels(JammerConfig(target="A-B", epsilon_db=5.0), params)
+    state = NetworkState(topo)
+    gt5 = ground_truth_channels(JammerConfig(target="A-B", epsilon_db=5.0))
 
     route_ab = topo.shortest_path("A", "B")
     adjacent = candidate_on(1, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, state, gt5)
     assert detect_jamming(adjacent, gt5) is True
 
-    gt0 = ground_truth_channels(JammerConfig(target="A-B", epsilon_db=0.0), params)
+    gt0 = ground_truth_channels(JammerConfig(target="A-B", epsilon_db=0.0))
     inert = candidate_on(2, route_ab, SlotBlock(46, 2), MOD["QPSK"], 40.0, state, gt0)
     assert detect_jamming(inert, gt0) is False
 
@@ -248,11 +266,11 @@ def test_detect_jamming_cases(params):
     assert detect_jamming(off_route, gt5) is False
 
 
-def test_detection_tolerance_gates_rejection(params):
+def test_detection_tolerance_gates_rejection():
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=2.0)
-    gt = ground_truth_channels(config, params)
+    gt = ground_truth_channels(config)
     route = topo.shortest_path("A", "B")
     candidate = candidate_on(1, route, SlotBlock(2, 2), MOD["QPSK"], 40.0, state, gt)
     assert evaluate_candidate(
@@ -264,17 +282,17 @@ def test_detection_tolerance_gates_rejection(params):
     ) is Verdict.ACCEPT
 
 
-def test_forbidden_registry_persists_and_grows_only(params):
+def test_forbidden_registry_persists_and_grows_only():
     # The retry after forbidding the first range lands overlapping the
     # second one, so a single request walks both detections.
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     config = JammerConfig(
         target="A-B",
         jammed_ranges=(SlotBlock(0, 10), SlotBlock(13, 10)),
         epsilon_db=2.0,
     )
-    gt = ground_truth_channels(config, params)
+    gt = ground_truth_channels(config)
     first = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt)
     assert not isinstance(first, Blocked)
     assert state.forbidden_ranges["A-B"] == [SlotBlock(0, 10), SlotBlock(13, 10)]
@@ -286,13 +304,13 @@ def test_forbidden_registry_persists_and_grows_only(params):
     assert state.forbidden_ranges["A-B"] == snapshot
 
 
-def test_release_repaints_forbidden_marks(params):
+def test_release_repaints_forbidden_marks():
     # A circuit established before the range was detected keeps its
     # slots; once it departs they are painted forbidden, not freed.
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     config = JammerConfig(target="A-B", jammed_ranges=(SlotBlock(0, 10),), epsilon_db=0.002)
-    gt = ground_truth_channels(config, params)
+    gt = ground_truth_channels(config)
     inside = handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt)
     assert inside.block.start == 0  # weak attack: mismatch below tolerance
     state.forbid_range("A-B", SlotBlock(0, 10))
@@ -307,8 +325,7 @@ def _circuit_near_an_edge(modulation, width, edge, relative, shares, jammed):
     ``shares`` split that noise among ASE, self-channel NLI, jamming
     (zero unless ``jammed``), XCI and the ``delta`` returned with it.
     """
-    params = PhyParams()
-    channel = channel_for_block(SlotBlock(0, width), params)
+    channel = channel_for_block(SlotBlock(0, width))
     noise = channel.psd_w_per_hz / (edge * (1.0 + relative))
     ase, sci, jam, xci, _ = (noise * share / sum(shares) for share in shares)
     if not jammed:
@@ -356,14 +373,14 @@ def test_the_survival_cap_passes_clear_of_the_band_edge_and_defers_near_it():
     assert near.cap == -math.inf
 
 
-def test_handle_request_termination_bound(params):
+def test_handle_request_termination_bound():
     # Worst case is bounded by modulation count x slot count; an aware
     # run against many narrow jammed ranges must still terminate.
     topo = topo_single(100)
     ranges = tuple(SlotBlock(start, 4) for start in range(0, 320, 8))
     config = JammerConfig(target="A-B", jammed_ranges=ranges, epsilon_db=2.0)
-    gt = ground_truth_channels(config, params)
-    state = NetworkState(topo, params)
+    gt = ground_truth_channels(config)
+    state = NetworkState(topo)
     calls = 0
     original = phy.qot_verdict
 
@@ -397,8 +414,8 @@ BA = ("B", "A")
     ],
     ids=["stray-used-slot", "lost-holder", "lost-used-slots", "inactive-holder", "stray-forbidden-slot"],
 )
-def test_invariants_catch_slot_bookkeeping_drift(params, corrupt):
-    state = NetworkState(topo_single(100), params)
+def test_invariants_catch_slot_bookkeeping_drift(corrupt):
+    state = NetworkState(topo_single(100))
     handle_request(request(1, "A", "B", 40.0), state, ControlMode.NO_JAMMING, None)
     verify_state_invariants(state, ControlMode.NO_JAMMING, None)
     corrupt(state)
@@ -406,8 +423,8 @@ def test_invariants_catch_slot_bookkeeping_drift(params, corrupt):
         verify_state_invariants(state, ControlMode.NO_JAMMING, None)
 
 
-def test_forbid_range_records_a_range_once_and_marks_both_directions(params):
-    state = NetworkState(topo_single(100), params)
+def test_forbid_range_records_a_range_once_and_marks_both_directions():
+    state = NetworkState(topo_single(100))
     block, later = SlotBlock(40, 4), SlotBlock(60, 2)
     assert state.forbid_range("A-B", block) is True
     assert state.forbid_range("A-B", block) is False  # a repeat records nothing
@@ -448,15 +465,15 @@ def test_forbid_range_records_a_range_once_and_marks_both_directions(params):
         "aware-circuit-on-a-forbidden-slot",
     ],
 )
-def test_invariants_catch_detection_bookkeeping_faults(params, corrupt, message):
+def test_invariants_catch_detection_bookkeeping_faults(corrupt, message):
     # A weak attack lets the first circuit sit on slot 0 of the jammed
     # range 0-9; the range at 100-109 is then recorded as a detection would.
     topo = load_topology("nodes: A B C\nlink: A B 100\nlink: B C 100\n")
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     config = JammerConfig(
         target="A-B", jammed_ranges=(SlotBlock(0, 10), SlotBlock(100, 10)), epsilon_db=0.002
     )
-    gt = ground_truth_channels(config, params)
+    gt = ground_truth_channels(config)
     assert handle_request(request(1, "A", "B", 40.0), state, ControlMode.AWARE, gt).block.start == 0
     assert state.forbid_range("A-B", SlotBlock(100, 10))
     verify_state_invariants(state, ControlMode.AWARE, gt)
@@ -465,11 +482,11 @@ def test_invariants_catch_detection_bookkeeping_faults(params, corrupt, message)
         verify_state_invariants(state, ControlMode.AWARE, gt)
 
 
-def test_establish_applies_the_evaluated_deltas_once(params):
+def test_establish_applies_the_evaluated_deltas_once():
     # establish folds in the neighbour XCI that evaluate_candidate priced,
     # then drops it from the circuit.
     topo = load_topology("nodes: A B C\nlink: A B 300\nlink: B C 300\n")
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     first = handle_request(request(1, "A", "C", 200.0), state, ControlMode.NO_JAMMING, None)
     assert first.priced is None and first.xci_psd == 0.0
     route = topo.shortest_path("A", "B")
@@ -483,9 +500,9 @@ def test_establish_applies_the_evaluated_deltas_once(params):
     verify_state_invariants(state, ControlMode.NO_JAMMING, None)
 
 
-def test_establish_refuses_a_candidate_that_was_never_evaluated(params):
+def test_establish_refuses_a_candidate_that_was_never_evaluated():
     topo = topo_single(100)
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     route = topo.shortest_path("A", "B")
     candidate = candidate_on(1, route, SlotBlock(0, 1), MOD["64QAM"], 40.0, state, None)
     with pytest.raises(ValueError, match="not evaluated"):
@@ -494,12 +511,12 @@ def test_establish_refuses_a_candidate_that_was_never_evaluated(params):
     assert all(grid.used == 0 for grid in state.grids.values())
 
 
-def test_establish_refuses_deltas_priced_on_other_circuits(params):
+def test_establish_refuses_deltas_priced_on_other_circuits():
     # A neighbour that arrived or left after the evaluation would get
     # stale XCI, and so would the circuits of another state.
     topo = topo_single(100)
     route = topo.shortest_path("A", "B")
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
 
     def evaluated(rid, start, on):
         candidate = candidate_on(rid, route, SlotBlock(start, 1), MOD["64QAM"], 40.0, on, None)
@@ -518,15 +535,15 @@ def test_establish_refuses_deltas_priced_on_other_circuits(params):
     with pytest.raises(ValueError, match="not evaluated"):
         state.establish(late, 2.0)
 
-    elsewhere = evaluated(5, 50, NetworkState(topo, params))
+    elsewhere = evaluated(5, 50, NetworkState(topo))
     with pytest.raises(ValueError, match="not evaluated"):
         state.establish(elsewhere, 2.0)
     assert set(state.actives) == {2}
     verify_state_invariants(state, ControlMode.NO_JAMMING, None)
 
 
-def test_admission_table_equals_a_fresh_lookup(nsf, params):
-    state = NetworkState(nsf, params)
+def test_admission_table_equals_a_fresh_lookup(nsf):
+    state = NetworkState(nsf)
     for rid, (src, dst) in enumerate([("1", "14"), ("8", "9"), ("3", "12"), ("5", "2")], start=1):
         handle_request(request(rid, src, dst, 200.0), state, ControlMode.NO_JAMMING, None)
     for src in nsf.nodes:
@@ -536,7 +553,7 @@ def test_admission_table_equals_a_fresh_lookup(nsf, params):
             for gbps in (40.0, 200.0, 400.0):
                 path, reach = state.admission(src, dst, gbps)
                 route = nsf.shortest_path(src, dst)
-                assert (path.route, reach) == (route, static_reach(route, gbps, params))
+                assert (path.route, reach) == (route, static_reach(route, gbps))
                 assert path is state.route_record(route)
                 hops = route.directed_hops
                 assert path.grids == tuple(state.grids[hop] for hop in hops)
@@ -547,9 +564,9 @@ def test_admission_table_equals_a_fresh_lookup(nsf, params):
                 assert again[0] is path and again[1] is reach
 
 
-def test_states_of_one_topology_share_routes_and_reach(nsf, params):
+def test_states_of_one_topology_share_routes_and_reach(nsf):
     # A second state adds only its own route record to the shared route and reach.
-    first, second = NetworkState(nsf, params), NetworkState(nsf, params)
+    first, second = NetworkState(nsf), NetworkState(nsf)
     path, reach = first.admission("1", "14", 400.0)
     other_path, other_reach = second.admission("1", "14", 400.0)
     assert other_path.route is path.route and other_reach is reach
@@ -558,43 +575,46 @@ def test_states_of_one_topology_share_routes_and_reach(nsf, params):
     assert not {id(on_hop) for _, on_hop in other_path.hops} & {id(on_hop) for _, on_hop in path.hops}
 
 
-def _memo(topology, params):
-    return control_plane._demand_tables[topology][params].channels
+def test_route_records_share_the_route_span_counts(nsf):
+    # Each state builds its own grids and hop lists for a route, but the
+    # span counts are the route's own objects, equal to a fresh derivation.
+    route = nsf.shortest_path("1", "14")
+    first = NetworkState(nsf).route_record(route)
+    second = NetworkState(nsf).route_record(route)
+    assert first.link_spans is second.link_spans is route.link_spans
+    assert route.link_spans == {link.id: link.span_count for link in route.links}
+    assert route.span_counts is route.span_counts
+    assert route.span_counts == tuple(link.span_count for link in route.links)
+    for record in (first, second):
+        assert tuple(span for span, _ in record.hops) == route.span_counts
+    assert not {id(on_hop) for _, on_hop in first.hops} & {id(on_hop) for _, on_hop in second.hops}
 
 
-def test_memoised_channels_equal_fresh_builds_and_hold_no_jammer(params):
+def _memo(topology):
+    return control_plane._demand_tables[topology].channels
+
+
+def test_memoised_channels_equal_fresh_builds_and_hold_no_jammer():
     topo = nsfnet()
     config = JammerConfig(target="8-9", epsilon_db=2.5)
     traffic = TrafficModel(load_erlangs=400.0, requests_per_replication=400)
-    run_replication(3, topo, traffic, ControlMode.AWARE, config, params)
+    run_replication(3, topo, traffic, ControlMode.AWARE, config)
     sim._request_stream.cache_clear()
-    memo = _memo(topo, params)
+    memo = _memo(topo)
     assert len(memo) > 20
     for block, channel in memo.items():
-        fresh = channel_for_block(block, params)
+        fresh = channel_for_block(block)
         for entry in dataclasses.fields(phy.Channel):
             assert getattr(channel, entry.name) == getattr(fresh, entry.name), entry.name
         assert channel.record == fresh.record
         assert not channel.is_jammer
-    jammers = ground_truth_channels(config, params).channels
+    jammers = ground_truth_channels(config).channels
     assert not {id(channel) for channel in jammers} & {id(channel) for channel in memo.values()}
 
 
-def test_channel_memo_is_per_physics_and_first_fit_answers_are_shared(nsf):
-    low, high = PhyParams(), PhyParams(tx_power_dbm=3.0)
-    for state_params in (low, high):
-        state = NetworkState(nsf, state_params)
-        for rid, (src, dst) in enumerate([("1", "2"), ("8", "9"), ("3", "12")], start=1):
-            handle_request(request(rid, src, dst, 200.0), state, ControlMode.NO_JAMMING, None)
-    low_memo, high_memo = _memo(nsf, low), _memo(nsf, high)
-    assert low_memo is not high_memo
-    shared = low_memo.keys() & high_memo.keys()
-    assert shared
-    for block in shared:
-        assert high_memo[block].psd_w_per_hz > low_memo[block].psd_w_per_hz
-
-    empty = [NetworkState(nsf, low).grids[("1", "2")]]
-    busy = NetworkState(nsf, low).grids[("1", "2")]
+def test_first_fit_answers_are_one_shared_block(nsf):
+    empty = [NetworkState(nsf).grids[("1", "2")]]
+    busy = NetworkState(nsf).grids[("1", "2")]
     allocate([busy], SlotBlock(20, 4))
     assert first_fit(fit_mask(empty), 6) is first_fit(fit_mask([busy]), 6)
     assert first_fit(fit_mask(empty), 6) == SlotBlock(0, 6)
@@ -602,15 +622,14 @@ def test_channel_memo_is_per_physics_and_first_fit_answers_are_shared(nsf):
 
 def _loaded_state(seed, load, mode, epsilon_db, count):
     """An NSFNet state after ``count`` seeded requests, and a draw of further requests."""
-    params = PhyParams()
     topo = nsfnet()
     ground_truth = None
     if mode is not ControlMode.NO_JAMMING:
         config = JammerConfig(target="8-9", epsilon_db=epsilon_db)
-        ground_truth = ground_truth_channels(config, params)
+        ground_truth = ground_truth_channels(config)
     traffic = TrafficModel(load_erlangs=load)
     rng = np.random.Generator(np.random.Philox(seed))
-    state = NetworkState(topo, params)
+    state = NetworkState(topo)
     departures = []
     now = 0.0
     for rid in range(1, count + 1):
@@ -635,7 +654,7 @@ def _probe_refusals(seed, load, mode, epsilon_db):
             block = first_fit(mask, width)
             if block is None:
                 continue
-            channel = channel_for_block(block, state.params)
+            channel = channel_for_block(block)
             for circuit_id in list(state.actives):
                 state.last_refuser = circuit_id
                 if not _refused_by_last_refuser(state, path, channel.record):
@@ -702,21 +721,21 @@ def _serve(state, requests, mode, ground_truth):
     return outcomes
 
 
-def _stream_state(nsf, params, mode, epsilon_db, served, total):
+def _stream_state(nsf, mode, epsilon_db, served, total):
     """A state after the first ``served`` of ``total`` seeded requests, and the rest."""
     requests = sim._request_stream(
         7, nsf.nodes, TrafficModel(load_erlangs=600.0, requests_per_replication=total)
     )
     sim._request_stream.cache_clear()
-    ground_truth = ground_truth_channels(JammerConfig(target="8-9", epsilon_db=epsilon_db), params)
-    state = NetworkState(nsf, params)
+    ground_truth = ground_truth_channels(JammerConfig(target="8-9", epsilon_db=epsilon_db))
+    state = NetworkState(nsf)
     _serve(state, requests[:served], mode, ground_truth)
     return state, ground_truth, requests[served:]
 
 
 @pytest.mark.parametrize("mode", [ControlMode.UNAWARE, ControlMode.AWARE])
-def test_a_copied_state_serves_a_stream_exactly_like_the_original(nsf, params, mode):
-    state, ground_truth, rest = _stream_state(nsf, params, mode, 1.0, 500, 1200)
+def test_a_copied_state_serves_a_stream_exactly_like_the_original(nsf, mode):
+    state, ground_truth, rest = _stream_state(nsf, mode, 1.0, 500, 1200)
     twin = state.copy()
     assert len(state.actives) > 100
     assert _serve(state, rest, mode, ground_truth) == _serve(twin, rest, mode, ground_truth)
@@ -755,8 +774,8 @@ def _snapshot(state):
     return grids, xci, hops, ranges, state.changes, state.last_refuser
 
 
-def test_departing_or_forbidding_on_a_copy_leaves_the_original_untouched(nsf, params):
-    state, ground_truth, rest = _stream_state(nsf, params, ControlMode.UNAWARE, 1.0, 500, 600)
+def test_departing_or_forbidding_on_a_copy_leaves_the_original_untouched(nsf):
+    state, ground_truth, rest = _stream_state(nsf, ControlMode.UNAWARE, 1.0, 500, 600)
     before = _snapshot(state)
     assert state._records
     twin = state.copy()

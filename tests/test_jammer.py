@@ -10,7 +10,7 @@ from eonjam.jammer import (
     ground_truth_channels,
     resolve_target,
 )
-from eonjam.phy import channel_for_block, db_to_linear, jamming_psd
+from eonjam.phy import TX_POWER_W, channel_for_block, db_to_linear, jamming_psd
 from eonjam.spectrum import SlotBlock
 
 
@@ -39,23 +39,23 @@ def test_config_rejects_non_finite_epsilon(epsilon_db):
         JammerConfig(target="L1", epsilon_db=epsilon_db)
 
 
-def test_config_bounds_epsilon_far_below_float_overflow(params):
+def test_config_bounds_epsilon_far_below_float_overflow():
     with pytest.raises(ValueError, match="<= 100.0"):
         JammerConfig(target="L1", epsilon_db=1700.0)
     with pytest.raises(ValueError, match="<= 100.0"):
         JammerConfig(target="L1", epsilon_db=MAX_EPSILON_DB + 1e-9)
     # At the bound every jamming term is still a finite float.
-    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=MAX_EPSILON_DB), params)
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=MAX_EPSILON_DB))
     assert all(math.isfinite(value) for channel in gt.channels for value in channel.record)
     for block in (SlotBlock(0, 4), SlotBlock(52, 4)):  # beside and inside a jammed range
-        noise = jamming_psd(channel_for_block(block, params), 10, gt.channels, gt.epsilon_w, params)
+        noise = jamming_psd(channel_for_block(block), 10, gt.channels, gt.epsilon_w)
         assert 0.0 < noise < math.inf
 
 
-def test_the_jamming_table_prices_each_block_and_span_count_once(params, monkeypatch):
+def test_the_jamming_table_prices_each_block_and_span_count_once(monkeypatch):
     from eonjam import jammer
 
-    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=2.5), params)
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=2.5))
     priced = []
 
     def counted(*args):
@@ -66,12 +66,12 @@ def test_the_jamming_table_prices_each_block_and_span_count_once(params, monkeyp
     cases = [(SlotBlock(0, 4), 3), (SlotBlock(52, 4), 3), (SlotBlock(0, 4), 7)]
     for _ in range(3):
         for block, spans in cases:
-            channel = channel_for_block(block, params)
-            expected = jamming_psd(channel, spans, gt.channels, gt.epsilon_w, params)
-            assert gt.jamming_psd(channel, spans, params) == expected
+            channel = channel_for_block(block)
+            expected = jamming_psd(channel, spans, gt.channels, gt.epsilon_w)
+            assert gt.jamming_psd(channel, spans) == expected
     assert [(channel.block, spans) for channel, spans in priced] == cases
     # The table is a cache: it leaves equality and the attack's fields alone.
-    assert gt == ground_truth_channels(JammerConfig(target="L1", epsilon_db=2.5), params)
+    assert gt == ground_truth_channels(JammerConfig(target="L1", epsilon_db=2.5))
 
 
 def test_ground_truth_needs_its_jammed_ranges():
@@ -95,14 +95,14 @@ def test_resolve_selector_needs_ranking():
         resolve_target(JammerConfig(target="most_used"), [])
 
 
-def test_ground_truth_inert_at_zero(params):
-    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=0.0), params)
+def test_ground_truth_inert_at_zero():
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=0.0))
     assert gt.epsilon_w == 0.0
     assert len(gt.channels) == 3
 
 
-def test_ground_truth_default_channels(params):
-    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=1.0), params)
+def test_ground_truth_default_channels():
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=1.0))
     for channel in gt.channels:
         assert channel.is_jammer
         assert channel.bandwidth_hz == pytest.approx(1.25e11)
@@ -110,30 +110,30 @@ def test_ground_truth_default_channels(params):
     assert centers == [pytest.approx(55 * 12.5e9), pytest.approx(145 * 12.5e9), pytest.approx(235 * 12.5e9)]
 
 
-def test_epsilon_conversion(params):
-    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=3.0), params)
+def test_epsilon_conversion():
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=3.0))
     assert gt.epsilon_w == pytest.approx(1e-3 * (db_to_linear(3.0) - 1.0), rel=1e-12)
     assert gt.epsilon_w == pytest.approx(0.9953e-3, rel=1e-3)
 
 
-def test_jammer_power_is_base_plus_epsilon(params):
-    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=3.0), params)
+def test_jammer_power_is_base_plus_epsilon():
+    gt = ground_truth_channels(JammerConfig(target="L1", epsilon_db=3.0))
     for channel in gt.channels:
         power = channel.psd_w_per_hz * channel.bandwidth_hz
-        assert power == pytest.approx(params.tx_power_w + gt.epsilon_w, rel=1e-12)
+        assert power == pytest.approx(TX_POWER_W + gt.epsilon_w, rel=1e-12)
 
 
-def test_selector_requires_resolution(params):
+def test_selector_requires_resolution():
     with pytest.raises(ValueError):
-        ground_truth_channels(JammerConfig(target="most_used"), params)
+        ground_truth_channels(JammerConfig(target="most_used"))
     gt = ground_truth_channels(
-        JammerConfig(target="most_used"), params, target_link_id="L9"
+        JammerConfig(target="most_used"), target_link_id="L9"
     )
     assert gt.link_id == "L9"
 
 
-def test_ranges_overlapping(params):
-    gt = ground_truth_channels(JammerConfig(target="L1"), params)
+def test_ranges_overlapping():
+    gt = ground_truth_channels(JammerConfig(target="L1"))
     assert gt.ranges_overlapping(SlotBlock(45, 6)) == (SlotBlock(50, 10),)
     assert gt.ranges_overlapping(SlotBlock(45, 5)) == ()
     assert gt.ranges_overlapping(SlotBlock(55, 100)) == (SlotBlock(50, 10), SlotBlock(140, 10))

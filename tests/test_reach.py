@@ -31,12 +31,12 @@ def ordered_pairs(topology):
     return [(s, d) for s in topology.nodes for d in topology.nodes if s != d]
 
 
-def test_reach_table_matches_the_reference_verdicts(nsf, params):
+def test_reach_table_matches_the_reference_verdicts(nsf):
     compared = 0
     for source, destination in ordered_pairs(nsf):
         route = nsf.shortest_path(source, destination)
         for gbps in BANDWIDTHS:
-            reach = static_reach(route, gbps, params)
+            reach = static_reach(route, gbps)
             kept = {modulation.name: width for modulation, width in reach.formats}
             pruned_widths = []
             for modulation in MODULATIONS:
@@ -56,10 +56,10 @@ def test_reach_table_matches_the_reference_verdicts(nsf, params):
 
 
 @pytest.mark.parametrize("gbps, servable", [(40.0, 182), (200.0, 102), (400.0, 42)])
-def test_servable_pair_counts(nsf, params, gbps, servable):
+def test_servable_pair_counts(nsf, gbps, servable):
     pairs = ordered_pairs(nsf)
     assert len(pairs) == 182
     carried = [
-        (s, d) for s, d in pairs if static_reach(nsf.shortest_path(s, d), gbps, params).formats
+        (s, d) for s, d in pairs if static_reach(nsf.shortest_path(s, d), gbps).formats
     ]
     assert len(carried) == servable

@@ -15,7 +15,7 @@ from eonjam.cli import ScenarioConfig
 from eonjam.control_plane import ControlMode, verify_state_invariants
 from eonjam.jammer import JammerConfig, ground_truth_channels
 from eonjam.metrics import blocking_probability, results_equal
-from eonjam.phy import PhyParams, channel_for_block, jamming_psd
+from eonjam.phy import channel_for_block, jamming_psd
 from eonjam.sim import (
     ARRIVAL,
     DEPARTURE,
@@ -290,16 +290,36 @@ def test_request_stream_is_the_generated_sequence(nsf):
 
 
 def test_replication_is_equal_with_a_cold_and_a_warm_stream_cache(nsf):
+    # The job function keeps the stream for the next job of its seed.
     traffic = small_traffic(requests=600)
     jam = JammerConfig(target="8-9", epsilon_db=1.0)
+    job = (17, nsf, traffic, (ControlMode.AWARE,), jam, 0.1)
     sim._request_stream.cache_clear()
-    cold = run_replication(17, nsf, traffic, ControlMode.AWARE, jam)
+    [cold] = sim._replicate(*job)
     assert sim._request_stream.cache_info().currsize == 1
     hits = sim._request_stream.cache_info().hits
-    warm = run_replication(17, nsf, traffic, ControlMode.AWARE, jam)
+    [warm] = sim._replicate(*job)
     assert sim._request_stream.cache_info().hits == hits + 1
     sim._request_stream.cache_clear()
     assert results_equal(cold, warm)
+    assert results_equal(cold, run_replication(17, nsf, traffic, ControlMode.AWARE, jam))
+
+
+def test_the_public_entries_leave_no_stream_cached(nsf):
+    traffic = small_traffic(requests=60)
+    sim._request_stream.cache_clear()
+    run_replication(5, nsf, traffic, ControlMode.NO_JAMMING)
+    assert sim._request_stream.cache_info().currsize == 0
+    compute_utilization_ranking(nsf, traffic, 5)
+    assert sim._request_stream.cache_info().currsize == 0
+    # Also when the run raises after drawing its stream.
+    with mock.patch.object(sim, "_replay", side_effect=RuntimeError("stop")):
+        with pytest.raises(RuntimeError):
+            run_replication(5, nsf, traffic, ControlMode.NO_JAMMING)
+        assert sim._request_stream.cache_info().currsize == 0
+        with pytest.raises(RuntimeError):
+            compute_utilization_ranking(nsf, traffic, 5)
+        assert sim._request_stream.cache_info().currsize == 0
 
 
 def test_request_stream_changes_with_the_seed_and_the_holding_time(nsf):
@@ -343,7 +363,7 @@ def test_run_scenario_draws_each_seed_once_and_empties_the_cache():
 def test_pool_starts_no_more_processes_than_jobs_or_cpus(nsf, workers, jobs, cpus, started):
     traffic = small_traffic(requests=40)
     batch = [
-        (seed, nsf, traffic, (ControlMode.NO_JAMMING,), None, PhyParams(), 0.1)
+        (seed, nsf, traffic, (ControlMode.NO_JAMMING,), None, 0.1)
         for seed in range(1, jobs + 1)
     ]
     # A fake pool records its size and maps in order; no process starts.
@@ -394,9 +414,8 @@ def test_audited_replication_with_attack(nsf):
         verify_state_invariants(state, ControlMode.AWARE, audit.ground_truth)
 
     from eonjam.jammer import ground_truth_channels
-    from eonjam.phy import PhyParams
 
-    audit.ground_truth = ground_truth_channels(jam, PhyParams())
+    audit.ground_truth = ground_truth_channels(jam)
     result = run_replication(
         9, nsf, traffic, ControlMode.AWARE, jam, audit_hook=audit, audit_every=37
     )
@@ -407,9 +426,8 @@ def test_unaware_audit(nsf):
     traffic = small_traffic(requests=600)
     jam = JammerConfig(target="8-9", epsilon_db=5.0)
     from eonjam.jammer import ground_truth_channels
-    from eonjam.phy import PhyParams
 
-    gt = ground_truth_channels(jam, PhyParams())
+    gt = ground_truth_channels(jam)
 
     def audit(state, kind, now):
         verify_state_invariants(state, ControlMode.UNAWARE, gt)
@@ -549,16 +567,16 @@ def test_zero_db_points_reuse_the_planned_no_jamming_runs(modes, target, ranking
 
 
 @pytest.mark.parametrize("link_id", ["8-9", "1-8"])
-def test_a_zero_db_attack_is_the_no_jamming_run(nsf, params, link_id):
+def test_a_zero_db_attack_is_the_no_jamming_run(nsf, link_id):
     # At 0 dB the jammer adds no power: every jamming term is exactly 0.0,
     # so both planes serve every request as the jammer-free network does.
     jam = JammerConfig(target=link_id, epsilon_db=0.0)
-    ground_truth = ground_truth_channels(jam, params)
+    ground_truth = ground_truth_channels(jam)
     assert ground_truth.epsilon_w == 0.0
     span_count = nsf.link_by_id(link_id).span_count
     for block in (SlotBlock(52, 2), SlotBlock(48, 4), SlotBlock(30, 2), SlotBlock(0, 16)):
-        channel = channel_for_block(block, params)
-        psd = jamming_psd(channel, span_count, ground_truth.channels, ground_truth.epsilon_w, params)
+        channel = channel_for_block(block)
+        psd = jamming_psd(channel, span_count, ground_truth.channels, ground_truth.epsilon_w)
         assert psd == 0.0 and math.copysign(1.0, psd) == 1.0
 
     traffic = small_traffic(requests=300)
