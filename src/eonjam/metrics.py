@@ -14,8 +14,10 @@ feeds is what the attacker's most/least-used selector consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ReplicationResult",
@@ -26,14 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicationResult:
     """Statistics of one seeded replication.
 
     ``slot_utilization`` (and its per-link breakdown) counts a slot as
     busy while it is used or guard-locked; ``slot_used_by_link`` counts
     carried traffic only, which is what attack-avoidance assertions
-    about "always free" slots need.
+    about "always free" slots need.  ``==`` is :func:`results_equal`;
+    results are not hashable.
     """
 
     requests: int
@@ -44,9 +47,18 @@ class ReplicationResult:
     established: int = 0
     horizon_s: float = 0.0
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReplicationResult):
+            return NotImplemented
+        return results_equal(self, other)
+
+    __hash__ = None
+
     @property
     def link_mean_utilization(self) -> dict[str, float]:
         """Mean carried-traffic utilization of each link."""
+        import numpy as np
+
         return {link_id: float(np.mean(v)) for link_id, v in self.slot_used_by_link.items()}
 
     @property
@@ -82,6 +94,8 @@ def utilization_ranking(results) -> list[tuple[str, float]]:
 
 def slot_histogram(results) -> np.ndarray:
     """Per-slot utilization averaged over links and replications."""
+    import numpy as np
+
     if not results:
         raise ValueError("no replication results to aggregate")
     return np.mean(np.stack([r.slot_utilization for r in results]), axis=0)
@@ -89,6 +103,8 @@ def slot_histogram(results) -> np.ndarray:
 
 def results_equal(a: ReplicationResult, b: ReplicationResult) -> bool:
     """Exact (bitwise) equality of two replication results."""
+    import numpy as np
+
     if a.requests != b.requests or a.established != b.established:
         return False
     if a.blocked_by_reason != b.blocked_by_reason:

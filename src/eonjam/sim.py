@@ -42,6 +42,11 @@ After the last arrival the circuits still active are drained without
 generating new traffic, their clock clipped to that arrival;
 utilization statistics integrate exact busy time from t=0 up to the
 last arrival, so the drain tail does not dilute them.
+
+numpy and the process pool are imported by the functions that use them,
+so importing the package and loading a config loads neither.  With more
+than one worker, :func:`_run_jobs` imports numpy before the pool forks
+its workers, which inherit it instead of each importing it again.
 """
 
 from __future__ import annotations
@@ -50,11 +55,8 @@ import functools
 import heapq
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import metrics
 from .control_plane import (
@@ -66,6 +68,9 @@ from .control_plane import (
 )
 from .jammer import MAX_EPSILON_DB, GroundTruth, JammerConfig, ground_truth_channels, resolve_target
 from .topology import Topology
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_REQUESTS_PER_REPLICATION",
@@ -198,6 +203,8 @@ def _request_stream(seed: int, nodes: tuple[str, ...], traffic: TrafficModel) ->
     pair job read one stream.  One stream is kept; each public entry
     that runs replications clears it when it returns.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(seed))
     where = _Nodes(nodes)
     requests = []
@@ -340,6 +347,8 @@ def _ground_truth(mode, jammer_config, topology) -> GroundTruth | None:
 
 def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.ReplicationResult:
     """Aggregate a drained branch's statistics up to the last arrival."""
+    import numpy as np
+
     state = branch.state
     if state.actives:
         raise RuntimeError("drain left active circuits behind")
@@ -483,6 +492,12 @@ def _run_jobs(jobs, workers: int) -> list[tuple[metrics.ReplicationResult, ...]]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [_replicate(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit the parent's modules: import numpy once here
+    # rather than once in each worker.
+    import numpy  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replicate, *zip(*jobs)))
 
@@ -524,6 +539,8 @@ class ScenarioPoint:
 
     @property
     def mean_blocking(self) -> float:
+        import numpy as np
+
         return float(np.mean([metrics.blocking_probability(r) for r in self.results]))
 
     @property

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SLOT_COUNT",
@@ -107,6 +109,8 @@ def _workspace(slot_count: int) -> np.ndarray:
     one call.  A fresh array per batch would be mapped and page-faulted
     anew each time, which costs more than the additions themselves.
     """
+    import numpy as np
+
     return np.empty((BUSY_TIME_BATCH + 1) * 2 * slot_count, dtype=np.float64)
 
 
@@ -147,6 +151,8 @@ class SlotGrid:
     def __init__(self, link_id: str, direction: tuple[str, str], slot_count: int = SLOT_COUNT):
         if slot_count < 1:
             raise SpectrumError(f"slot_count must be positive, got {slot_count}")
+        import numpy as np
+
         self.link_id = link_id
         self.direction = direction
         self.slot_count = slot_count
@@ -212,6 +218,8 @@ class SlotGrid:
         count, self._pending = self._pending, 0
         if not count:
             return
+        import numpy as np
+
         masks = self._masks[:count]
         reach = 0
         for mask in masks:

@@ -1,7 +1,11 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -122,7 +126,7 @@ def test_sweep_above_the_point_limit_is_refused_before_anything_runs(tmp_path, c
     started = AssertionError("the refused sweep started work")
     with mock.patch.object(sim, "epsilon_sweep_values", side_effect=started), mock.patch.object(
         sim, "_replicate", side_effect=started
-    ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=started):
+    ), mock.patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=started):
         code, out, err = _cli(command, str(config_path))
     assert (code, out) == (1, "")
     assert err.splitlines() == [
@@ -147,7 +151,7 @@ def test_request_count_above_the_limit_is_refused_before_anything_runs(tmp_path,
     started = AssertionError("the refused request count started work")
     with mock.patch.object(sim, "_request_stream", side_effect=started), mock.patch.object(
         sim, "_replicate", side_effect=started
-    ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=started):
+    ), mock.patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=started):
         code, out, err = _cli(command, str(config_path))
     assert (code, out) == (1, "")
     assert err.splitlines() == [
@@ -226,7 +230,7 @@ def test_run_scenario_refuses_a_repeated_mode(tmp_path):
     assert not violations
     started = AssertionError("a run started")
     with mock.patch.object(sim, "_replicate", side_effect=started), mock.patch.object(
-        sim, "ProcessPoolExecutor", side_effect=started
+        concurrent.futures, "ProcessPoolExecutor", side_effect=started
     ), pytest.raises(ValueError, match="^modes: listed more than once: unaware$"):
         dataclasses.replace(config, modes=(ControlMode.UNAWARE, ControlMode.UNAWARE))
 
@@ -480,17 +484,113 @@ def test_simulate_on_two_workers_writes_the_bytes_of_one(tmp_path):
         outdir = tmp_path / f"workers{workers}"
         config_path = write_config(tmp_path, dict(config, workers=workers, output_dir=str(outdir)))
         started = []
-        pool = sim.ProcessPoolExecutor
+        pool = concurrent.futures.ProcessPoolExecutor
 
         def counted(*args, **kwargs):
             started.append(kwargs["max_workers"])
             return pool(*args, **kwargs)
 
-        with mock.patch.object(sim, "ProcessPoolExecutor", counted):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", counted):
             assert main(["simulate", str(config_path)]) == 0
         assert started == ([] if workers == 1 else [2])
         outputs.append([(outdir / name).read_bytes() for name in ("blocking.csv", "slots.csv")])
     assert outputs[0] == outputs[1]
+
+
+SRC = Path(__file__).parent.parent / "src"
+
+#: Modules only running replications needs: loading a config loads none.
+RUN_ONLY_MODULES = ("numpy", "concurrent.futures.process", "multiprocessing")
+
+
+def _fresh_process(script, *args):
+    """Run ``script`` in a fresh isolated interpreter on this checkout's sources.
+
+    Returns its last stdout line read as JSON, and the lines before it.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "EONJAM_OUTPUT_DIR"}
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(SRC), *map(str, args)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    *lines, last = done.stdout.splitlines()
+    return json.loads(last), lines
+
+
+_CLI_CHILD = f"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from eonjam import cli
+code = cli.main(sys.argv[2:])
+print(json.dumps([code, [name for name in {RUN_ONLY_MODULES!r} if name in sys.modules]]))
+"""
+
+
+def _fresh_cli(*argv):
+    """Exit code, run-only modules loaded and stdout lines of one ``eonjam`` command, run fresh."""
+    (code, loaded), lines = _fresh_process(_CLI_CHILD, *argv)
+    return code, loaded, lines
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.name)
+def test_validate_loads_neither_numpy_nor_the_process_pool(config_path):
+    assert _fresh_cli("validate", config_path) == (0, [], ["ok"])
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
+def test_a_config_error_loads_neither_numpy_nor_the_process_pool(tmp_path, command):
+    config_path = write_config(tmp_path, dict(TINY, base_seed=-1, output_dir=str(tmp_path / "out")))
+    assert _fresh_cli(command, config_path) == (1, [], [])
+
+
+def test_rank_links_on_a_cached_ranking_loads_neither_numpy_nor_the_process_pool(tmp_path, capsys):
+    config_path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "out")))
+    assert main(["rank-links", str(config_path)]) == 0
+    computed = capsys.readouterr().out.splitlines()
+    assert _fresh_cli("rank-links", config_path) == (0, [], computed)
+
+
+_POOL_CHILD = """
+import concurrent.futures, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from eonjam import cli
+
+numpy_at_pool_start = []
+
+
+class FakePool:
+    # Records whether numpy is loaded when the pool is built; maps in order, in this process.
+    def __init__(self, max_workers):
+        numpy_at_pool_start.append("numpy" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+concurrent.futures.ProcessPoolExecutor = FakePool
+os.cpu_count = lambda: 2
+loaded_before = "numpy" in sys.modules
+code = cli.main(["simulate", sys.argv[2]])
+print(json.dumps([code, loaded_before, numpy_at_pool_start]))
+"""
+
+
+def test_the_pool_path_imports_numpy_before_the_pool_starts(tmp_path):
+    # Forked workers inherit what the parent imported before the pool.
+    config = dict(TINY, modes=["unaware", "aware"], workers=2, output_dir=str(tmp_path / "out"))
+    config["epsilon_sweep"] = {"start": 2.0, "stop": 2.0, "step": 1.0}
+    config["traffic"] = {"requests_per_replication": 50, "replications": 2}
+    (code, loaded_before, numpy_at_pool_start), _ = _fresh_process(
+        _POOL_CHILD, write_config(tmp_path, config)
+    )
+    assert (code, loaded_before, numpy_at_pool_start) == (0, False, [True])
 
 
 def test_validate_missing_file():
@@ -941,7 +1041,7 @@ def test_validate_judges_large_values_without_running_them(sizes):
     )
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         sim, "_replicate", side_effect=AssertionError("validate ran a replication")
-    ), mock.patch.object(sim, "ProcessPoolExecutor", side_effect=AssertionError("validate started workers")):
+    ), mock.patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=AssertionError("validate started workers")):
         config_path = Path(tmp) / "scenario.yaml"
         config_path.write_text(yaml.safe_dump(scenario))
         _validate(config_path)

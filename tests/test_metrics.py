@@ -84,3 +84,13 @@ def test_results_equal_discriminates():
     assert not results_equal(a, c)
     d = fake_result(3, slots=np.full(320, 1e-16))
     assert not results_equal(a, d)
+
+
+def test_results_compare_with_eq_and_are_not_hashable():
+    # Array fields are compared bit for bit, not element-wise.
+    assert ReplicationResult(10, {}, np.zeros(3)) == ReplicationResult(10, {}, np.zeros(3))
+    assert ReplicationResult(10, {}, np.zeros(3)) != ReplicationResult(10, {}, np.ones(3))
+    assert fake_result(3) != fake_result(4)
+    assert fake_result(3) != "a result"
+    with pytest.raises(TypeError):
+        hash(fake_result(3))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import math
 import operator
@@ -210,6 +211,23 @@ def test_different_seed_differs(nsf):
     assert not results_equal(a, b)
 
 
+def test_results_and_scenarios_compare_with_eq(nsf):
+    traffic = small_traffic(requests=200)
+    a = run_replication(21, nsf, traffic, ControlMode.NO_JAMMING)
+    assert a == run_replication(21, nsf, traffic, ControlMode.NO_JAMMING)
+    assert a != run_replication(22, nsf, traffic, ControlMode.NO_JAMMING)
+    config = ScenarioConfig(
+        topology="nsfnet",
+        modes=(ControlMode.NO_JAMMING, ControlMode.UNAWARE),
+        jammer=JammerConfig(target="8-9"),
+        epsilon_sweep=(1.0, 1.0, 1.0),
+        traffic=small_traffic(requests=100),
+        base_seed=3,
+        output_dir="unused",
+    )
+    assert run_scenario(config) == run_scenario(config)
+
+
 def test_zero_requests_degenerate():
     # A replication without requests has no blocking probability, so the
     # traffic model refuses one before anything runs.
@@ -367,7 +385,7 @@ def test_pool_starts_no_more_processes_than_jobs_or_cpus(nsf, workers, jobs, cpu
         for seed in range(1, jobs + 1)
     ]
     # A fake pool records its size and maps in order; no process starts.
-    with mock.patch.object(sim, "ProcessPoolExecutor") as pool, \
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor") as pool, \
             mock.patch.object(sim.os, "cpu_count", return_value=cpus):
         pool.return_value.__enter__.return_value.map.side_effect = map
         results = sim._run_jobs(batch, workers)
@@ -648,7 +666,7 @@ def test_a_lone_plane_or_an_idle_worker_gets_no_pair_job(nsf):
         output_dir="unused",
         workers=2,
     )
-    with mock.patch.object(sim, "ProcessPoolExecutor") as pool, \
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor") as pool, \
             mock.patch.object(sim.os, "cpu_count", return_value=4):
         pool.return_value.__enter__.return_value.map.side_effect = map
         result, pairs, _ = _spied_scenario(two_workers)
@@ -673,7 +691,7 @@ def test_pairs_are_formed_only_with_a_job_for_every_worker(workers, cpus, powers
         output_dir="unused",
         workers=workers,
     )
-    with mock.patch.object(sim, "ProcessPoolExecutor") as pool, \
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor") as pool, \
             mock.patch.object(sim.os, "cpu_count", return_value=cpus):
         pool.return_value.__enter__.return_value.map.side_effect = map
         _, pairs, _ = _spied_scenario(config)
