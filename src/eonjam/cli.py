@@ -40,14 +40,15 @@ and reports each refusal as one ``<section>: <message>`` line.  A key the
 format does not define, at the top level or inside ``traffic``,
 ``jammer`` or ``epsilon_sweep``, is a configuration error.
 
+``argparse``, ``hashlib`` and ``json`` are imported by the functions
+that use them, so loading a config, as ``validate`` does, loads neither
+``hashlib`` nor ``json``.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import math
 import os
 import sys
@@ -344,6 +345,9 @@ def _output_dir(config: ScenarioConfig) -> Path:
 
 def _ranking_cache_key(config: ScenarioConfig) -> str:
     """Digest of everything the ranking depends on, topology contents included."""
+    import hashlib
+    import json
+
     if config.topology == "nsfnet":
         topology_bytes = nsfnet_text().encode("ascii")
     else:
@@ -372,6 +376,8 @@ def _cached_ranking(config: ScenarioConfig, outdir: Path):
     values not increasing down the file as ``metrics.utilization_ranking``
     orders them; the caller recomputes and rewrites any other.
     """
+    import json
+
     cache = outdir / "link_ranking.csv"
     meta = outdir / "link_ranking.meta.json"
     if not (cache.is_file() and meta.is_file()):
@@ -396,6 +402,8 @@ def _cached_ranking(config: ScenarioConfig, outdir: Path):
 
 
 def _write_ranking(config: ScenarioConfig, outdir: Path, ranking) -> None:
+    import json
+
     lines = ["rank,link_id,mean_utilization"]
     lines += [f"{i + 1},{link_id},{_fmt(value)}" for i, (link_id, value) in enumerate(ranking)]
     (outdir / "link_ranking.csv").write_text("\n".join(lines) + "\n")
@@ -536,6 +544,8 @@ def _rank_links(config: ScenarioConfig) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="eonjam",
         description="Elastic optical network simulator with jamming-aware control planes",

@@ -40,8 +40,8 @@ due at or before that arrival's time: a departure goes before an
 arrival at the same time, and tied departures leave in request order.
 After the last arrival the circuits still active are drained without
 generating new traffic, their clock clipped to that arrival;
-utilization statistics integrate exact busy time from t=0 up to the
-last arrival, so the drain tail does not dilute them.
+utilization statistics sum each circuit's exact holding time from t=0
+up to the last arrival, so the drain tail does not dilute them.
 
 numpy and the process pool are imported by the functions that use them,
 so importing the package and loading a config loads neither.  With more
@@ -352,8 +352,8 @@ def _result(branch: _Branch, requests: tuple[Request, ...]) -> metrics.Replicati
     state = branch.state
     if state.actives:
         raise RuntimeError("drain left active circuits behind")
-    # Every slot is idle from the last departure on, so the busy-time
-    # integrals already run to the horizon.
+    # The drain departs every circuit at the horizon at the latest, so
+    # each grid's busy time is its circuits' holding time up to it.
     horizon = requests[-1].arrival_time
 
     slot_count = next(iter(state.grids.values())).slot_count if state.grids else 0

@@ -17,13 +17,14 @@ in that mask.  The control plane computes the mask once per request
 (again only after a detection forbids a range) and asks it for every
 format.
 
-Grids also integrate per-slot busy time so that utilization statistics
-come from exact event-time integration instead of sampling.  Each clock
-step is buffered as ``(used, dt)`` and integrated in batches of
-``BUSY_TIME_BATCH`` with one ``np.add.reduce`` over the step axis, up to
-the highest slot the batch held or shadowed.  That makes the same
-left-to-right ``+= dt`` additions as integrating every step on its own,
-so the totals are equal to the bit.
+Grids also keep per-slot busy time, so that utilization statistics
+come from exact event times instead of sampling.  Time is kept per
+block: :func:`allocate` stamps a block with the grid's clock,
+:func:`release` adds the time it was held to that block's total, and
+the totals are spread over the slots only when read.  Blocks that First
+Fit places keep a guardband apart, so no slot lies in two held blocks
+or their shadows at once, and a slot's busy time is the sum of the
+holding times of the blocks on it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SLOT_COUNT",
     "GUARDBAND_SLOTS",
-    "BUSY_TIME_BATCH",
     "SpectrumError",
     "AllocationCollisionError",
     "UnheldBlockError",
@@ -53,8 +53,6 @@ __all__ = [
 
 SLOT_COUNT = 320
 GUARDBAND_SLOTS = 2
-# Clock steps a grid buffers before integrating them in one pass.
-BUSY_TIME_BATCH = 64
 
 
 class SpectrumError(ValueError):
@@ -99,40 +97,25 @@ class SlotBlock:
         return self.start < other.end and other.start < self.end
 
 
-@functools.cache
-def _workspace(slot_count: int) -> np.ndarray:
-    """Scratch steps for :meth:`SlotGrid._integrate`, shared by all grids of a size.
-
-    Flat, so that a batch of ``count`` steps over the lowest ``top``
-    slots views its first ``(count + 1) * 2 * top`` values as one
-    C-contiguous ``(count + 1, 2, top)`` array.  Nothing in it outlives
-    one call.  A fresh array per batch would be mapped and page-faulted
-    anew each time, which costs more than the additions themselves.
-    """
-    import numpy as np
-
-    return np.empty((BUSY_TIME_BATCH + 1) * 2 * slot_count, dtype=np.float64)
-
-
 class SlotGrid:
     """Spectrum of one direction of one fibre link.
 
     ``used`` is the bitmask of slots held by circuits and
     ``forbidden_mask`` that of the slots taken out of use.  Two
-    busy-time integrals are advanced by the simulation clock through
-    :meth:`advance_time`: ``used_seconds`` counts slots actually
+    busy-time integrals run on the grid's clock, which only
+    :meth:`advance_time` moves: ``used_seconds`` counts slots actually
     carrying a circuit, while ``reserved_seconds`` additionally counts
     each circuit's guardband shadow, the ``GUARDBAND_SLOTS`` slots above
-    its block.  A shadow slot cannot be allocated while the circuit
-    lives, so it is reserved spectrum rather than available capacity;
-    attributing the shared inter-circuit gap to the lower circuit keeps
-    the count one-sided.
+    its block, clipped to the grid.  A shadow slot cannot be allocated
+    while the circuit lives, so it is reserved spectrum rather than
+    available capacity; attributing the shared inter-circuit gap to the
+    lower circuit keeps the count one-sided.
 
-    :meth:`advance_time` only records the step; the buffer is integrated
-    when it is full or when either integral is read, with the same
-    additions, in the same order, as integrating each step at once.
-    Slots above the highest one a batch held or shadowed are left as
-    they are: every step would have added 0.0 to them.
+    The grid keeps time per block, keyed by ``(start, width)``:
+    ``_since`` holds the clock at which each held block was allocated,
+    and ``_totals`` the summed holding time of each block released so
+    far.  Reading an integral spreads every total, and the time each
+    held block has been held up to the clock, over that block's slots.
     """
 
     __slots__ = (
@@ -141,118 +124,66 @@ class SlotGrid:
         "slot_count",
         "used",
         "forbidden_mask",
-        "_seconds",
         "_clock",
-        "_masks",
-        "_dts",
-        "_pending",
+        "_since",
+        "_totals",
     )
 
     def __init__(self, link_id: str, direction: tuple[str, str], slot_count: int = SLOT_COUNT):
         if slot_count < 1:
             raise SpectrumError(f"slot_count must be positive, got {slot_count}")
-        import numpy as np
-
         self.link_id = link_id
         self.direction = direction
         self.slot_count = slot_count
         self.used = 0
         self.forbidden_mask = 0
-        # Row 0 is the used-slot integral, row 1 the reserved one.
-        self._seconds = np.zeros((2, slot_count), dtype=np.float64)
         self._clock = 0.0
-        self._masks = [0] * BUSY_TIME_BATCH
-        self._dts = [0.0] * BUSY_TIME_BATCH
-        self._pending = 0
+        self._since: dict[tuple[int, int], float] = {}
+        self._totals: dict[tuple[int, int], float] = {}
 
     def copy(self) -> "SlotGrid":
-        """An independent grid with the same slots and busy time.
-
-        The step buffer is copied unintegrated, so the copy adds its
-        steps in the same order as this grid would.
-        """
+        """An independent grid with the same slots, clock and busy time."""
         twin = SlotGrid.__new__(SlotGrid)
         twin.link_id = self.link_id
         twin.direction = self.direction
         twin.slot_count = self.slot_count
         twin.used = self.used
         twin.forbidden_mask = self.forbidden_mask
-        twin._seconds = self._seconds.copy()
         twin._clock = self._clock
-        twin._masks = list(self._masks)
-        twin._dts = list(self._dts)
-        twin._pending = self._pending
+        twin._since = dict(self._since)
+        twin._totals = dict(self._totals)
         return twin
 
     def advance_time(self, now: float) -> None:
-        """Integrate busy time up to ``now`` (monotone, clamped below).
+        """Move the grid's clock forward to ``now``; an earlier ``now`` leaves it.
 
-        The step is buffered; :meth:`_integrate` adds it to the totals.
+        :func:`allocate` and :func:`release` read the clock, so callers
+        advance it to the event's time first.
         """
-        dt = now - self._clock
-        if dt <= 0.0:
-            return
-        if self.used:
-            pending = self._pending
-            self._masks[pending] = self.used
-            self._dts[pending] = dt
-            self._pending = pending + 1
-            if pending + 1 == BUSY_TIME_BATCH:
-                self._integrate()
-        self._clock = now
+        if now > self._clock:
+            self._clock = now
 
-    def _integrate(self) -> None:
-        """Add the buffered steps to the busy-time integrals.
-
-        Only slots below ``top``, one past the highest slot any buffered
-        step held or shadowed, are touched: the slots above it were idle
-        in every step, and adding 0.0 changes nothing.  ``steps[0]``
-        holds the running totals and ``steps[e + 1]`` step ``e``'s
-        ``dt`` where a slot was busy and 0.0 where it was idle, held
-        slots in row 0 and covered slots in row 1.  ``np.add.reduce``
-        over the outer, step axis is a left fold per slot, so a total
-        takes the same ``+= dt`` additions, in the same order, as
-        stepwise integration.  A reduce along the contiguous axis would
-        sum pairwise and differ.
-        """
-        count, self._pending = self._pending, 0
-        if not count:
-            return
+    def _spread(self, shadow: int) -> np.ndarray:
+        """Busy seconds per slot, each block counted over its slots and ``shadow`` above."""
         import numpy as np
 
-        masks = self._masks[:count]
-        reach = 0
-        for mask in masks:
-            reach |= mask
-        top = min(self.slot_count, reach.bit_length() + GUARDBAND_SLOTS)
-        nbytes = (top + 7) // 8
-        packed = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-        raw = np.frombuffer(packed, dtype=np.uint8).reshape(count, nbytes)
-        # held[e, s]: slot s was held during step e; covered adds the
-        # guardband shadow above each block.
-        held = np.unpackbits(raw, axis=1, count=top, bitorder="little").view(bool)
-        covered = held.copy()
-        for k in range(1, GUARDBAND_SLOTS + 1):
-            covered[:, k:] |= held[:, :-k]
-        steps = _workspace(self.slot_count)[: (count + 1) * 2 * top].reshape(count + 1, 2, top)
-        totals = self._seconds[:, :top]
-        steps[0] = totals
-        dts = np.array(self._dts[:count])[:, None]
-        np.multiply(held, dts, out=steps[1:, 0])
-        np.multiply(covered, dts, out=steps[1:, 1])
-        np.add.reduce(steps, axis=0, out=totals)
+        seconds = np.zeros(self.slot_count)
+        for (start, width), total in self._totals.items():
+            seconds[start : start + width + shadow] += total
+        clock = self._clock
+        for (start, width), since in self._since.items():
+            seconds[start : start + width + shadow] += clock - since
+        return seconds
 
     @property
     def used_seconds(self) -> np.ndarray:
-        """Seconds each slot carried a circuit, up to the last clock step."""
-        self._integrate()
-        return self._seconds[0]
+        """Seconds each slot carried a circuit, up to the clock."""
+        return self._spread(0)
 
     @property
     def reserved_seconds(self) -> np.ndarray:
-        """Seconds each slot was held or in a guardband shadow."""
-        self._integrate()
-        return self._seconds[1]
+        """Seconds each slot was held or in a guardband shadow, up to the clock."""
+        return self._spread(GUARDBAND_SLOTS)
 
     def used_count(self) -> int:
         return self.used.bit_count()
@@ -328,7 +259,7 @@ def first_fit(mask: int, width: int) -> SlotBlock | None:
 
 
 def allocate(grids, block: SlotBlock) -> None:
-    """Mark ``block`` used on every grid."""
+    """Mark ``block`` used on every grid, stamped with that grid's clock."""
     mask = block.mask
     for grid in grids:
         if block.end > grid.slot_count:
@@ -337,22 +268,28 @@ def allocate(grids, block: SlotBlock) -> None:
             raise AllocationCollisionError(
                 f"block {block} not free on {grid.link_id}{grid.direction}"
             )
+    key = (block.start, block.width)
     for grid in grids:
         grid.used |= mask
+        grid._since[key] = grid._clock
 
 
 def release(grids, block: SlotBlock) -> None:
-    """Free ``block`` on every grid; forbidden blocks stay forbidden.
+    """Free ``block`` on every grid and add the time it was held to the grid's total.
 
-    Raises :class:`UnheldBlockError`, before changing any grid, when a
-    slot of ``block`` is not held on one of the grids.
+    Forbidden slots stay forbidden.  Raises :class:`UnheldBlockError`,
+    before changing any grid, unless every grid holds ``block`` as one
+    block that :func:`allocate` placed.
     """
+    key = (block.start, block.width)
+    for grid in grids:
+        if key not in grid._since:
+            raise UnheldBlockError(f"block {block} is not held on {grid.link_id}{grid.direction}")
     mask = block.mask
     for grid in grids:
-        if grid.used & mask != mask:
-            raise UnheldBlockError(f"block {block} is not held on {grid.link_id}{grid.direction}")
-    for grid in grids:
         grid.used &= ~mask
+        totals = grid._totals
+        totals[key] = totals.get(key, 0.0) + (grid._clock - grid._since.pop(key))
 
 
 def utilization(grid: SlotGrid) -> float:

@@ -538,6 +538,28 @@ def test_validate_loads_neither_numpy_nor_the_process_pool(config_path):
     assert _fresh_cli("validate", config_path) == (0, [], ["ok"])
 
 
+#: Modules only the link ranking's cache needs: ``rank-links`` on a
+#: cached ranking loads them, so they are not run-only modules.
+CACHE_ONLY_MODULES = ("hashlib", "json")
+
+# Lists the loaded modules before it imports json to report them.
+_CACHE_CHILD = f"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from eonjam import cli
+code = cli.main(sys.argv[2:])
+loaded = [name for name in {CACHE_ONLY_MODULES!r} if name in sys.modules]
+import json
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.name)
+def test_validate_loads_neither_hashlib_nor_json(config_path):
+    (code, loaded), lines = _fresh_process(_CACHE_CHILD, "validate", config_path)
+    assert (code, loaded, lines) == (0, [], ["ok"])
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
 def test_a_config_error_loads_neither_numpy_nor_the_process_pool(tmp_path, command):
     config_path = write_config(tmp_path, dict(TINY, base_seed=-1, output_dir=str(tmp_path / "out")))

@@ -29,8 +29,8 @@ from eonjam.sim import (
     run_replication,
     run_scenario,
 )
-from eonjam.spectrum import GUARDBAND_SLOTS, SlotBlock, SlotGrid
-from eonjam.topology import load_topology
+from eonjam.spectrum import GUARDBAND_SLOTS, SLOT_COUNT, SlotBlock, SlotGrid
+from eonjam.topology import load_topology, nsfnet
 
 
 def small_traffic(requests=800, replications=1):
@@ -195,6 +195,57 @@ def test_events_follow_time_order_on_real_traffic(nsf, seed, load):
             # Every circuit due at or before this arrival has left.
             assert all(lightpath.departs_at > now for lightpath in actives.values())
     assert len(events) == result.requests + result.established
+
+
+@pytest.mark.parametrize(
+    "mode, epsilon_db, slot_count",
+    [(ControlMode.UNAWARE, 3.0, SLOT_COUNT), (ControlMode.NO_JAMMING, None, 40)],
+    ids=["unaware-3dB", "no-jamming-40-slots"],
+)
+def test_link_busy_time_is_the_holding_time_of_its_circuits(monkeypatch, mode, epsilon_db, slot_count):
+    # Seed 7, 400 requests at 800 E on NSFNet.  Every established
+    # circuit is logged and its holding time, to its departure clipped
+    # to the horizon, is spread over its block (used) and its block and
+    # guardband shadow (reserved) on each hop.  On 40 slots the grids
+    # fill to the top, so some shadows are clipped to the grid.
+    circuits = []
+    establish = control_plane.NetworkState.establish
+
+    def logged(state, lightpath, now):
+        circuits.append((lightpath.route.directed_hops, lightpath.block, now, lightpath.departs_at))
+        establish(state, lightpath, now)
+
+    monkeypatch.setattr(control_plane.NetworkState, "establish", logged)
+    monkeypatch.setattr(control_plane, "SlotGrid", functools.partial(SlotGrid, slot_count=slot_count))
+    topology = nsfnet()
+    traffic = TrafficModel(load_erlangs=800.0, requests_per_replication=400)
+    jammer = None if epsilon_db is None else JammerConfig(target="8-9", epsilon_db=epsilon_db)
+    result = run_replication(7, topology, traffic, mode, jammer)
+    horizon = sim._request_stream(7, topology.nodes, traffic)[-1].arrival_time
+    sim._request_stream.cache_clear()
+
+    assert len(circuits) == result.established > 100
+    clipped = any(block.end + GUARDBAND_SLOTS > slot_count for _, block, _, _ in circuits)
+    assert clipped == (slot_count == 40)
+    busy = {}
+    for hops, block, arrival, departs_at in circuits:
+        held = min(departs_at, horizon) - arrival
+        for hop in hops:
+            used, reserved = busy.setdefault(hop, (np.zeros(slot_count), np.zeros(slot_count)))
+            used[block.start:block.end] += held
+            reserved[block.start:min(block.end + GUARDBAND_SLOTS, slot_count)] += held
+    idle = (np.zeros(slot_count), np.zeros(slot_count))
+    grids = []
+    for link in topology.links:
+        there = busy.get((link.source, link.destination), idle)
+        back = busy.get((link.destination, link.source), idle)
+        grids += [there[1] / horizon, back[1] / horizon]
+        used = (there[0] + back[0]) / 2.0 / horizon
+        reserved = (there[1] + back[1]) / 2.0 / horizon
+        np.testing.assert_allclose(result.slot_used_by_link[link.id], used, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.slot_utilization_by_link[link.id], reserved, rtol=1e-12, atol=0.0)
+    assert result.slot_used_by_link.keys() == {link.id for link in topology.links}
+    np.testing.assert_allclose(result.slot_utilization, np.mean(grids, axis=0), rtol=1e-12, atol=0.0)
 
 
 def test_same_seed_bitwise_identical(nsf):
