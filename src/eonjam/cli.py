@@ -52,12 +52,12 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from . import metrics, sim
+from ._value import Value
 from .control_plane import (
     DEFAULT_DETECTION_TOLERANCE_DB,
     REASON_JAMMED,
@@ -80,51 +80,75 @@ __all__ = [
 _NA = "na"
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Value):
     """A checked scenario: what to simulate and where to write results.
 
     Refuses its own fields' bounds and the rules that span fields with a
-    ``ValueError`` whose message starts with the field it is about.
+    ``ValueError`` whose message starts with the field it is about.  Its
+    fields are the config file's top-level keys.  ``_topology``, not a
+    config key and not compared, holds the loaded topology: the one the
+    config check built, or the first load.
     """
 
-    topology: str
-    modes: tuple[ControlMode, ...]
-    jammer: JammerConfig | None
-    epsilon_sweep: tuple[float, float, float] | None
-    traffic: sim.TrafficModel
-    base_seed: int
-    output_dir: str
-    detection_tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB
-    workers: int = 1
-    #: The loaded topology: the one the config check built, or the first
-    #: load.  Not a config key.
-    _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = (
+        "topology",
+        "modes",
+        "jammer",
+        "epsilon_sweep",
+        "traffic",
+        "base_seed",
+        "output_dir",
+        "detection_tolerance_db",
+        "workers",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.modes:
+    def __init__(
+        self,
+        topology: str,
+        modes: tuple[ControlMode, ...],
+        jammer: JammerConfig | None,
+        epsilon_sweep: tuple[float, float, float] | None,
+        traffic: sim.TrafficModel,
+        base_seed: int,
+        output_dir: str,
+        detection_tolerance_db: float = DEFAULT_DETECTION_TOLERANCE_DB,
+        workers: int = 1,
+    ) -> None:
+        if not modes:
             raise ValueError("modes: at least one mode is required")
-        repeated = [mode.value for mode in dict.fromkeys(self.modes) if self.modes.count(mode) > 1]
+        repeated = [mode.value for mode in dict.fromkeys(modes) if modes.count(mode) > 1]
         if repeated:
             raise ValueError(f"modes: listed more than once: {', '.join(repeated)}")
-        jams = any(mode is not ControlMode.NO_JAMMING for mode in self.modes)
-        if jams and self.jammer is None:
+        jams = any(mode is not ControlMode.NO_JAMMING for mode in modes)
+        if jams and jammer is None:
             raise ValueError("jammer: required by modes other than no_jamming")
-        if not jams and self.jammer is not None:
+        if not jams and jammer is not None:
             raise ValueError("jammer: must be absent when the only mode is no_jamming")
-        if self.epsilon_sweep is not None:
+        if epsilon_sweep is not None:
             try:
-                sim.epsilon_sweep_length(*self.epsilon_sweep)
+                sim.epsilon_sweep_length(*epsilon_sweep)
             except ValueError as exc:
                 raise ValueError(f"epsilon_sweep: {exc}") from None
         elif jams:
             raise ValueError("epsilon_sweep: required by modes other than no_jamming")
-        if self.base_seed < 0:
+        if base_seed < 0:
             raise ValueError("base_seed: must be >= 0")
-        if not self.detection_tolerance_db >= 0:
+        if not detection_tolerance_db >= 0:
             raise ValueError("detection_tolerance_db: must be >= 0")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers: must be >= 1")
+        self._store(
+            topology=topology,
+            modes=modes,
+            jammer=jammer,
+            epsilon_sweep=epsilon_sweep,
+            traffic=traffic,
+            base_seed=base_seed,
+            output_dir=output_dir,
+            detection_tolerance_db=detection_tolerance_db,
+            workers=workers,
+            _topology=None,
+        )
 
     def load_topology(self) -> Topology:
         """The scenario's topology, parsed and checked once per config."""
@@ -217,7 +241,8 @@ def _traffic_fields(section) -> dict:
     return fields
 
 
-_CONFIG_FIELDS = tuple(entry.name for entry in fields(ScenarioConfig) if entry.init)
+#: The top-level config keys: the scenario's fields.
+_CONFIG_FIELDS = ScenarioConfig._fields
 _JAMMER_FIELDS = ("target", "jammed_ranges")
 _SWEEP_FIELDS = ("start", "stop", "step")
 _SECTION_KEYS = {"jammer": _JAMMER_FIELDS, "epsilon_sweep": _SWEEP_FIELDS, "traffic": _TRAFFIC_FIELDS}
@@ -312,19 +337,46 @@ def _parse_config(data: dict, config_dir: Path) -> tuple[ScenarioConfig | None, 
     return config, []
 
 
+class _RepeatedKeyError(yaml.YAMLError):
+    """A mapping of the config lists one key twice."""
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` refusing a key that one mapping lists twice, which it would drop."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # the base loader refuses an unhashable key
+                continue
+            if repeated:
+                raise _RepeatedKeyError(f"repeated key {key!r} on line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path) -> tuple[ScenarioConfig | None, list[str]]:
     """Load and statically check a scenario file."""
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_ConfigLoader)
     except FileNotFoundError:
         return None, [f"config: file not found: {path}"]
     except OSError as exc:
         return None, [f"config: cannot read {path}: {exc.strerror}"]
     except UnicodeDecodeError:
         return None, [f"config: not UTF-8 text: {path}"]
+    except _RepeatedKeyError as exc:
+        return None, [f"config: {exc}"]
     except yaml.YAMLError as exc:
         return None, [f"config: invalid YAML: {exc}"]
+    except RecursionError:
+        return None, [f"config: nested too deeply to read: {path}"]
     return _parse_config(data, path.parent)
 
 

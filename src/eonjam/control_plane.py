@@ -92,11 +92,12 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import operator
 import weakref
-from dataclasses import dataclass, field
 from enum import Enum
 
 from . import phy
+from ._value import Value
 from .jammer import GroundTruth
 from .spectrum import SLOT_COUNT, SlotBlock, SlotGrid, allocate, first_fit, fit_mask, release
 from .topology import Route, Topology
@@ -143,7 +144,6 @@ class Verdict(Enum):
 CAP_MARGIN = 1e-12
 
 
-@dataclass(slots=True)
 class Lightpath:
     """A circuit (candidate or established) plus its live noise state.
 
@@ -156,23 +156,68 @@ class Lightpath:
     and the XCI the candidate adds to each neighbour.  ``cap`` is the
     :meth:`survival_cap` that :meth:`NetworkState.establish` sets; a
     circuit that was never established has ``-inf``, which passes no
-    neighbour check on its own.
+    neighbour check on its own.  Lightpaths are not hashable.
     """
 
-    id: int
-    route: Route
-    block: SlotBlock
-    modulation: phy.Modulation
-    bandwidth_gbps: float
-    departs_at: float
-    channel: phy.Channel
-    ase_psd: float
-    sci_psd: float
-    jam_psd: float
-    xci_psd: float = 0.0
-    path: RouteRecord | None = field(default=None, repr=False, compare=False)
-    priced: tuple | None = field(default=None, repr=False, compare=False)
-    cap: float = field(default=-math.inf, repr=False, compare=False)
+    __slots__ = (
+        "id",
+        "route",
+        "block",
+        "modulation",
+        "bandwidth_gbps",
+        "departs_at",
+        "channel",
+        "ase_psd",
+        "sci_psd",
+        "jam_psd",
+        "xci_psd",
+        "path",
+        "priced",
+        "cap",
+    )
+    #: The fields ``==`` compares and ``repr`` prints: all but ``path``, ``priced`` and ``cap``.
+    _fields = __slots__[:11]
+    _compared = operator.attrgetter(*_fields)
+
+    def __init__(
+        self,
+        id: int,
+        route: Route,
+        block: SlotBlock,
+        modulation: phy.Modulation,
+        bandwidth_gbps: float,
+        departs_at: float,
+        channel: phy.Channel,
+        ase_psd: float,
+        sci_psd: float,
+        jam_psd: float,
+        xci_psd: float = 0.0,
+        path: RouteRecord | None = None,
+        priced: tuple | None = None,
+        cap: float = -math.inf,
+    ) -> None:
+        self.id = id
+        self.route = route
+        self.block = block
+        self.modulation = modulation
+        self.bandwidth_gbps = bandwidth_gbps
+        self.departs_at = departs_at
+        self.channel = channel
+        self.ase_psd = ase_psd
+        self.sci_psd = sci_psd
+        self.jam_psd = jam_psd
+        self.xci_psd = xci_psd
+        self.path = path
+        self.priced = priced
+        self.cap = cap
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Lightpath:
+            return NotImplemented
+        return Lightpath._compared(self) == Lightpath._compared(other)
+
+    __hash__ = None
+    __repr__ = Value.__repr__
 
     @property
     def noise_psd(self) -> float:
@@ -220,11 +265,11 @@ class Lightpath:
         return margin - (self.ase_psd + self.sci_psd + self.jam_psd)
 
 
-@dataclass(frozen=True, slots=True)
-class Blocked:
+class Blocked(Value):
     """A denied request and the dominant reason."""
 
-    reason: str
+    __slots__ = ("reason",)
+    _fields = __slots__
 
 
 class RouteRecord:
@@ -440,8 +485,7 @@ def required_slots(bandwidth_gbps: float, modulation: phy.Modulation) -> int:
     return math.ceil(bandwidth_gbps / (slot_gbps * modulation.bits_per_symbol))
 
 
-@dataclass(frozen=True)
-class StaticReach:
+class StaticReach(Value):
     """Formats a route can carry a demand at, before any other traffic.
 
     ``formats`` holds ``(modulation, width)`` pairs in trial order, most
@@ -452,10 +496,7 @@ class StaticReach:
     and the block width that every candidate on the route reuses.
     """
 
-    formats: tuple[tuple[phy.Modulation, int], ...]
-    narrowest_pruned_width: int | None
-    ase_psd: float
-    sci_psds: tuple[float, ...]
+    _fields = ("formats", "narrowest_pruned_width", "ase_psd", "sci_psds")
 
 
 @functools.cache

@@ -13,8 +13,7 @@ the measured-SNR comparison in the detection step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .phy import TX_POWER_W, Channel, channel_for_block, db_to_linear, jamming_psd
 from .spectrum import SLOT_COUNT, SlotBlock
 
@@ -43,8 +42,7 @@ DEFAULT_JAMMED_RANGES: tuple[SlotBlock, ...] = (
 MAX_EPSILON_DB = 100.0
 
 
-@dataclass(frozen=True)
-class JammerConfig:
+class JammerConfig(Value):
     """Which link is attacked, where in the spectrum, and how hard.
 
     ``target`` is ``"most_used"``, ``"least_used"`` or an explicit link
@@ -52,47 +50,51 @@ class JammerConfig:
     lies between 0 and :data:`MAX_EPSILON_DB`.
     """
 
-    target: str
-    jammed_ranges: tuple[SlotBlock, ...] = DEFAULT_JAMMED_RANGES
-    epsilon_db: float = 0.0
+    _fields = ("target", "jammed_ranges", "epsilon_db")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.target, str) or not self.target:
+    def __init__(
+        self,
+        target: str,
+        jammed_ranges: tuple[SlotBlock, ...] = DEFAULT_JAMMED_RANGES,
+        epsilon_db: float = 0.0,
+    ) -> None:
+        if not isinstance(target, str) or not target:
             raise ValueError("target: required (most_used, least_used or a link id)")
-        if not 0.0 <= self.epsilon_db <= MAX_EPSILON_DB:
+        if not 0.0 <= epsilon_db <= MAX_EPSILON_DB:
             raise ValueError(
-                f"epsilon_db must be finite, >= 0 and <= {MAX_EPSILON_DB}, got {self.epsilon_db}"
+                f"epsilon_db must be finite, >= 0 and <= {MAX_EPSILON_DB}, got {epsilon_db}"
             )
-        if not self.jammed_ranges:
+        if not jammed_ranges:
             raise ValueError("at least one jammed range is required")
-        ordered = sorted(self.jammed_ranges, key=lambda b: b.start)
+        ordered = sorted(jammed_ranges, key=lambda b: b.start)
         for block in ordered:
             if block.end > SLOT_COUNT:
                 raise ValueError(f"jammed range {block} exceeds the {SLOT_COUNT}-slot grid")
         for left, right in zip(ordered, ordered[1:]):
             if left.end > right.start:
                 raise ValueError(f"jammed ranges {left} and {right} overlap")
+        self._store(target=target, jammed_ranges=jammed_ranges, epsilon_db=epsilon_db)
 
     @property
     def uses_selector(self) -> bool:
         return self.target in (MOST_USED, LEAST_USED)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(Value):
     """Resolved attack state: the emulated measurement-plane view.
 
     An attack is fixed for the whole run, so the jamming noise of a
     launch-power channel depends only on its block and on the span count
-    of the attacked link; :meth:`jamming_psd` prices each such pair once.
+    of the attacked link; :meth:`jamming_psd` prices each such pair once
+    and keeps it in ``_psds``, by ``(block, span_count)``, which is not
+    compared.
     """
 
-    link_id: str
-    channels: tuple[Channel, ...]
-    epsilon_w: float
-    jammed_ranges: tuple[SlotBlock, ...]
-    #: ``phy.jamming_psd`` by ``(block, span_count)``, filled by :meth:`jamming_psd`.
-    _psds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("link_id", "channels", "epsilon_w", "jammed_ranges")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._store(_psds={})
 
     def ranges_overlapping(self, block: SlotBlock) -> tuple[SlotBlock, ...]:
         return tuple(r for r in self.jammed_ranges if r.overlaps(block))

@@ -13,8 +13,9 @@ feeds is what the attacker's most/least-used selector consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from ._value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,24 +29,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ReplicationResult:
+class ReplicationResult(Value):
     """Statistics of one seeded replication.
 
     ``slot_utilization`` (and its per-link breakdown) counts a slot as
     busy while it is used or guard-locked; ``slot_used_by_link`` counts
     carried traffic only, which is what attack-avoidance assertions
-    about "always free" slots need.  ``==`` is :func:`results_equal`;
-    results are not hashable.
+    about "always free" slots need.  The per-link maps default to new
+    empty dicts.  ``==`` is :func:`results_equal`; results are not
+    hashable.
     """
 
-    requests: int
-    blocked_by_reason: dict[str, int]
-    slot_utilization: np.ndarray
-    slot_utilization_by_link: dict[str, np.ndarray] = field(default_factory=dict)
-    slot_used_by_link: dict[str, np.ndarray] = field(default_factory=dict)
-    established: int = 0
-    horizon_s: float = 0.0
+    _fields = (
+        "requests",
+        "blocked_by_reason",
+        "slot_utilization",
+        "slot_utilization_by_link",
+        "slot_used_by_link",
+        "established",
+        "horizon_s",
+    )
+
+    def __init__(
+        self,
+        requests: int,
+        blocked_by_reason: dict[str, int],
+        slot_utilization: np.ndarray,
+        slot_utilization_by_link: dict[str, np.ndarray] | None = None,
+        slot_used_by_link: dict[str, np.ndarray] | None = None,
+        established: int = 0,
+        horizon_s: float = 0.0,
+    ) -> None:
+        self._store(
+            requests=requests,
+            blocked_by_reason=blocked_by_reason,
+            slot_utilization=slot_utilization,
+            slot_utilization_by_link={} if slot_utilization_by_link is None else slot_utilization_by_link,
+            slot_used_by_link={} if slot_used_by_link is None else slot_used_by_link,
+            established=established,
+            horizon_s=horizon_s,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReplicationResult):

@@ -63,8 +63,8 @@ times the rounding error of the dB value, so no verdict changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .spectrum import SLOT_COUNT, SlotBlock
 from .topology import SPAN_LENGTH_KM
 
@@ -173,30 +173,36 @@ def _cover(center: int, width: int) -> None:
             table[:] = ratios[:reach] + ratios[:0:-1]
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Value):
     """A spectral occupant: slot block, centre frequency, bandwidth and launch PSD.
 
     Built by :func:`channel_for_block`, which derives the frequencies
-    from the block.
+    from the block.  ``record`` is ``(2 * block.start + block.width,
+    block.width, psd_w_per_hz, psd_w_per_hz**2)``: the centre and the
+    half-bandwidth in half-slots, then the PSD and its square;
+    everything the XCI kernels read of a channel.  It is not compared.
     """
 
-    block: SlotBlock
-    center_frequency_hz: float
-    bandwidth_hz: float
-    psd_w_per_hz: float
-    is_jammer: bool = False
-    #: ``(2 * block.start + block.width, block.width, psd_w_per_hz,
-    #: psd_w_per_hz**2)``: the centre and the half-bandwidth in half-slots,
-    #: then the PSD and its square; everything the XCI kernels read of a
-    #: channel.
-    record: tuple[int, int, float, float] = field(init=False, repr=False, compare=False)
+    _fields = ("block", "center_frequency_hz", "bandwidth_hz", "psd_w_per_hz", "is_jammer")
 
-    def __post_init__(self) -> None:
-        psd = self.psd_w_per_hz
-        width = self.block.width
-        center = 2 * self.block.start + width
-        object.__setattr__(self, "record", (center, width, psd, psd**2))
+    def __init__(
+        self,
+        block: SlotBlock,
+        center_frequency_hz: float,
+        bandwidth_hz: float,
+        psd_w_per_hz: float,
+        is_jammer: bool = False,
+    ) -> None:
+        width = block.width
+        center = 2 * block.start + width
+        self._store(
+            block=block,
+            center_frequency_hz=center_frequency_hz,
+            bandwidth_hz=bandwidth_hz,
+            psd_w_per_hz=psd_w_per_hz,
+            is_jammer=is_jammer,
+            record=(center, width, psd_w_per_hz, psd_w_per_hz**2),
+        )
         table = _LOG_RATIOS.get(width)
         if table is None or 2 * center >= len(table):
             _cover(center, width)
@@ -219,23 +225,24 @@ class Channel:
 QOT_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class Modulation:
+class Modulation(Value):
     """A modulation format and its SNR threshold.
 
     ``qot_band`` holds the linear SNRs ``(L * (1 - QOT_BAND), L * (1 +
     QOT_BAND))`` around ``L = db_to_linear(snr_threshold_db)``, computed
-    once per format for :func:`qot_verdict`.
+    once per format for :func:`qot_verdict`.  It is not compared.
     """
 
-    name: str
-    bits_per_symbol: int
-    snr_threshold_db: float
-    qot_band: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _fields = ("name", "bits_per_symbol", "snr_threshold_db")
 
-    def __post_init__(self) -> None:
-        linear = db_to_linear(self.snr_threshold_db)
-        object.__setattr__(self, "qot_band", (linear * (1.0 - QOT_BAND), linear * (1.0 + QOT_BAND)))
+    def __init__(self, name: str, bits_per_symbol: int, snr_threshold_db: float) -> None:
+        linear = db_to_linear(snr_threshold_db)
+        self._store(
+            name=name,
+            bits_per_symbol=bits_per_symbol,
+            snr_threshold_db=snr_threshold_db,
+            qot_band=(linear * (1.0 - QOT_BAND), linear * (1.0 + QOT_BAND)),
+        )
 
 
 #: Supported formats, ordered by spectral efficiency.

@@ -55,10 +55,10 @@ import functools
 import heapq
 import math
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import metrics
+from ._value import Value
 from .control_plane import (
     DEFAULT_DETECTION_TOLERANCE_DB,
     Blocked,
@@ -108,36 +108,49 @@ MAX_REQUESTS_PER_REPLICATION = 1_000_000
 MAX_SWEEP_POINTS = 10_000
 
 
-@dataclass(frozen=True)
-class TrafficModel:
+class TrafficModel(Value):
     """Offered-load description; defaults match the reference workload."""
 
-    load_erlangs: float = 200.0
-    mean_holding_s: float = 600.0
-    bandwidth_choices_gbps: tuple[float, ...] = (40.0, 200.0, 400.0)
-    requests_per_replication: int = 100_000
-    replications: int = 10
+    _fields = (
+        "load_erlangs",
+        "mean_holding_s",
+        "bandwidth_choices_gbps",
+        "requests_per_replication",
+        "replications",
+    )
 
-    def __post_init__(self) -> None:
-        if not (0 < self.load_erlangs < math.inf and 0 < self.mean_holding_s < math.inf):
+    def __init__(
+        self,
+        load_erlangs: float = 200.0,
+        mean_holding_s: float = 600.0,
+        bandwidth_choices_gbps: tuple[float, ...] = (40.0, 200.0, 400.0),
+        requests_per_replication: int = 100_000,
+        replications: int = 10,
+    ) -> None:
+        if not (0 < load_erlangs < math.inf and 0 < mean_holding_s < math.inf):
             raise ValueError("load and holding time must be positive and finite")
-        if not self.bandwidth_choices_gbps or not all(
-            0 < b < math.inf for b in self.bandwidth_choices_gbps
-        ):
+        if not bandwidth_choices_gbps or not all(0 < b < math.inf for b in bandwidth_choices_gbps):
             raise ValueError("bandwidth choices must be positive and finite")
-        if self.requests_per_replication < 1:
+        if requests_per_replication < 1:
             # A replication without requests has no blocking probability.
             raise ValueError("requests_per_replication: must be >= 1")
-        if self.requests_per_replication > MAX_REQUESTS_PER_REPLICATION:
+        if requests_per_replication > MAX_REQUESTS_PER_REPLICATION:
             raise ValueError(
-                f"requests_per_replication: {self.requests_per_replication} requests, "
+                f"requests_per_replication: {requests_per_replication} requests, "
                 f"more than the {MAX_REQUESTS_PER_REPLICATION} allowed"
             )
-        if self.replications < 1:
+        if replications < 1:
             raise ValueError("replications: must be >= 1")
-        horizon = self.requests_per_replication * self.mean_holding_s / self.load_erlangs
+        horizon = requests_per_replication * mean_holding_s / load_erlangs
         if horizon > MAX_MEAN_HORIZON_S:
             raise ValueError(f"mean arrival horizon {horizon:.3g} s is above the {MAX_MEAN_HORIZON_S:g} s allowed")
+        self._store(
+            load_erlangs=load_erlangs,
+            mean_holding_s=mean_holding_s,
+            bandwidth_choices_gbps=bandwidth_choices_gbps,
+            requests_per_replication=requests_per_replication,
+            replications=replications,
+        )
 
     @property
     def arrival_rate(self) -> float:
@@ -145,14 +158,29 @@ class TrafficModel:
         return self.load_erlangs / self.mean_holding_s
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
-    id: int
-    source: str
-    destination: str
-    bandwidth_gbps: float
-    arrival_time: float
-    holding_s: float
+class Request(Value):
+    """One connection request: endpoints, bandwidth, arrival and holding time."""
+
+    __slots__ = ("id", "source", "destination", "bandwidth_gbps", "arrival_time", "holding_s")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        id: int,
+        source: str,
+        destination: str,
+        bandwidth_gbps: float,
+        arrival_time: float,
+        holding_s: float,
+    ) -> None:
+        self._store(
+            id=id,
+            source=source,
+            destination=destination,
+            bandwidth_gbps=bandwidth_gbps,
+            arrival_time=arrival_time,
+            holding_s=holding_s,
+        )
 
 
 def generate_request(
@@ -528,14 +556,10 @@ def compute_utilization_ranking(
         _request_stream.cache_clear()
 
 
-@dataclass(frozen=True)
-class ScenarioPoint:
+class ScenarioPoint(Value):
     """All replications of one (mode, epsilon) sweep point."""
 
-    mode: ControlMode
-    target_link_id: str | None
-    epsilon_db: float | None
-    results: tuple[metrics.ReplicationResult, ...]
+    _fields = ("mode", "target_link_id", "epsilon_db", "results")
 
     @property
     def mean_blocking(self) -> float:
@@ -548,10 +572,11 @@ class ScenarioPoint:
         return metrics.slot_histogram(self.results)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    points: tuple[ScenarioPoint, ...]
-    ranking: tuple[tuple[str, float], ...] | None = None
+class ScenarioResult(Value):
+    """Every point of a scenario, and the link ranking that named its jammer's target, if one did."""
+
+    _fields = ("points", "ranking")
+    _defaults = {"ranking": None}
 
 
 def run_scenario(config, ranking=None) -> ScenarioResult:

@@ -30,8 +30,9 @@ holding times of the blocks on it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from ._value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,18 +68,17 @@ class UnheldBlockError(SpectrumError):
     """Release hit a slot of the block that is not held: a double release or a wrong block."""
 
 
-@dataclass(frozen=True)
-class SlotBlock:
+class SlotBlock(Value):
     """A contiguous run of ``width`` slots starting at ``start``."""
 
-    start: int
-    width: int
+    _fields = ("start", "width")
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise SpectrumError(f"block start must be >= 0, got {self.start}")
-        if self.width < 1:
-            raise SpectrumError(f"block width must be >= 1, got {self.width}")
+    def __init__(self, start: int, width: int) -> None:
+        if start < 0:
+            raise SpectrumError(f"block start must be >= 0, got {start}")
+        if width < 1:
+            raise SpectrumError(f"block width must be >= 1, got {width}")
+        self._store(start=start, width=width)
 
     @property
     def end(self) -> int:

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+
+from ._value import Value
 
 __all__ = [
     "SPAN_LENGTH_KM",
@@ -56,20 +57,16 @@ class RouteNotFoundError(TopologyError):
     """No path between the requested endpoints (a disconnected graph)."""
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Value):
     """An undirected fibre: id, endpoints, length and the spans the length implies."""
 
-    id: str
-    source: str
-    destination: str
-    length_km: float
-    span_count: int = field(init=False)
+    _fields = ("id", "source", "destination", "length_km", "span_count")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.length_km < math.inf:
-            raise TopologyError(f"non-positive or non-finite length {self.length_km}")
-        object.__setattr__(self, "span_count", max(1, math.ceil(self.length_km / SPAN_LENGTH_KM)))
+    def __init__(self, id: str, source: str, destination: str, length_km: float) -> None:
+        if not 0.0 < length_km < math.inf:
+            raise TopologyError(f"non-positive or non-finite length {length_km}")
+        span_count = max(1, math.ceil(length_km / SPAN_LENGTH_KM))
+        self._store(id=id, source=source, destination=destination, length_km=length_km, span_count=span_count)
 
     def other_end(self, node: str) -> str:
         if node == self.source:
@@ -79,13 +76,10 @@ class Link:
         raise TopologyError(f"node {node!r} is not an endpoint of link {self.id}")
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Value):
     """An ordered chain of links from source to destination."""
 
-    links: tuple[Link, ...]
-    source: str
-    destination: str
+    _fields = ("links", "source", "destination")
 
     @property
     def link_ids(self) -> tuple[str, ...]:

@@ -1,6 +1,5 @@
 import concurrent.futures
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -228,11 +227,12 @@ def test_run_scenario_refuses_a_repeated_mode(tmp_path):
     # The scenario refuses the repeated mode when built, so no run starts.
     config, violations = load_config(write_config(tmp_path, TINY))
     assert not violations
+    fields = {name: getattr(config, name) for name in cli._CONFIG_FIELDS}
     started = AssertionError("a run started")
     with mock.patch.object(sim, "_replicate", side_effect=started), mock.patch.object(
         concurrent.futures, "ProcessPoolExecutor", side_effect=started
     ), pytest.raises(ValueError, match="^modes: listed more than once: unaware$"):
-        dataclasses.replace(config, modes=(ControlMode.UNAWARE, ControlMode.UNAWARE))
+        ScenarioConfig(**dict(fields, modes=(ControlMode.UNAWARE, ControlMode.UNAWARE)))
 
 
 def _tiny_scenario(**changes):
@@ -323,6 +323,70 @@ def test_an_unreadable_config_is_a_config_error(tmp_path, monkeypatch, command, 
         message = f"config: not UTF-8 text: {config_path}"
     assert _cli(command, str(config_path)) == (1, "", f"config error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
+def test_a_deeply_nested_config_is_a_config_error(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("EONJAM_OUTPUT_DIR", str(tmp_path / "out"))
+    config_path = tmp_path / "scenario.yaml"
+    config_path.write_text("x: " + "[" * 1000 + "\n")
+    message = f"config error: config: nested too deeply to read: {config_path}\n"
+    assert _cli(command, str(config_path)) == (1, "", message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix",
+    [("x: ", ""), ("modes: ", ""), ("traffic: {bandwidth_choices_gbps: ", "}"), ("jammer: {jammed_ranges: ", "}")],
+)
+def test_nesting_near_the_parser_limit_never_escapes(tmp_path, prefix, suffix):
+    # Around the depth at which the YAML parser gives up, a config is
+    # read and refused, or refused as too deep; nothing else escapes.
+    config_path = tmp_path / "scenario.yaml"
+    too_deep = set()
+    for depth in range(400, 700, 40):
+        config_path.write_text(prefix + "[" * depth + "]" * depth + suffix + "\n")
+        code, out, err = _cli("validate", str(config_path))
+        assert (code, out) == (1, "")
+        assert all(line.startswith("config error: ") for line in err.splitlines())
+        too_deep.add("nested too deeply" in err)
+    assert too_deep == {False, True}
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_a_top_level_key_repeated_is_a_config_error(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("EONJAM_OUTPUT_DIR", str(tmp_path / "out"))
+    text = yaml.safe_dump(TINY)
+    config_path = tmp_path / "scenario.yaml"
+    config_path.write_text(text + "base_seed: 4\n")
+    line = len(text.splitlines()) + 1
+    assert _cli(command, str(config_path)) == (1, "", f"config error: config: repeated key 'base_seed' on line {line}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_a_section_key_repeated_is_a_config_error(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("EONJAM_OUTPUT_DIR", str(tmp_path / "out"))
+    config_path = tmp_path / "scenario.yaml"
+    config_path.write_text(
+        "modes: [no_jamming]\n"
+        "traffic:\n"
+        "  requests_per_replication: 250\n"
+        "  replications: 1\n"
+        "  replications: 2\n"
+    )
+    assert _cli(command, str(config_path)) == (1, "", "config error: config: repeated key 'replications' on line 5\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_merged_key_overridden_is_not_repeated(tmp_path):
+    config_path = tmp_path / "scenario.yaml"
+    config_path.write_text(yaml.safe_dump(dict(TINY, traffic={"replications": 2})).replace(
+        "traffic:\n", "traffic:\n  <<: {requests_per_replication: 250, replications: 1}\n"
+    ))
+    config, violations = load_config(config_path)
+    assert violations == []
+    assert (config.traffic.requests_per_replication, config.traffic.replications) == (250, 2)
 
 
 @pytest.mark.parametrize(
@@ -558,6 +622,29 @@ print(json.dumps([code, loaded]))
 def test_validate_loads_neither_hashlib_nor_json(config_path):
     (code, loaded), lines = _fresh_process(_CACHE_CHILD, "validate", config_path)
     assert (code, loaded, lines) == (0, [], ["ok"])
+
+
+#: Modules that build classes by generating code; nothing at start loads them.
+CODEGEN_MODULES = ("dataclasses", "inspect")
+
+# Lists the modules importing eonjam loaded, then those after the command.
+_START_CHILD = f"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import eonjam
+on_import = [name for name in {CODEGEN_MODULES!r} if name in sys.modules]
+from eonjam import cli
+code = cli.main(sys.argv[2:])
+after = [name for name in {CODEGEN_MODULES!r} if name in sys.modules]
+import json
+print(json.dumps([code, on_import, after]))
+"""
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.name)
+def test_start_loads_neither_dataclasses_nor_inspect(config_path):
+    (code, on_import, after), lines = _fresh_process(_START_CHILD, "validate", config_path)
+    assert (code, on_import, after, lines) == (0, [], [], ["ok"])
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "rank-links"])
